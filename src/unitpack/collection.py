@@ -6,10 +6,8 @@ from __future__ import annotations
 import logging
 import shlex
 import tempfile
-import urllib.error
-import urllib.request
 import zipfile
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import yaml
@@ -39,16 +37,18 @@ class Collection:
     """Identifier-keyed, lexicographically ordered set of entries."""
 
     entries: tuple[Entry, ...]
+    _by_id: dict[str, Entry] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         ordered = tuple(sorted(self.entries, key=lambda e: e.identifier))
-        seen: dict[str, Entry] = {}
+        by_id: dict[str, Entry] = {}
         for entry in ordered:
-            if entry.identifier in seen:
+            if entry.identifier in by_id:
                 raise DuplicateIdentifier(
                     f"duplicate identifier {entry.identifier!r}")
-            seen[entry.identifier] = entry
+            by_id[entry.identifier] = entry
         object.__setattr__(self, "entries", ordered)
+        object.__setattr__(self, "_by_id", by_id)
 
     @property
     def identifiers(self) -> tuple[str, ...]:
@@ -75,7 +75,12 @@ def from_directory(directory: str | Path, skip_errors: bool = False
     with `skip_errors` they are logged and skipped.  Two descriptors
     yielding the same identifier are always fatal.
     """
-    directory = Path(directory)
+    return _load_directory(Path(directory), skip_errors, load_entry)
+
+
+def _load_directory(directory: Path, skip_errors: bool, load) -> Collection:
+    """`from_directory`, with `load` turning each descriptor path into an
+    entry; its `UnitpackError`s are per-file load errors."""
     if not directory.is_dir():
         raise DirectoryNotFound(f"not a directory: {directory}")
     entries: list[Entry] = []
@@ -85,7 +90,7 @@ def from_directory(directory: str | Path, skip_errors: bool = False
         if not json_path.is_file():
             continue
         try:
-            entry = load_entry(json_path)
+            entry = load(json_path)
         except UnitpackError as exc:
             failures.append((str(json_path), str(exc)))
             continue
@@ -107,6 +112,9 @@ def from_directory(directory: str | Path, skip_errors: bool = False
 
 
 def _fetch_to_file(url: str, target: Path) -> None:
+    import urllib.error  # imported here: no other command pays for it
+    import urllib.request
+
     try:
         with urllib.request.urlopen(url, timeout=FETCH_TIMEOUT_S) as response:
             target.write_bytes(response.read())
@@ -118,8 +126,14 @@ def from_archive(source: str | Path, skip_errors: bool = False) -> Collection:
     """Load a collection from a ZIP archive on disk or over HTTP(S).
 
     The only operation that may touch the network; 30 s timeout, no
-    retries.
+    retries.  Every table is read before the extracted files are
+    removed, so an error in a CSV body is a load error of its entry.
     """
+    def load_with_rows(json_path: Path) -> Entry:
+        entry = load_entry(json_path)
+        entry.table.rows  # noqa: B018 - parse the rows while they exist
+        return entry
+
     with tempfile.TemporaryDirectory(prefix="unitpack-archive-") as tmp:
         tmp_dir = Path(tmp)
         if isinstance(source, str) and source.startswith(("http://",
@@ -143,15 +157,14 @@ def from_archive(source: str | Path, skip_errors: bool = False) -> Collection:
                 archive.extractall(extract_dir)
         except zipfile.BadZipFile as exc:
             raise BadArchive(f"not a ZIP archive: {archive_path}") from exc
-        return from_directory(extract_dir, skip_errors=skip_errors)
+        return _load_directory(extract_dir, skip_errors, load_with_rows)
 
 
 def get(c: Collection, identifier: str) -> Entry:
     """Identifier lookup; the key is lowercased before matching."""
-    wanted = identifier.lower()
-    for entry in c.entries:
-        if entry.identifier == wanted:
-            return entry
+    entry = c._by_id.get(identifier.lower())
+    if entry is not None:
+        return entry
     available = ""
     if len(c.entries) <= 20:
         available = f" (available: {', '.join(c.identifiers) or 'none'})"

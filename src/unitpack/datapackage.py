@@ -40,7 +40,7 @@ from .errors import (
     UnknownField,
 )
 from .metadata import MetadataDoc, get_path
-from .tabular import Table, read_table, write_table
+from .tabular import Table, open_table, read_table, write_table
 
 FIELD_TYPES = ("number", "integer", "string")
 DEFAULT_FIELDS_PATH = "figure_description.fields"
@@ -131,9 +131,6 @@ class Entry:
         raise UnknownField(
             f"no field {name!r} in entry {self.identifier!r} "
             f"(fields: {', '.join(f.name for f in self.fields)})")
-
-    def field_unit(self, name: str) -> str | None:
-        return self.field(name).unit
 
     def __repr__(self) -> str:
         return f"Entry({self.identifier!r})"
@@ -239,7 +236,12 @@ def save_entry(entry: Entry, outdir: str | Path,
 
 
 def load_entry(json_path: str | Path) -> Entry:
-    """Inverse of save_entry; re-parses unit strings and re-reads the CSV."""
+    """Inverse of save_entry; re-parses unit strings.
+
+    Only the CSV's header is read here, so a missing CSV, an empty one,
+    duplicate columns or a schema/column mismatch fail now, while errors
+    in the rows surface when the table's rows are first used.
+    """
     json_path = Path(json_path)
     if not json_path.is_file():
         raise DescriptorParseError(f"no such descriptor: {json_path}")
@@ -274,7 +276,7 @@ def load_entry(json_path: str | Path) -> Entry:
     csv_path = json_path.parent / resource["path"]
     if not csv_path.is_file():
         raise MissingCsv(f"{json_path}: resource CSV not found: {csv_path}")
-    table = read_table(csv_path)
+    table = open_table(csv_path)
 
     fields = []
     for item in schema_fields:

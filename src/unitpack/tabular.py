@@ -9,7 +9,6 @@ silently poison statistics.  Empty cells become null.
 from __future__ import annotations
 
 import csv
-import io
 import re
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -23,6 +22,7 @@ from .errors import (
     MetadataParseError,
     RaggedRow,
     RenameSourceMissing,
+    SchemaTableMismatch,
     UnitpackError,
 )
 
@@ -31,26 +31,61 @@ Cell = None | int | float | str
 _NUMBER_RE = re.compile(r"^[+-]?(\d+(\.\d+)?|\.\d+)([eE][+-]?\d+)?$")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, init=False)
 class Table:
-    """Immutable column-named table. All rows have one cell per column."""
+    """Immutable column-named table. All rows have one cell per column.
+
+    A table from `open_table` knows its columns at once and has its rows
+    parsed by `read_table` the first time they are used.  Either way,
+    tables with the same columns and cells compare equal.
+    """
 
     columns: tuple[str, ...]
-    rows: tuple[tuple[Cell, ...], ...]
+    _rows: tuple[tuple[Cell, ...], ...] | None
+    _path: Path | None = field(default=None, repr=False)
 
-    def __post_init__(self):
+    def __init__(self, columns: tuple[str, ...],
+                 rows: tuple[tuple[Cell, ...], ...] | None,
+                 _path: Path | None = None):
         seen = set()
-        for name in self.columns:
+        for name in columns:
             if name in seen:
                 raise DuplicateColumnName(
                     f"duplicate column name {name!r}: fields can not be "
                     f"unambiguously addressed")
             seen.add(name)
-        for index, row in enumerate(self.rows):
-            if len(row) != len(self.columns):
+        for index, row in enumerate(rows or ()):
+            if len(row) != len(columns):
                 raise RaggedRow(
                     f"row {index} has {len(row)} cells, expected "
-                    f"{len(self.columns)}", row_index=index)
+                    f"{len(columns)}", row_index=index)
+        object.__setattr__(self, "columns", columns)
+        object.__setattr__(self, "_rows", rows)
+        object.__setattr__(self, "_path", _path)
+
+    @property
+    def rows(self) -> tuple[tuple[Cell, ...], ...]:
+        if self._rows is None:
+            try:
+                body = read_table(self._path)
+            except RaggedRow as exc:
+                raise RaggedRow(f"{self._path}: {exc}",
+                                row_index=exc.row_index) from exc
+            if body.columns != self.columns:
+                raise SchemaTableMismatch(
+                    f"{self._path}: header changed since it was read: "
+                    f"{list(self.columns)} is now {list(body.columns)}")
+            object.__setattr__(self, "_rows", body.rows)
+            object.__setattr__(self, "_path", None)
+        return self._rows
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, Table):
+            return NotImplemented
+        return self.columns == other.columns and self.rows == other.rows
+
+    def __hash__(self) -> int:
+        return hash((self.columns, self.rows))
 
     @property
     def row_count(self) -> int:
@@ -89,13 +124,17 @@ def render_cell(cell: Cell) -> str:
     return str(cell)
 
 
-def _table_from_csv_rows(raw_rows, decimal_separator: str = ".") -> Table:
-    rows_iter = iter(raw_rows)
+def _header(rows_iter) -> list[str]:
     try:
-        header = next(rows_iter)
+        return next(rows_iter)
     except StopIteration:
         raise UnitpackError("empty CSV: no header line",
                             code="EMPTY_CSV") from None
+
+
+def _table_from_csv_rows(raw_rows, decimal_separator: str = ".") -> Table:
+    rows_iter = iter(raw_rows)
+    header = _header(rows_iter)
     rows = []
     for index, raw in enumerate(rows_iter):
         if not raw:  # blank line
@@ -114,23 +153,23 @@ def read_table(path: str | Path) -> Table:
         return _table_from_csv_rows(csv.reader(handle))
 
 
+def open_table(path: str | Path) -> Table:
+    """Read only the header of a CSV now; `read_table` parses the rows
+    when they are first used, so errors in them surface then."""
+    with open(path, "r", encoding="utf-8-sig", newline="") as handle:
+        columns = tuple(_header(csv.reader(handle)))
+    return Table(columns=columns, rows=None, _path=Path(path))
+
+
 def write_table(table: Table, path: str | Path) -> None:
     """Emit header + rows; fields are quoted only when needed."""
+    rows = table.rows  # before opening: a lazy table may read from `path`
     with open(path, "w", encoding="utf-8", newline="") as handle:
         writer = csv.writer(handle, lineterminator="\n",
                             quoting=csv.QUOTE_MINIMAL)
         writer.writerow(table.columns)
-        for row in table.rows:
+        for row in rows:
             writer.writerow([render_cell(cell) for cell in row])
-
-
-def table_to_csv_text(table: Table) -> str:
-    buffer = io.StringIO()
-    writer = csv.writer(buffer, lineterminator="\n", quoting=csv.QUOTE_MINIMAL)
-    writer.writerow(table.columns)
-    for row in table.rows:
-        writer.writerow([render_cell(cell) for cell in row])
-    return buffer.getvalue()
 
 
 @dataclass(frozen=True)

@@ -18,6 +18,7 @@ of integer exponents over the 7 SI base dimensions.
 
 from __future__ import annotations
 
+import functools
 import math
 import re
 from dataclasses import dataclass
@@ -184,7 +185,18 @@ def _normalize_aliases(text: str) -> str:
 
 
 def parse_unit(text: str) -> UnitExpr:
-    """Parse a unit expression such as ``mV`` or ``kg*m^2/s^3/A``."""
+    """Parse a unit expression such as ``mV`` or ``kg*m^2/s^3/A``.
+
+    Results are cached: a `UnitExpr` is immutable, and a failed parse is
+    not cached, so it raises again on every call.
+    """
+    return _parse_unit(text)
+
+
+# The cache sits behind `parse_unit` so the public name stays a plain
+# function, which tracing that wraps module functions can see.
+@functools.lru_cache(maxsize=1024)
+def _parse_unit(text: str) -> UnitExpr:
     if text is None or not text.strip():
         raise EmptyExpression("empty unit expression")
     source = _normalize_aliases(text.strip())

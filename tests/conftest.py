@@ -6,7 +6,8 @@ from pathlib import Path
 
 import pytest
 
-from unitpack import build_entry, load_document, save_entry
+from unitpack import (build_entry, datapackage, load_document, save_entry,
+                      tabular)
 from unitpack.collection import Collection
 from unitpack.datapackage import Entry, FieldSpec
 from unitpack.metadata import MetadataDoc
@@ -80,3 +81,12 @@ def material_collection():
         material_entry("cv-pt-2", "Pt", user="Ada Lovelace"),
         material_entry("cv-au-1", "Au"),
     ))
+
+
+def forbid_csv_body(monkeypatch):
+    """Make every parse of a CSV body fail the test, wherever it comes
+    from (``read_table`` is the only body parser)."""
+    def forbidden(path):
+        raise AssertionError(f"CSV body parsed: {path}")
+    monkeypatch.setattr(tabular, "read_table", forbidden)
+    monkeypatch.setattr(datapackage, "read_table", forbidden)

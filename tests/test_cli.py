@@ -1,4 +1,5 @@
 import json
+import shutil
 import signal
 import subprocess
 import sys
@@ -236,6 +237,28 @@ def test_report_cli(tmp_path, capsys):
     assert (site / "index.md").is_file()
     assert (site / "entries" / "data.md").is_file()
     assert (site / "plots" / "data.svg").is_file()
+
+
+def test_ragged_csv_body_fails_only_commands_that_read_rows(tmp_path,
+                                                          capsys):
+    clean = _packed(tmp_path, capsys)
+    ragged = tmp_path / "ragged"
+    shutil.copytree(clean, ragged)
+    with open(ragged / "data.csv", "a", encoding="utf-8") as handle:
+        handle.write("9,9\n")
+    for argv in (["ls"], ["ls", "--skip-errors"],
+                 ["ls", "--filter", 'user == "Max Doe"'], ["show", "data"],
+                 ["show", "data", "--path", "user"], ["describe"],
+                 ["describe", "--pretty"]):
+        got = run(capsys, argv[0], str(ragged), *argv[1:])
+        assert got == run(capsys, argv[0], str(clean), *argv[1:])
+        assert got[0] == 0
+    code, _, err = run(capsys, "rescale", str(ragged), "data", "--field",
+                       "U", "--unit", "V", "--outdir", str(tmp_path / "r"))
+    assert code == 1 and err.startswith("RAGGED_ROW:")
+    code, _, err = run(capsys, "report", str(ragged), "--out",
+                       str(tmp_path / "site"), "--x", "t", "--y", "U")
+    assert code == 1 and err.startswith("RAGGED_ROW:")
 
 
 # -------------------------------

@@ -29,7 +29,7 @@ from unitpack.errors import (
     PredicateParseError,
 )
 
-from conftest import material_entry
+from conftest import forbid_csv_body, material_entry
 
 
 def _save_all(entries, outdir):
@@ -94,6 +94,39 @@ def test_from_archive_local_zip(material_collection, tmp_path):
     zip_path = tmp_path / "db.zip"
     _zip_dir(outdir, zip_path)
     assert from_archive(zip_path) == from_directory(outdir)
+
+
+def test_from_archive_tables_outlive_extraction(material_collection,
+                                                tmp_path):
+    outdir = tmp_path / "db"
+    _save_all(material_collection, outdir)
+    zip_path = tmp_path / "db.zip"
+    _zip_dir(outdir, zip_path)
+    db = from_archive(zip_path)
+    assert [entry.table.rows for entry in db] == \
+        [entry.table.rows for entry in material_collection]
+
+
+def test_from_archive_ragged_body_is_a_load_error(material_collection,
+                                                  tmp_path, caplog):
+    outdir = tmp_path / "db"
+    _save_all(material_collection, outdir)
+    with open(outdir / "cv-au-1.csv", "a", encoding="utf-8") as handle:
+        handle.write("1,2,3\n")
+    zip_path = tmp_path / "db.zip"
+    _zip_dir(outdir, zip_path)
+    with pytest.raises(CollectionLoadError) as info:
+        from_archive(zip_path)
+    assert [path.rsplit("/", 1)[-1] for path, _ in info.value.failures] == \
+        ["cv-au-1.json"]
+    assert "has 3 cells, expected 2" in info.value.failures[0][1]
+    with caplog.at_level("WARNING", logger=collection.log.name):
+        db = from_archive(zip_path, skip_errors=True)
+    assert db.identifiers == ("cv-pt-1", "cv-pt-2")
+    assert "cv-au-1.json" in caplog.text
+    assert [entry.table.rows for entry in db] == \
+        [entry.table.rows for entry in material_collection
+         if entry.identifier != "cv-au-1"]
 
 
 def test_from_archive_empty_zip(tmp_path):
@@ -162,6 +195,33 @@ def test_get_missing_lists_available(packed_dir):
     with pytest.raises(EntryNotFound) as excinfo:
         get(db, "missing")
     assert "data" in str(excinfo.value)
+
+
+def test_get_missing_message(material_collection):
+    with pytest.raises(EntryNotFound) as excinfo:
+        get(material_collection, "Nope")
+    assert str(excinfo.value) == \
+        "no entry 'Nope' (available: cv-au-1, cv-pt-1, cv-pt-2)"
+    with pytest.raises(EntryNotFound) as excinfo:
+        get(Collection(entries=()), "nope")
+    assert str(excinfo.value) == "no entry 'nope' (available: none)"
+    many = Collection(entries=tuple(material_entry(f"e{i:02d}", "Pt")
+                                    for i in range(21)))
+    with pytest.raises(EntryNotFound) as excinfo:
+        get(many, "nope")
+    assert str(excinfo.value) == "no entry 'nope'"
+
+
+def test_metadata_queries_read_no_csv_body(material_collection, tmp_path,
+                                           monkeypatch):
+    outdir = tmp_path / "db"
+    _save_all(material_collection, outdir)
+    forbid_csv_body(monkeypatch)
+    db = from_directory(outdir)
+    kept = collection.filter(db, parse_clause('user == "Max Doe"'))
+    assert kept.identifiers == ("cv-au-1", "cv-pt-1")
+    assert get(db, "CV-PT-2").metadata.root["user"] == "Ada Lovelace"
+    assert describe(db)["materials"] == ["Au", "Pt"]
 
 
 # -------------------------------

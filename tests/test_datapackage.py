@@ -3,7 +3,7 @@ import math
 
 import pytest
 
-from unitpack import units
+from unitpack import datapackage, tabular, units
 from unitpack.datapackage import (
     Entry,
     FieldSpec,
@@ -25,12 +25,13 @@ from unitpack.errors import (
     NonNumericCell,
     RefusedOverwrite,
     SchemaTableMismatch,
+    UnitpackError,
     UnknownField,
 )
 from unitpack.metadata import MetadataDoc, get_path, load_document
 from unitpack.tabular import Table
 
-from conftest import DEMO_META
+from conftest import DEMO_META, forbid_csv_body
 
 
 # -------------------------------
@@ -157,6 +158,50 @@ def test_load_missing_csv(demo_entry, tmp_path):
     csv_path.unlink()
     with pytest.raises(MissingCsv):
         load_entry(json_path)
+
+
+@pytest.mark.parametrize("csv_text, code", [
+    (None, "MISSING_CSV"),
+    ("", "EMPTY_CSV"),
+    ("t,U,U\n0,1,2\n", "DUPLICATE_COLUMN"),
+    ("t,U\n0,1\n", "SCHEMA_TABLE_MISMATCH"),
+])
+def test_load_checks_csv_header_eagerly(demo_entry, tmp_path, monkeypatch,
+                                        csv_text, code):
+    json_path, csv_path = save_entry(demo_entry, tmp_path / "out")
+    if csv_text is None:
+        csv_path.unlink()
+    else:
+        csv_path.write_text(csv_text, encoding="utf-8")
+    forbid_csv_body(monkeypatch)
+    with pytest.raises(UnitpackError) as excinfo:
+        load_entry(json_path)
+    assert excinfo.value.code == code
+
+
+def test_loaded_entry_reads_rows_lazily_and_equals_saved(demo_entry,
+                                                         tmp_path,
+                                                         monkeypatch):
+    json_path, csv_path = save_entry(demo_entry, tmp_path / "out")
+    calls = []
+    real = tabular.read_table
+
+    def counting(path):
+        calls.append(path)
+        return real(path)
+
+    monkeypatch.setattr(tabular, "read_table", counting)
+    monkeypatch.setattr(datapackage, "read_table", counting)
+    loaded = load_entry(json_path)
+    assert calls == []
+    assert loaded == demo_entry and demo_entry == loaded
+    assert calls == [csv_path]
+
+
+def test_save_loaded_entry_over_its_own_files(demo_entry, tmp_path):
+    json_path, _ = save_entry(demo_entry, tmp_path / "out")
+    save_entry(load_entry(json_path), tmp_path / "out", overwrite=True)
+    assert load_entry(json_path) == demo_entry
 
 
 def test_load_bad_descriptor(tmp_path):

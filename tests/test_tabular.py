@@ -9,6 +9,7 @@ from unitpack.errors import (
     LoaderSpecError,
     RaggedRow,
     RenameSourceMissing,
+    SchemaTableMismatch,
 )
 from unitpack.tabular import LoaderSpec, Table
 
@@ -45,6 +46,58 @@ def test_ragged_row_reports_index(tmp_path):
     with pytest.raises(RaggedRow) as excinfo:
         tabular.read_table(path)
     assert excinfo.value.row_index == 1
+
+
+# -------------------------------
+# open_table: header now, rows on first use
+# -------------------------------
+
+def test_open_table_parses_rows_once_on_first_use(demo_paths, monkeypatch):
+    eager = tabular.read_table(demo_paths[0])
+    calls = []
+    real = tabular.read_table
+    monkeypatch.setattr(tabular, "read_table",
+                        lambda path: calls.append(path) or real(path))
+    table = tabular.open_table(demo_paths[0])
+    assert table.columns == eager.columns
+    assert calls == []
+    assert table == eager and eager == table
+    assert hash(table) == hash(eager)
+    assert table.row_count == 3
+    assert calls == [demo_paths[0]]
+
+
+def test_open_table_raises_body_errors_on_each_use(tmp_path):
+    path = tmp_path / "ragged.csv"
+    path.write_text("t,U\n0,1\n2\n", encoding="utf-8")
+    table = tabular.open_table(path)
+    assert table.columns == ("t", "U")
+    for _ in range(2):
+        with pytest.raises(RaggedRow) as excinfo:
+            table.rows
+        assert excinfo.value.row_index == 1
+        assert str(path) in str(excinfo.value)
+
+
+def test_open_table_header_changed_before_first_use(tmp_path):
+    path = tmp_path / "data.csv"
+    path.write_text("t,U\n0,1\n", encoding="utf-8")
+    table = tabular.open_table(path)
+    path.write_text("t,V\n0,1\n", encoding="utf-8")
+    with pytest.raises(SchemaTableMismatch):
+        table.rows
+
+
+def test_write_table_over_its_own_lazy_source(demo_paths):
+    eager = tabular.read_table(demo_paths[0])
+    tabular.write_table(tabular.open_table(demo_paths[0]), demo_paths[0])
+    assert tabular.read_table(demo_paths[0]) == eager
+
+
+def test_table_is_immutable():
+    table = Table(columns=("t",), rows=((1,),))
+    with pytest.raises(AttributeError):
+        table.columns = ("u",)
 
 
 def test_quoted_fields_and_embedded_commas(tmp_path):

@@ -86,6 +86,15 @@ def test_empty_expression(empty):
         units.parse_unit(empty)
 
 
+def test_parse_is_cached_but_failures_are_not():
+    assert units.parse_unit("mV") is units.parse_unit("mV")
+    for _ in range(2):
+        with pytest.raises(UnknownUnit):
+            units.parse_unit("xyz")
+        with pytest.raises(UnitSyntaxError):
+            units.parse_unit("m^")
+
+
 # -------------------------------
 # conversion_factor
 # -------------------------------
