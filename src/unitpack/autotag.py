@@ -184,6 +184,15 @@ class _EventLog:
             self.sink(record)
 
 
+def _error_record(exc: AlreadyTagged | OSError, path: Path) -> dict:
+    """The log record of a file that could not be tagged."""
+    return {"event": "error",
+            "code": AlreadyTagged.code if isinstance(exc, AlreadyTagged)
+            else "IO_ERROR",
+            "message": str(exc), "source_path": str(path),
+            "timestamp": _utc_now()}
+
+
 def _scan(cfg: WatchConfig) -> set[Path]:
     pattern = "**/*" if cfg.recursive else "*"
     found = set()
@@ -213,10 +222,7 @@ def backfill(cfg: WatchConfig, event_sink=None) -> list[TagEvent]:
         try:
             event = tag_file(path, template, cfg)
         except (AlreadyTagged, OSError) as exc:
-            logger.emit({"event": "error", "code": "ALREADY_TAGGED"
-                         if isinstance(exc, AlreadyTagged) else "IO_ERROR",
-                         "message": str(exc), "source_path": str(path),
-                         "timestamp": _utc_now()})
+            logger.emit(_error_record(exc, path))
             continue
         events.append(event)
         logger.emit(event.to_record())
@@ -304,16 +310,8 @@ def watch(cfg: WatchConfig, event_sink=None,
                 try:
                     event = tag_file(path, template, cfg)
                     logger.emit(event.to_record())
-                except AlreadyTagged as exc:
-                    logger.emit({"event": "error", "code": AlreadyTagged.code,
-                                 "message": str(exc),
-                                 "source_path": str(path),
-                                 "timestamp": _utc_now()})
-                except OSError as exc:
-                    logger.emit({"event": "error", "code": "IO_ERROR",
-                                 "message": str(exc),
-                                 "source_path": str(path),
-                                 "timestamp": _utc_now()})
+                except (AlreadyTagged, OSError) as exc:
+                    logger.emit(_error_record(exc, path))
             stop_event.wait(poll_s)
     except KeyboardInterrupt:
         pass

@@ -26,6 +26,7 @@ from .errors import (
     UnitpackError,
 )
 from .metadata import canonical_scalar, get_path, is_scalar
+from .tabular import _is_number
 
 log = logging.getLogger("unitpack.collection")
 
@@ -216,10 +217,6 @@ def parse_clause(text: str) -> Clause:
             f"bad predicate {text!r}: expected 'path OP value'")
     path, op, raw_value = tokens
     return Clause(path=path, op=op, value=_parse_literal(raw_value))
-
-
-def _is_number(value) -> bool:
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
 def _clause_holds(entry: Entry, clause: Clause) -> bool:

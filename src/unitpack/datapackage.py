@@ -40,7 +40,7 @@ from .errors import (
     UnknownField,
 )
 from .metadata import MetadataDoc, get_path
-from .tabular import Table, open_table, read_table, write_table
+from .tabular import Table, _is_number, open_table, read_table, write_table
 
 FIELD_TYPES = ("number", "integer", "string")
 DEFAULT_FIELDS_PATH = "figure_description.fields"
@@ -136,11 +136,6 @@ class Entry:
         return f"Entry({self.identifier!r})"
 
 
-def _column_is_numeric(cells) -> bool:
-    return all(isinstance(c, (int, float)) and not isinstance(c, bool)
-               for c in cells if c is not None)
-
-
 def _specs_from_metadata(metadata: MetadataDoc, fields_path: str
                          ) -> dict[str, FieldSpec]:
     node = get_path(metadata, fields_path)
@@ -183,7 +178,9 @@ def build_entry_from_table(identifier: str, table: Table,
         declared_type = item.get("type")
         if declared_type is None:
             declared_type = ("number"
-                             if _column_is_numeric(table.column_values(column))
+                             if all(_is_number(c)
+                                    for c in table.column_values(column)
+                                    if c is not None)
                              else "string")
         fields.append(FieldSpec(
             name=column,
@@ -289,11 +286,6 @@ def load_entry(json_path: str | Path) -> Entry:
             unit=item.get("unit"),
             description=item.get("description"),
         ))
-    field_names = tuple(f.name for f in fields)
-    if field_names != table.columns:
-        raise SchemaTableMismatch(
-            f"{json_path}: schema fields {list(field_names)} do not match "
-            f"CSV columns {list(table.columns)}")
     return Entry(identifier=identifier, fields=tuple(fields), table=table,
                  metadata=MetadataDoc(root=resource["metadata"]))
 
@@ -333,7 +325,7 @@ def rescale(entry: Entry, targets: dict[str, str]) -> Entry:
             cell = cells[index]
             if cell is None:
                 continue
-            if isinstance(cell, bool) or not isinstance(cell, (int, float)):
+            if not _is_number(cell):
                 raise NonNumericCell(
                     f"field {entry.fields[index].name!r} holds non-numeric "
                     f"cell {cell!r}")
@@ -359,7 +351,7 @@ def field_quantity(entry: Entry, field_name: str,
     for cell in entry.table.column_values(field_name):
         if cell is None:
             continue
-        if isinstance(cell, bool) or not isinstance(cell, (int, float)):
+        if not _is_number(cell):
             raise NonNumericCell(
                 f"field {field_name!r} holds non-numeric cell {cell!r}")
         values.append(cell)

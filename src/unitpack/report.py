@@ -29,7 +29,7 @@ from .errors import (
     UnitpackError,
 )
 from .metadata import canonical_scalar, get_path, is_scalar
-from .tabular import render_cell
+from .tabular import _is_number, render_cell
 
 MISSING = "—"
 
@@ -51,24 +51,15 @@ class ReportConfig:
         if self.plot_x == self.plot_y:
             raise UnitpackError("plot_x and plot_y must differ",
                                 code="REPORT_CONFIG_INVALID")
-        if self.format not in ("markdown", "html"):
+        if self.format not in _FORMATS:
             raise UnitpackError(
                 f"format must be 'markdown' or 'html', got {self.format!r}",
                 code="REPORT_CONFIG_INVALID")
-
-    @property
-    def ext(self) -> str:
-        return "md" if self.format == "markdown" else "html"
 
 
 def _axis_label(entry: Entry, name: str) -> str:
     unit = entry.field(name).unit
     return f"{name} [{unit}]" if unit else name
-
-
-def _xml_escape(text: str) -> str:
-    return (text.replace("&", "&amp;").replace("<", "&lt;")
-                .replace(">", "&gt;"))
 
 
 def render_plot(entry: Entry, x: str, y: str) -> str:
@@ -85,7 +76,7 @@ def render_plot(entry: Entry, x: str, y: str) -> str:
         if xc is None or yc is None:
             continue
         for cell, name in ((xc, x), (yc, y)):
-            if isinstance(cell, bool) or not isinstance(cell, (int, float)):
+            if not _is_number(cell):
                 raise NonNumericCell(
                     f"field {name!r} holds non-numeric cell {cell!r}")
         points.append((float(xc), float(yc)))
@@ -112,8 +103,8 @@ def render_plot(entry: Entry, x: str, y: str) -> str:
 
     coords = " ".join(f"{map_x(px):.2f},{map_y(py):.2f}"
                       for px, py in points)
-    x_label = _xml_escape(_axis_label(entry, x))
-    y_label = _xml_escape(_axis_label(entry, y))
+    x_label = html_lib.escape(_axis_label(entry, x), quote=False)
+    y_label = html_lib.escape(_axis_label(entry, y), quote=False)
     mid_y = _VIEW_H / 2
     return (
         f'<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '
@@ -168,164 +159,188 @@ def _slug(value: str, taken: set[str]) -> str:
     return slug
 
 
-# --- format helpers ---------------------------------------------------------
+# --- page formats: a page is a list of blocks, each ending in a newline ------
 
-def _md_cell(text: str) -> str:
-    return text.replace("|", "\\|").replace("\n", " ")
+class _Markdown:
+    ext = "md"
 
+    def heading(self, text: str, level: int = 1) -> str:
+        return f"{'#' * level} {text}\n"
 
-def _md_table(headers: list[str], rows: list[list[str]]) -> str:
-    lines = ["| " + " | ".join(_md_cell(h) for h in headers) + " |",
-             "| " + " | ".join("---" for _ in headers) + " |"]
-    for row in rows:
-        lines.append("| " + " | ".join(_md_cell(c) for c in row) + " |")
-    return "\n".join(lines) + "\n"
+    def paragraph(self, text: str) -> str:
+        return f"{text}\n"
 
+    def note(self, text: str) -> str:
+        return f"*{text}*\n"
 
-def _html_table(headers: list[str], rows: list[list[str]],
-                raw_columns: set[int] = frozenset()) -> str:
-    head = "".join(f"<th>{html_lib.escape(h)}</th>" for h in headers)
-    body = []
-    for row in rows:
-        cells = "".join(
-            f"<td>{cell if i in raw_columns else html_lib.escape(cell)}</td>"
-            for i, cell in enumerate(row))
-        body.append(f"<tr>{cells}</tr>")
-    return (f"<table>\n<thead><tr>{head}</tr></thead>\n"
-            f"<tbody>\n" + "\n".join(body) + "\n</tbody>\n</table>\n")
+    def thumbnail(self, src: str, alt: str) -> str:
+        return f"![{alt}]({src})"
 
+    def image(self, src: str, alt: str) -> str:
+        return self.thumbnail(src, alt) + "\n"
 
-def _md_tree(node, depth: int = 0) -> list[str]:
-    pad = "  " * depth
-    lines = []
-    if isinstance(node, dict):
-        for key, value in node.items():
+    def link(self, href: str, text: str) -> str:
+        return f"[{text}]({href})"
+
+    def table(self, headers, rows) -> str:
+        lines = [self._row(headers), self._row(["---"] * len(headers))]
+        lines.extend(self._row(row) for row in rows)
+        return "\n".join(lines) + "\n"
+
+    @staticmethod
+    def _row(cells) -> str:
+        return "| " + " | ".join(c.replace("|", "\\|").replace("\n", " ")
+                                 for c in cells) + " |"
+
+    def tree(self, node) -> str:
+        lines = self._tree_lines(node, 0)
+        return "\n".join(lines) + "\n" if lines else self.note("empty")
+
+    def _tree_lines(self, node, depth: int) -> list[str]:
+        pad = "  " * depth
+        if isinstance(node, dict):
+            items = [(f"{pad}- **{key}:**", value)
+                     for key, value in node.items()]
+        elif isinstance(node, list):
+            items = [(f"{pad}-", item) for item in node]
+        else:
+            return [f"{pad}- {canonical_scalar(node)}"]
+        lines = []
+        for label, value in items:
             if is_scalar(value):
-                lines.append(f"{pad}- **{key}:** {canonical_scalar(value)}")
+                lines.append(f"{label} {canonical_scalar(value)}")
             else:
-                lines.append(f"{pad}- **{key}:**")
-                lines.extend(_md_tree(value, depth + 1))
-    elif isinstance(node, list):
-        for item in node:
-            if is_scalar(item):
-                lines.append(f"{pad}- {canonical_scalar(item)}")
-            else:
-                lines.append(f"{pad}-")
-                lines.extend(_md_tree(item, depth + 1))
-    else:
-        lines.append(f"{pad}- {canonical_scalar(node)}")
-    return lines
+                lines.append(label)
+                lines.extend(self._tree_lines(value, depth + 1))
+        return lines
+
+    def document(self, title: str, blocks: list[str]) -> str:
+        return "\n".join(blocks)
 
 
-def _html_tree(node) -> str:
-    if isinstance(node, dict):
-        items = []
-        for key, value in node.items():
-            items.append(f"<dt>{html_lib.escape(str(key))}</dt>"
-                         f"<dd>{_html_tree(value)}</dd>")
-        return "<dl>" + "".join(items) + "</dl>"
-    if isinstance(node, list):
-        items = "".join(f"<li>{_html_tree(item)}</li>" for item in node)
-        return f"<ul>{items}</ul>"
-    return html_lib.escape(canonical_scalar(node))
+class _Markup(str):
+    """HTML that a table cell takes as it is, without escaping."""
 
 
-def _html_page(title: str, body: str) -> str:
-    return (
-        "<!DOCTYPE html>\n"
-        "<html>\n<head>\n<meta charset=\"utf-8\">\n"
-        f"<title>{html_lib.escape(title)}</title>\n"
-        "<style>\n"
-        "body { font-family: sans-serif; margin: 2em; max-width: 60em; }\n"
-        "table { border-collapse: collapse; }\n"
-        "td, th { border: 1px solid #999; padding: 0.3em 0.6em; }\n"
-        "dl dl { margin-left: 1.5em; }\n"
-        "dt { font-weight: bold; }\n"
-        "img.thumb { width: 160px; }\n"
-        "</style>\n</head>\n<body>\n"
-        f"{body}"
-        "</body>\n</html>\n"
-    )
+class _Html:
+    ext = "html"
+
+    def heading(self, text: str, level: int = 1) -> str:
+        return f"<h{level}>{html_lib.escape(text)}</h{level}>\n"
+
+    def paragraph(self, text: str) -> str:
+        return f"<p>{html_lib.escape(text)}</p>\n"
+
+    def note(self, text: str) -> str:
+        return f"<p><em>{html_lib.escape(text)}</em></p>\n"
+
+    def thumbnail(self, src: str, alt: str) -> str:
+        return _Markup(f'<img class="thumb" src="{src}" '
+                       f'alt="{html_lib.escape(alt)}">')
+
+    def image(self, src: str, alt: str) -> str:
+        return f'<p><img src="{src}" alt="{html_lib.escape(alt)}"></p>\n'
+
+    def link(self, href: str, text: str) -> str:
+        return _Markup(f'<a href="{href}">{html_lib.escape(text)}</a>')
+
+    def table(self, headers, rows) -> str:
+        head = "".join(f"<th>{html_lib.escape(h)}</th>" for h in headers)
+        body = "\n".join(
+            "<tr>" + "".join(
+                f"<td>{c if isinstance(c, _Markup) else html_lib.escape(c)}"
+                f"</td>" for c in row) + "</tr>"
+            for row in rows)
+        return (f"<table>\n<thead><tr>{head}</tr></thead>\n"
+                f"<tbody>\n{body}\n</tbody>\n</table>\n")
+
+    def tree(self, node) -> str:
+        return self._tree(node) + "\n"
+
+    def _tree(self, node) -> str:
+        if isinstance(node, dict):
+            return "<dl>" + "".join(
+                f"<dt>{html_lib.escape(str(key))}</dt>"
+                f"<dd>{self._tree(value)}</dd>"
+                for key, value in node.items()) + "</dl>"
+        if isinstance(node, list):
+            return "<ul>" + "".join(f"<li>{self._tree(item)}</li>"
+                                    for item in node) + "</ul>"
+        return html_lib.escape(canonical_scalar(node))
+
+    def document(self, title: str, blocks: list[str]) -> str:
+        return (
+            "<!DOCTYPE html>\n"
+            "<html>\n<head>\n<meta charset=\"utf-8\">\n"
+            f"<title>{html_lib.escape(title)}</title>\n"
+            "<style>\n"
+            "body { font-family: sans-serif; margin: 2em; max-width: 60em; }\n"
+            "table { border-collapse: collapse; }\n"
+            "td, th { border: 1px solid #999; padding: 0.3em 0.6em; }\n"
+            "dl dl { margin-left: 1.5em; }\n"
+            "dt { font-weight: bold; }\n"
+            "img.thumb { width: 160px; }\n"
+            "</style>\n</head>\n<body>\n"
+            + "".join(blocks) +
+            "</body>\n</html>\n"
+        )
 
 
-def render_entry_page(entry: Entry, cfg: ReportConfig) -> str:
+_FORMATS = {"markdown": _Markdown(), "html": _Html()}
+
+
+def _entries_text(count: int) -> str:
+    return f"{count} entr{'y' if count == 1 else 'ies'}"
+
+
+def render_entry_page(entry: Entry, cfg: ReportConfig, has_plot: bool) -> str:
     """One page per entry: descriptors, plot, data preview, metadata.
 
-    Plot failures degrade to a placeholder; page generation itself
-    never fails on them.
+    `has_plot` tells whether `render_plot` succeeded for the entry; if
+    not, the page shows a placeholder where the plot would be.
     """
-    try:
-        render_plot(entry, cfg.plot_x, cfg.plot_y)
-        plot_ref: str | None = f"../plots/{entry.identifier}.svg"
-    except UnitpackError:
-        plot_ref = None
-
-    preview_headers = [_axis_label(entry, f.name) for f in entry.fields]
-    preview_rows = [[render_cell(cell) for cell in row]
-                    for row in entry.table.rows[:10]]
+    fmt = _FORMATS[cfg.format]
+    blocks = [fmt.heading(entry.identifier)]
     descriptor_cells = _descriptor_cells(entry, cfg)
-
-    if cfg.format == "markdown":
-        parts = [f"# {entry.identifier}\n"]
-        if descriptor_cells:
-            parts.append(_md_table(["descriptor", "value"],
-                                   [[l, v] for l, v in descriptor_cells]))
-        if plot_ref is not None:
-            parts.append(f"![{entry.identifier}]({plot_ref})\n")
-        else:
-            parts.append("*no plot available*\n")
-        parts.append("## Data preview\n")
-        parts.append(_md_table(preview_headers, preview_rows))
-        parts.append(f"{entry.table.row_count} row(s) total; full data in "
-                     f"the package CSV.\n")
-        parts.append("## Metadata\n")
-        tree = _md_tree(entry.metadata.root)
-        parts.append("\n".join(tree) + "\n" if tree else "*empty*\n")
-        return "\n".join(parts)
-
-    body = [f"<h1>{html_lib.escape(entry.identifier)}</h1>\n"]
     if descriptor_cells:
-        body.append(_html_table(["descriptor", "value"],
-                                [[l, v] for l, v in descriptor_cells]))
-    if plot_ref is not None:
-        body.append(f'<p><img src="{plot_ref}" '
-                    f'alt="{html_lib.escape(entry.identifier)}"></p>\n')
+        blocks.append(fmt.table(["descriptor", "value"], descriptor_cells))
+    if has_plot:
+        blocks.append(fmt.image(f"../plots/{entry.identifier}.svg",
+                                entry.identifier))
     else:
-        body.append("<p><em>no plot available</em></p>\n")
-    body.append("<h2>Data preview</h2>\n")
-    body.append(_html_table(preview_headers, preview_rows))
-    body.append(f"<p>{entry.table.row_count} row(s) total; full data in the "
-                f"package CSV.</p>\n")
-    body.append("<h2>Metadata</h2>\n")
-    body.append(_html_tree(entry.metadata.root) + "\n")
-    return _html_page(entry.identifier, "".join(body))
+        blocks.append(fmt.note("no plot available"))
+    blocks += [
+        fmt.heading("Data preview", 2),
+        fmt.table([_axis_label(entry, f.name) for f in entry.fields],
+                  [[render_cell(cell) for cell in row]
+                   for row in entry.table.rows[:10]]),
+        fmt.paragraph(f"{entry.table.row_count} row(s) total; full data in "
+                      f"the package CSV."),
+        fmt.heading("Metadata", 2),
+        fmt.tree(entry.metadata.root),
+    ]
+    return fmt.document(entry.identifier, blocks)
 
 
-def _overview_table(entries: list[Entry], cfg: ReportConfig,
-                    prefix: str, plot_ids: set[str]) -> str:
-    headers = (["plot"] + [label for label, _ in cfg.descriptor_columns]
-               + ["entry"])
+def _overview_page(fmt, title: str, entries: list[Entry], cfg: ReportConfig,
+                   prefix: str, plot_ids: set[str]) -> str:
+    """The ungrouped index or one group's page: a count and, if there are
+    entries, a table row per entry with its thumbnail and link."""
+    blocks = [fmt.heading(title),
+              fmt.paragraph(f"{_entries_text(len(entries))}.")]
     rows = []
     for entry in entries:
-        if cfg.format == "markdown":
-            thumb = (f"![{entry.identifier}]({prefix}plots/"
-                     f"{entry.identifier}.svg)"
-                     if entry.identifier in plot_ids else MISSING)
-            link = f"[{entry.identifier}]({prefix}entries/" \
-                   f"{entry.identifier}.{cfg.ext})"
-        else:
-            thumb = (f'<img class="thumb" src="{prefix}plots/'
-                     f'{entry.identifier}.svg" '
-                     f'alt="{html_lib.escape(entry.identifier)}">'
-                     if entry.identifier in plot_ids else MISSING)
-            link = (f'<a href="{prefix}entries/{entry.identifier}.{cfg.ext}">'
-                    f'{html_lib.escape(entry.identifier)}</a>')
+        identifier = entry.identifier
+        thumb = (fmt.thumbnail(f"{prefix}plots/{identifier}.svg", identifier)
+                 if identifier in plot_ids else MISSING)
+        link = fmt.link(f"{prefix}entries/{identifier}.{fmt.ext}", identifier)
         rows.append([thumb] + [v for _, v in _descriptor_cells(entry, cfg)]
                     + [link])
-    if cfg.format == "markdown":
-        return _md_table(headers, rows)
-    raw = {0, len(headers) - 1}
-    return _html_table(headers, rows, raw_columns=raw)
+    if rows:
+        blocks.append(fmt.table(
+            ["plot"] + [label for label, _ in cfg.descriptor_columns]
+            + ["entry"], rows))
+    return fmt.document(title, blocks)
 
 
 def render_index(c: Collection, cfg: ReportConfig) -> dict[str, str]:
@@ -334,8 +349,9 @@ def render_index(c: Collection, cfg: ReportConfig) -> dict[str, str]:
     With `group_by`, one overview page per distinct group value plus a
     root index; otherwise a single root overview.  Every entry appears
     exactly once across overview tables, and every link resolves inside
-    the returned set.
+    the returned set.  Each entry's plot is rendered once.
     """
+    fmt = _FORMATS[cfg.format]
     pages: dict[str, str] = {}
     plot_ids: set[str] = set()
     for entry in c.entries:
@@ -345,67 +361,41 @@ def render_index(c: Collection, cfg: ReportConfig) -> dict[str, str]:
             plot_ids.add(entry.identifier)
         except UnitpackError:
             pass
-    for entry in c.entries:
-        pages[f"entries/{entry.identifier}.{cfg.ext}"] = \
-            render_entry_page(entry, cfg)
+        pages[f"entries/{entry.identifier}.{fmt.ext}"] = render_entry_page(
+            entry, cfg, entry.identifier in plot_ids)
 
     title = "Collection report"
     if cfg.group_by is None:
-        body_table = _overview_table(list(c.entries), cfg, "", plot_ids) \
-            if len(c) else ""
-        if cfg.format == "markdown":
-            content = f"# {title}\n\n{len(c)} entr" \
-                      f"{'y' if len(c) == 1 else 'ies'}.\n"
-            content += "\n" + body_table if body_table else ""
-            pages[f"index.{cfg.ext}"] = content
-        else:
-            body = (f"<h1>{title}</h1>\n<p>{len(c)} entr"
-                    f"{'y' if len(c) == 1 else 'ies'}.</p>\n")
-            body += body_table
-            pages[f"index.{cfg.ext}"] = _html_page(title, body)
+        pages[f"index.{fmt.ext}"] = _overview_page(
+            fmt, title, list(c.entries), cfg, "", plot_ids)
         return pages
 
     groups: dict[str, list[Entry]] = {}
     for entry in c.entries:
         groups.setdefault(_group_value(entry, cfg), []).append(entry)
     taken: set[str] = set()
-    slugs = {value: _slug(value, taken) for value in sorted(groups)}
-
+    rows = []
     for value in sorted(groups):
-        slug = slugs[value]
-        table = _overview_table(groups[value], cfg, "../", plot_ids)
-        if cfg.format == "markdown":
-            pages[f"groups/{slug}.{cfg.ext}"] = \
-                f"# {value}\n\n{len(groups[value])} entr" \
-                f"{'y' if len(groups[value]) == 1 else 'ies'}.\n\n{table}"
-        else:
-            body = (f"<h1>{html_lib.escape(value)}</h1>\n"
-                    f"<p>{len(groups[value])} entr"
-                    f"{'y' if len(groups[value]) == 1 else 'ies'}.</p>\n")
-            pages[f"groups/{slug}.{cfg.ext}"] = _html_page(value, body + table)
-
-    if cfg.format == "markdown":
-        lines = [f"# {title}\n", f"{len(c)} entr"
-                 f"{'y' if len(c) == 1 else 'ies'} in {len(groups)} "
-                 f"group(s).\n"]
-        rows = [[f"[{value}](groups/{slugs[value]}.{cfg.ext})",
-                 str(len(groups[value]))] for value in sorted(groups)]
-        lines.append(_md_table(["group", "entries"], rows))
-        pages[f"index.{cfg.ext}"] = "\n".join(lines)
-    else:
-        rows = [[f'<a href="groups/{slugs[value]}.{cfg.ext}">'
-                 f'{html_lib.escape(value)}</a>', str(len(groups[value]))]
-                for value in sorted(groups)]
-        body = (f"<h1>{title}</h1>\n<p>{len(c)} entr"
-                f"{'y' if len(c) == 1 else 'ies'} in {len(groups)} "
-                f"group(s).</p>\n"
-                + _html_table(["group", "entries"], rows, raw_columns={0}))
-        pages[f"index.{cfg.ext}"] = _html_page(title, body)
+        page = f"groups/{_slug(value, taken)}.{fmt.ext}"
+        pages[page] = _overview_page(fmt, value, groups[value], cfg, "../",
+                                     plot_ids)
+        rows.append([fmt.link(page, value), str(len(groups[value]))])
+    pages[f"index.{fmt.ext}"] = fmt.document(title, [
+        fmt.heading(title),
+        fmt.paragraph(f"{_entries_text(len(c))} in {len(groups)} group(s)."),
+        fmt.table(["group", "entries"], rows),
+    ])
     return pages
 
 
 def write_report(c: Collection, cfg: ReportConfig) -> list[Path]:
-    """Render and write the full page tree under cfg.out_dir."""
+    """Render and write the full page tree under cfg.out_dir.
+
+    Afterwards the files under ``entries/``, ``plots/`` and ``groups/``,
+    and the root index, are exactly the page set: pages an earlier run
+    left there (a removed entry, the other format) are deleted.  Other
+    files in cfg.out_dir are left alone.
+    """
     pages = render_index(c, cfg)
     written = []
     for rel_path in sorted(pages):
@@ -413,4 +403,11 @@ def write_report(c: Collection, cfg: ReportConfig) -> list[Path]:
         target.parent.mkdir(parents=True, exist_ok=True)
         target.write_text(pages[rel_path], encoding="utf-8")
         written.append(target)
+    owned = [cfg.out_dir / f"index.{fmt.ext}" for fmt in _FORMATS.values()]
+    for subdir in ("entries", "plots", "groups"):
+        owned.extend((cfg.out_dir / subdir).rglob("*"))
+    for path in owned:
+        if path.is_file() and \
+                path.relative_to(cfg.out_dir).as_posix() not in pages:
+            path.unlink()
     return written

@@ -115,6 +115,11 @@ def _typed_cell(text: str, decimal_separator: str = ".") -> Cell:
     return text
 
 
+def _is_number(cell) -> bool:
+    """True for an int or float cell; a bool is not a number here."""
+    return isinstance(cell, (int, float)) and not isinstance(cell, bool)
+
+
 def render_cell(cell: Cell) -> str:
     """Inverse of cell typing; floats use shortest round-trip rendering."""
     if cell is None:

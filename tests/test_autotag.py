@@ -150,6 +150,29 @@ def test_backfill_tags_existing(watch_setup):
     assert backfill(cfg) == []
 
 
+@pytest.mark.parametrize("exc, code", [
+    (AlreadyTagged("taken"), "ALREADY_TAGGED"),
+    (PermissionError("denied"), "IO_ERROR"),
+])
+def test_backfill_logs_untaggable_file(watch_setup, monkeypatch, exc, code):
+    watch_dir, _, cfg = watch_setup
+    source = watch_dir / "a.csv"
+    source.write_text("x", encoding="utf-8")
+
+    def failing(path, template, cfg):
+        raise exc
+    monkeypatch.setattr(autotag, "tag_file", failing)
+    records = []
+    assert backfill(cfg, event_sink=records.append) == []
+    assert len(records) == 1
+    assert list(records[0]) == ["event", "code", "message", "source_path",
+                                "timestamp"]
+    assert records[0]["event"] == "error"
+    assert records[0]["code"] == code
+    assert records[0]["message"] == str(exc)
+    assert records[0]["source_path"] == str(source)
+
+
 # -------------------------------
 # watch
 # -------------------------------

@@ -14,7 +14,9 @@ from unitpack.datapackage import (
     rescale,
     save_entry,
 )
+from unitpack.collection import from_directory
 from unitpack.errors import (
+    CollectionLoadError,
     DescriptorParseError,
     DimensionMismatch,
     FieldHasNoUnit,
@@ -151,6 +153,12 @@ def test_load_schema_table_mismatch(demo_entry, tmp_path):
     json_path.write_text(json.dumps(descriptor))
     with pytest.raises(SchemaTableMismatch):
         load_entry(json_path)
+    # a collection load names the descriptor that failed
+    with pytest.raises(CollectionLoadError) as info:
+        from_directory(json_path.parent)
+    assert [path for path, _ in info.value.failures] == [str(json_path)]
+    assert str(info.value).startswith("1 descriptor(s) failed to load: "
+                                      f"{json_path}: ")
 
 
 def test_load_missing_csv(demo_entry, tmp_path):

@@ -3,6 +3,7 @@ import re
 
 import pytest
 
+from unitpack import report
 from unitpack.collection import Collection
 from unitpack.datapackage import Entry, FieldSpec
 from unitpack.errors import NonNumericCell, TooFewPoints, UnknownField
@@ -88,7 +89,7 @@ def test_plot_deterministic(demo_entry):
 
 def test_entry_page_preview_header(demo_entry, tmp_path):
     page = render_entry_page(demo_entry, _cfg(tmp_path, group_by=None,
-                                              descriptor_columns=()))
+                                              descriptor_columns=()), True)
     assert "| t [s] | U [mV] | T [K] |" in page
     assert page.startswith("# data\n")
     assert "![data](../plots/data.svg)" in page
@@ -96,7 +97,7 @@ def test_entry_page_preview_header(demo_entry, tmp_path):
 
 def test_entry_page_missing_descriptor_is_dash(demo_entry, tmp_path):
     cfg = _cfg(tmp_path, descriptor_columns=(("ghost", "no.such.path"),))
-    page = render_entry_page(demo_entry, cfg)
+    page = render_entry_page(demo_entry, cfg, True)
     assert "| ghost | — |" in page
 
 
@@ -107,7 +108,10 @@ def test_entry_page_placeholder_on_plot_failure(tmp_path):
                 FieldSpec(name="U", type="string")),
         table=Table(columns=("t", "U"), rows=(("a", "b"),)),
         metadata=MetadataDoc(root={"user": "x"}))
-    page = render_entry_page(stringy, _cfg(tmp_path, descriptor_columns=()))
+    pages = render_index(Collection(entries=(stringy,)),
+                         _cfg(tmp_path, descriptor_columns=()))
+    assert "plots/s.svg" not in pages
+    page = pages["entries/s.md"]
     assert "no plot available" in page
     assert "plots/" not in page
 
@@ -115,7 +119,8 @@ def test_entry_page_placeholder_on_plot_failure(tmp_path):
 def test_entry_page_preview_capped_at_10_rows(tmp_path):
     entry = material_entry("long", "Pt",
                            rows=tuple((i, float(i)) for i in range(25)))
-    page = render_entry_page(entry, _cfg(tmp_path, descriptor_columns=()))
+    page = render_entry_page(entry, _cfg(tmp_path, descriptor_columns=()),
+                             True)
     data_rows = [line for line in page.splitlines()
                  if re.match(r"^\| \d", line)]
     assert len(data_rows) == 10
@@ -124,7 +129,7 @@ def test_entry_page_preview_capped_at_10_rows(tmp_path):
 
 def test_entry_page_html(demo_entry, tmp_path):
     page = render_entry_page(demo_entry, _cfg(tmp_path, format="html",
-                                              descriptor_columns=()))
+                                              descriptor_columns=()), True)
     assert page.startswith("<!DOCTYPE html>")
     assert "<script" not in page
     assert "<h1>data</h1>" in page
@@ -176,6 +181,20 @@ def test_empty_collection_index(tmp_path):
     assert "0 entries" in pages["index.md"]
 
 
+def test_each_plot_rendered_once(material_collection, tmp_path,
+                                 monkeypatch):
+    calls = []
+
+    def counting(entry, x, y):
+        calls.append(entry.identifier)
+        return render_plot(entry, x, y)
+    monkeypatch.setattr(report, "render_plot", counting)
+    for fmt in ("markdown", "html"):
+        calls.clear()
+        render_index(material_collection, _cfg(tmp_path, format=fmt))
+        assert sorted(calls) == list(material_collection.identifiers)
+
+
 def test_missing_group_value_becomes_ungrouped(tmp_path):
     entry = material_entry("nogroup", "Pt")
     cfg = _cfg(tmp_path, group_by="no.such.path")
@@ -223,6 +242,27 @@ def test_write_report_writes_closed_tree(material_collection, tmp_path):
     on_disk = {str(p.relative_to(out_dir)) for p in out_dir.rglob("*")
                if p.is_file()}
     assert on_disk == set(render_index(material_collection, cfg))
+
+
+def test_write_report_prunes_stale_pages(material_collection, tmp_path):
+    cfg = _cfg(tmp_path)
+    out_dir = cfg.out_dir
+    write_report(material_collection, cfg)
+    (out_dir / "notes.txt").write_text("keep me", encoding="utf-8")
+
+    fewer = Collection(entries=material_collection.entries[1:])
+    gone = material_collection.entries[0].identifier
+    write_report(fewer, cfg)
+    assert not (out_dir / "entries" / f"{gone}.md").exists()
+    assert not (out_dir / "plots" / f"{gone}.svg").exists()
+
+    html_cfg = _cfg(tmp_path, format="html")
+    write_report(fewer, html_cfg)
+    on_disk = {p.relative_to(out_dir).as_posix() for p in out_dir.rglob("*")
+               if p.is_file()}
+    assert not [p for p in on_disk if p.endswith(".md")]
+    assert on_disk == set(render_index(fewer, html_cfg)) | {"notes.txt"}
+    assert (out_dir / "notes.txt").read_text(encoding="utf-8") == "keep me"
 
 
 def test_config_validation(tmp_path):
