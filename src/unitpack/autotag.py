@@ -17,9 +17,10 @@ from __future__ import annotations
 import fnmatch
 import hashlib
 import json
+import stat
 import threading
 import time
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -31,9 +32,8 @@ from .errors import (
     UnitpackError,
     WatchSetupError,
 )
-from .metadata import MetadataDoc, parse_yaml
+from .metadata import META_SUFFIX, MetadataDoc, parse_yaml
 
-META_SUFFIX = ".meta.yaml"
 RESERVED_KEY = "autotag"
 LOG_NAME = "autotag.log.jsonl"
 
@@ -77,10 +77,7 @@ class TagEvent:
     timestamp: str
 
     def to_record(self) -> dict:
-        return {"event": "tagged", "source_path": self.source_path,
-                "meta_path": self.meta_path,
-                "template_version": self.template_version,
-                "timestamp": self.timestamp}
+        return {"event": "tagged", **asdict(self)}
 
 
 @dataclass(frozen=True)
@@ -123,14 +120,15 @@ def load_template(path: str | Path) -> TemplateSnapshot:
 
 
 def path_matches(cfg: WatchConfig, path: Path) -> bool:
+    """Whether the watcher tags `path`, judged by name alone except for
+    the template's name: the template is compared by resolved path."""
     name = path.name
     if not any(fnmatch.fnmatchcase(name, g) for g in cfg.include_globs):
         return False
     if any(fnmatch.fnmatchcase(name, g) for g in cfg.effective_excludes):
         return False
-    if path == cfg.template_path:
-        return False
-    return True
+    return name != cfg.template_path.name or \
+        path.resolve() != cfg.template_path.resolve()
 
 
 def meta_path_for(path: str | Path) -> Path:
@@ -184,25 +182,37 @@ class _EventLog:
             self.sink(record)
 
 
-def _error_record(exc: AlreadyTagged | OSError, path: Path) -> dict:
-    """The log record of a file that could not be tagged."""
-    return {"event": "error",
-            "code": AlreadyTagged.code if isinstance(exc, AlreadyTagged)
-            else "IO_ERROR",
-            "message": str(exc), "source_path": str(path),
-            "timestamp": _utc_now()}
+def _tag_and_log(path: Path, template: TemplateSnapshot, cfg: WatchConfig,
+                 logger: _EventLog) -> TagEvent | None:
+    """Tag `path` and log the outcome; None if it could not be tagged."""
+    try:
+        event = tag_file(path, template, cfg)
+    except (AlreadyTagged, OSError) as exc:
+        logger.emit({"event": "error",
+                     "code": AlreadyTagged.code
+                     if isinstance(exc, AlreadyTagged) else "IO_ERROR",
+                     "message": str(exc), "source_path": str(path),
+                     "timestamp": _utc_now()})
+        return None
+    logger.emit(event.to_record())
+    return event
 
 
-def _scan(cfg: WatchConfig) -> set[Path]:
+def _scan(cfg: WatchConfig) -> dict[Path, int]:
+    """The size of every regular file the watcher would tag.  Names are
+    filtered first, so only accepted names cost a `stat`."""
     pattern = "**/*" if cfg.recursive else "*"
-    found = set()
+    sizes = {}
     for path in cfg.watch_dir.glob(pattern):
+        if not path_matches(cfg, path):
+            continue
         try:
-            if path.is_file() and path_matches(cfg, path):
-                found.add(path)
+            st = path.stat()
         except OSError:
             continue
-    return found
+        if stat.S_ISREG(st.st_mode):
+            sizes[path] = st.st_size
+    return sizes
 
 
 def backfill(cfg: WatchConfig, event_sink=None) -> list[TagEvent]:
@@ -219,13 +229,9 @@ def backfill(cfg: WatchConfig, event_sink=None) -> list[TagEvent]:
     for path in sorted(_scan(cfg)):
         if meta_path_for(path).exists():
             continue
-        try:
-            event = tag_file(path, template, cfg)
-        except (AlreadyTagged, OSError) as exc:
-            logger.emit(_error_record(exc, path))
-            continue
-        events.append(event)
-        logger.emit(event.to_record())
+        event = _tag_and_log(path, template, cfg, logger)
+        if event is not None:
+            events.append(event)
     return events
 
 
@@ -259,7 +265,7 @@ def watch(cfg: WatchConfig, event_sink=None,
     logger = _EventLog(cfg.effective_log_path, event_sink)
     poll_s = min(max(cfg.quiescence_ms / 4000.0, 0.02), 0.25)
 
-    known = _scan(cfg)
+    known = set(_scan(cfg))
     pending: dict[Path, tuple[int, float]] = {}
     template_stamp = _template_stat(cfg.template_path)
 
@@ -280,38 +286,21 @@ def watch(cfg: WatchConfig, event_sink=None,
                                  "timestamp": _utc_now()})
 
             current = _scan(cfg)
-            known &= current
+            known &= current.keys()
             now = time.monotonic()
-            for path in current - known - set(pending):
-                try:
-                    pending[path] = (path.stat().st_size, now)
-                except OSError:
-                    continue
-
-            for path in sorted(pending):
-                if path not in current:
-                    del pending[path]
-                    logger.emit({"event": "cancelled",
-                                 "source_path": str(path),
-                                 "timestamp": _utc_now()})
-                    continue
-                try:
-                    size = path.stat().st_size
-                except OSError:
-                    continue  # re-examined next poll
-                recorded_size, since = pending[path]
-                if size != recorded_size:
-                    pending[path] = (size, now)
-                    continue
-                if (now - since) * 1000.0 < cfg.quiescence_ms:
+            for path in sorted(pending.keys() - current.keys()):
+                del pending[path]
+                logger.emit({"event": "cancelled",
+                             "source_path": str(path),
+                             "timestamp": _utc_now()})
+            for path in sorted(current.keys() - known):
+                if path not in pending or pending[path][0] != current[path]:
+                    pending[path] = (current[path], now)
+                if (now - pending[path][1]) * 1000.0 < cfg.quiescence_ms:
                     continue
                 del pending[path]
                 known.add(path)
-                try:
-                    event = tag_file(path, template, cfg)
-                    logger.emit(event.to_record())
-                except (AlreadyTagged, OSError) as exc:
-                    logger.emit(_error_record(exc, path))
+                _tag_and_log(path, template, cfg, logger)
             stop_event.wait(poll_s)
     except KeyboardInterrupt:
         pass

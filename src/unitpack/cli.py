@@ -150,7 +150,7 @@ def _cmd_watch(args) -> int:
 def _cmd_pack(args) -> int:
     csv_path = Path(args.csv)
     meta_path = Path(args.meta) if args.meta else \
-        Path(str(csv_path) + autotag.META_SUFFIX)
+        autotag.meta_path_for(csv_path)
     if not meta_path.is_file():
         return _fail("META_NOT_FOUND",
                      f"metadata file not found: {meta_path}")

@@ -335,8 +335,7 @@ class ScanResult:
     failures: list[tuple[Path, str]]
 
 
-def scan_metadata_directory(directory: str | Path,
-                            suffix: str = META_SUFFIX) -> ScanResult:
+def scan_metadata_directory(directory: str | Path) -> ScanResult:
     """Collect and parse every ``*.meta.yaml`` below a directory.
 
     Parse failures are reported per file and skipped; the result is
@@ -347,7 +346,7 @@ def scan_metadata_directory(directory: str | Path,
         raise DirectoryNotFound(f"not a directory: {directory}")
     documents: list[tuple[Path, MetadataDoc]] = []
     failures: list[tuple[Path, str]] = []
-    for path in sorted(directory.rglob(f"*{suffix}"), key=lambda p: str(p)):
+    for path in sorted(directory.rglob(f"*{META_SUFFIX}"), key=str):
         if not path.is_file():
             continue
         try:

@@ -18,6 +18,7 @@ import json
 import re
 from dataclasses import dataclass
 from pathlib import Path
+from urllib.parse import quote
 
 from .collection import Collection
 from .datapackage import Entry
@@ -160,6 +161,7 @@ def _slug(value: str, taken: set[str]) -> str:
 
 
 # --- page formats: a page is a list of blocks, each ending in a newline ------
+# Link targets are relative file paths; the formats percent-encode them.
 
 class _Markdown:
     ext = "md"
@@ -174,13 +176,13 @@ class _Markdown:
         return f"*{text}*\n"
 
     def thumbnail(self, src: str, alt: str) -> str:
-        return f"![{alt}]({src})"
+        return f"![{alt}]({quote(src)})"
 
     def image(self, src: str, alt: str) -> str:
         return self.thumbnail(src, alt) + "\n"
 
     def link(self, href: str, text: str) -> str:
-        return f"[{text}]({href})"
+        return f"[{text}]({quote(href)})"
 
     def table(self, headers, rows) -> str:
         lines = [self._row(headers), self._row(["---"] * len(headers))]
@@ -235,14 +237,15 @@ class _Html:
         return f"<p><em>{html_lib.escape(text)}</em></p>\n"
 
     def thumbnail(self, src: str, alt: str) -> str:
-        return _Markup(f'<img class="thumb" src="{src}" '
+        return _Markup(f'<img class="thumb" src="{quote(src)}" '
                        f'alt="{html_lib.escape(alt)}">')
 
     def image(self, src: str, alt: str) -> str:
-        return f'<p><img src="{src}" alt="{html_lib.escape(alt)}"></p>\n'
+        return (f'<p><img src="{quote(src)}" '
+                f'alt="{html_lib.escape(alt)}"></p>\n')
 
     def link(self, href: str, text: str) -> str:
-        return _Markup(f'<a href="{href}">{html_lib.escape(text)}</a>')
+        return _Markup(f'<a href="{quote(href)}">{html_lib.escape(text)}</a>')
 
     def table(self, headers, rows) -> str:
         head = "".join(f"<th>{html_lib.escape(h)}</th>" for h in headers)
@@ -293,15 +296,19 @@ def _entries_text(count: int) -> str:
     return f"{count} entr{'y' if count == 1 else 'ies'}"
 
 
-def render_entry_page(entry: Entry, cfg: ReportConfig, has_plot: bool) -> str:
+def render_entry_page(entry: Entry, cfg: ReportConfig, has_plot: bool,
+                      descriptor_cells: list[tuple[str, str]] | None = None
+                      ) -> str:
     """One page per entry: descriptors, plot, data preview, metadata.
 
     `has_plot` tells whether `render_plot` succeeded for the entry; if
-    not, the page shows a placeholder where the plot would be.
+    not, the page shows a placeholder where the plot would be.  The
+    (label, value) `descriptor_cells` are computed from `cfg` if not given.
     """
     fmt = _FORMATS[cfg.format]
     blocks = [fmt.heading(entry.identifier)]
-    descriptor_cells = _descriptor_cells(entry, cfg)
+    if descriptor_cells is None:
+        descriptor_cells = _descriptor_cells(entry, cfg)
     if descriptor_cells:
         blocks.append(fmt.table(["descriptor", "value"], descriptor_cells))
     if has_plot:
@@ -323,9 +330,10 @@ def render_entry_page(entry: Entry, cfg: ReportConfig, has_plot: bool) -> str:
 
 
 def _overview_page(fmt, title: str, entries: list[Entry], cfg: ReportConfig,
-                   prefix: str, plot_ids: set[str]) -> str:
+                   prefix: str, plot_ids: set[str],
+                   cells: dict[str, list[tuple[str, str]]]) -> str:
     """The ungrouped index or one group's page: a count and, if there are
-    entries, a table row per entry with its thumbnail and link."""
+    entries, a table row per entry: thumbnail, descriptor `cells`, link."""
     blocks = [fmt.heading(title),
               fmt.paragraph(f"{_entries_text(len(entries))}.")]
     rows = []
@@ -334,8 +342,7 @@ def _overview_page(fmt, title: str, entries: list[Entry], cfg: ReportConfig,
         thumb = (fmt.thumbnail(f"{prefix}plots/{identifier}.svg", identifier)
                  if identifier in plot_ids else MISSING)
         link = fmt.link(f"{prefix}entries/{identifier}.{fmt.ext}", identifier)
-        rows.append([thumb] + [v for _, v in _descriptor_cells(entry, cfg)]
-                    + [link])
+        rows.append([thumb] + [v for _, v in cells[identifier]] + [link])
     if rows:
         blocks.append(fmt.table(
             ["plot"] + [label for label, _ in cfg.descriptor_columns]
@@ -354,6 +361,7 @@ def render_index(c: Collection, cfg: ReportConfig) -> dict[str, str]:
     fmt = _FORMATS[cfg.format]
     pages: dict[str, str] = {}
     plot_ids: set[str] = set()
+    cells: dict[str, list[tuple[str, str]]] = {}
     for entry in c.entries:
         try:
             pages[f"plots/{entry.identifier}.svg"] = render_plot(
@@ -361,13 +369,14 @@ def render_index(c: Collection, cfg: ReportConfig) -> dict[str, str]:
             plot_ids.add(entry.identifier)
         except UnitpackError:
             pass
+        cells[entry.identifier] = _descriptor_cells(entry, cfg)
         pages[f"entries/{entry.identifier}.{fmt.ext}"] = render_entry_page(
-            entry, cfg, entry.identifier in plot_ids)
+            entry, cfg, entry.identifier in plot_ids, cells[entry.identifier])
 
     title = "Collection report"
     if cfg.group_by is None:
         pages[f"index.{fmt.ext}"] = _overview_page(
-            fmt, title, list(c.entries), cfg, "", plot_ids)
+            fmt, title, list(c.entries), cfg, "", plot_ids, cells)
         return pages
 
     groups: dict[str, list[Entry]] = {}
@@ -378,7 +387,7 @@ def render_index(c: Collection, cfg: ReportConfig) -> dict[str, str]:
     for value in sorted(groups):
         page = f"groups/{_slug(value, taken)}.{fmt.ext}"
         pages[page] = _overview_page(fmt, value, groups[value], cfg, "../",
-                                     plot_ids)
+                                     plot_ids, cells)
         rows.append([fmt.link(page, value), str(len(groups[value]))])
     pages[f"index.{fmt.ext}"] = fmt.document(title, [
         fmt.heading(title),

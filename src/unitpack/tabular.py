@@ -256,8 +256,8 @@ def apply_loader(path: str | Path, spec: LoaderSpec) -> Table:
     lines counts as the lines it occupies.  Cell values are never
     altered, only renamed and retyped.
     """
-    text = Path(path).read_text(encoding="utf-8-sig")
-    lines = text.splitlines(keepends=True)
+    with open(path, "r", encoding="utf-8-sig", newline="") as handle:
+        lines = list(handle)  # split where csv splits, as in read_table
     if spec.comment_prefix is not None:
         lines = [l for l in lines if not l.startswith(spec.comment_prefix)]
     if spec.skip_footer:

@@ -1,4 +1,5 @@
 import json
+import pathlib
 import threading
 import time
 
@@ -150,6 +151,17 @@ def test_backfill_tags_existing(watch_setup):
     assert backfill(cfg) == []
 
 
+def test_backfill_logs_tagged_records(watch_setup):
+    watch_dir, _, cfg = watch_setup
+    (watch_dir / "a.csv").write_text("x", encoding="utf-8")
+    records = []
+    events = backfill(cfg, event_sink=records.append)
+    assert records == [event.to_record() for event in events]
+    assert list(records[0]) == ["event", "source_path", "meta_path",
+                                "template_version", "timestamp"]
+    assert records[0]["event"] == "tagged"
+
+
 @pytest.mark.parametrize("exc, code", [
     (AlreadyTagged("taken"), "ALREADY_TAGGED"),
     (PermissionError("denied"), "IO_ERROR"),
@@ -171,6 +183,83 @@ def test_backfill_logs_untaggable_file(watch_setup, monkeypatch, exc, code):
     assert records[0]["code"] == code
     assert records[0]["message"] == str(exc)
     assert records[0]["source_path"] == str(source)
+
+
+# -------------------------------
+# scan
+# -------------------------------
+
+def test_scan_stats_only_matching_names(watch_setup, monkeypatch):
+    watch_dir, _, cfg = watch_setup
+    sources = []
+    for index in range(5):
+        source = watch_dir / f"run{index}.csv"
+        source.write_text("x" * index, encoding="utf-8")
+        (watch_dir / f"run{index}.csv.meta.yaml").write_text(
+            "user: x\n", encoding="utf-8")
+        sources.append(source)
+    stat_calls = []
+    real_stat = pathlib.Path.stat
+
+    def counting_stat(self, *args, **kwargs):
+        stat_calls.append(self)
+        return real_stat(self, *args, **kwargs)
+    monkeypatch.setattr(pathlib.Path, "stat", counting_stat)
+    sizes = autotag._scan(cfg)
+    # glob's own check that the watch dir is a directory is not counted
+    assert sorted(p for p in stat_calls if p != watch_dir) == sources
+    assert sizes == {source: index for index, source in enumerate(sources)}
+
+
+TEMPLATE_SPELLINGS = {
+    "relative": lambda root: "incoming/template.yaml",
+    "absolute": lambda root: str(root / "incoming" / "template.yaml"),
+    "dotdot": lambda root: "incoming/../incoming/template.yaml",
+}
+
+
+@pytest.fixture(params=sorted(TEMPLATE_SPELLINGS))
+def template_inside(request, tmp_path, monkeypatch):
+    """A watch dir named relative to the working directory, holding its
+    own template, which `--template` spells in several ways."""
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "incoming").mkdir()
+    (tmp_path / "incoming" / "template.yaml").write_text(TEMPLATE,
+                                                         encoding="utf-8")
+    return WatchConfig(
+        watch_dir=pathlib.Path("incoming"),
+        template_path=pathlib.Path(
+            TEMPLATE_SPELLINGS[request.param](tmp_path)),
+        quiescence_ms=80)
+
+
+def test_backfill_never_tags_template(template_inside):
+    cfg = template_inside
+    (cfg.watch_dir / "data.csv").write_text("x", encoding="utf-8")
+    events = backfill(cfg)
+    assert [pathlib.Path(e.source_path).name for e in events] == ["data.csv"]
+    assert not (cfg.watch_dir / "template.yaml.meta.yaml").exists()
+
+
+def test_watch_never_tags_recreated_template(template_inside):
+    cfg = template_inside
+    template = cfg.watch_dir / "template.yaml"
+    with WatcherThread(cfg) as watcher:
+        time.sleep(0.2)
+        template.unlink()
+        assert watcher.wait_for(
+            lambda ev: any(e.get("code") == "TEMPLATE_PARSE_ERROR"
+                           for e in ev))
+        time.sleep(0.2)  # several polls see the template gone
+        template.write_text(TEMPLATE, encoding="utf-8")
+        assert watcher.wait_for(
+            lambda ev: any(e["event"] == "template_reloaded" for e in ev))
+        (cfg.watch_dir / "data.csv").write_text("x", encoding="utf-8")
+        assert watcher.wait_for(lambda ev: _tag_count(ev) == 1)
+        time.sleep(0.3)  # well past the quiescence interval
+    assert [e["source_path"] for e in watcher.events
+            if e["event"] == "tagged"] == [str(cfg.watch_dir / "data.csv")]
+    assert not (cfg.watch_dir / "template.yaml.meta.yaml").exists()
 
 
 # -------------------------------

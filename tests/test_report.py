@@ -1,5 +1,6 @@
 import posixpath
 import re
+from urllib.parse import unquote
 
 import pytest
 
@@ -7,7 +8,7 @@ from unitpack import report
 from unitpack.collection import Collection
 from unitpack.datapackage import Entry, FieldSpec
 from unitpack.errors import NonNumericCell, TooFewPoints, UnknownField
-from unitpack.metadata import MetadataDoc
+from unitpack.metadata import MetadataDoc, get_path
 from unitpack.report import (
     ReportConfig,
     render_entry_page,
@@ -195,6 +196,20 @@ def test_each_plot_rendered_once(material_collection, tmp_path,
         assert sorted(calls) == list(material_collection.identifiers)
 
 
+def test_descriptor_cells_computed_once(material_collection, tmp_path,
+                                       monkeypatch):
+    paths = []
+
+    def counting(doc, path):
+        paths.append(path)
+        return get_path(doc, path)
+    monkeypatch.setattr(report, "get_path", counting)
+    cfg = _cfg(tmp_path, group_by=None)
+    render_index(material_collection, cfg)
+    assert len(paths) == len(material_collection) * \
+        len(cfg.descriptor_columns)
+
+
 def test_missing_group_value_becomes_ungrouped(tmp_path):
     entry = material_entry("nogroup", "Pt")
     cfg = _cfg(tmp_path, group_by="no.such.path")
@@ -221,17 +236,41 @@ def _links_in(page_path: str, content: str, fmt: str):
             yield match.group(1)
 
 
-@pytest.mark.parametrize("fmt", ["markdown", "html"])
-def test_link_closure(material_collection, tmp_path, fmt):
-    pages = render_index(material_collection, _cfg(tmp_path, format=fmt))
+def _assert_link_closure(pages: dict[str, str], fmt: str) -> None:
     for page_path, content in pages.items():
         if page_path.endswith(".svg"):
             continue
         base = posixpath.dirname(page_path)
         for link in _links_in(page_path, content, fmt):
-            resolved = posixpath.normpath(posixpath.join(base, link))
+            resolved = posixpath.normpath(posixpath.join(base, unquote(link)))
             assert resolved in pages, \
                 f"{page_path} links to {link} -> {resolved} (missing)"
+
+
+@pytest.mark.parametrize("fmt", ["markdown", "html"])
+def test_link_closure(material_collection, tmp_path, fmt):
+    pages = render_index(material_collection, _cfg(tmp_path, format=fmt))
+    _assert_link_closure(pages, fmt)
+
+
+@pytest.mark.parametrize("fmt, thumb, link", [
+    ("markdown", '![a"b c)](plots/a%22b%20c%29.svg)',
+     '[a"b c)](entries/a%22b%20c%29.md)'),
+    ("html", '<img class="thumb" src="plots/a%22b%20c%29.svg" '
+             'alt="a&quot;b c)">',
+     '<a href="entries/a%22b%20c%29.html">a&quot;b c)</a>'),
+], ids=["markdown", "html"])
+def test_odd_identifier_links_are_encoded(material_collection, tmp_path,
+                                          fmt, thumb, link):
+    collection = Collection(entries=material_collection.entries + (
+        material_entry('a"b c)', "Pt"),))
+    flat = render_index(collection, _cfg(tmp_path, format=fmt,
+                                         group_by=None))
+    index = next(v for k, v in flat.items() if k.startswith("index."))
+    assert thumb in index and link in index
+    assert 'plots/a"b c).svg' in flat
+    for pages in (flat, render_index(collection, _cfg(tmp_path, format=fmt))):
+        _assert_link_closure(pages, fmt)
 
 
 def test_write_report_writes_closed_tree(material_collection, tmp_path):

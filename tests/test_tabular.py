@@ -183,6 +183,20 @@ def test_default_spec_equals_read_table(tmp_path, demo_paths):
     assert tabular.apply_loader(demo_paths[0], LoaderSpec()) == direct
 
 
+@pytest.mark.parametrize("separator", ["\x0c", "\x1e", "\x85", "\u2028"],
+                         ids=["FF", "RS", "NEL", "LS"])
+@pytest.mark.parametrize("quoted", [False, True], ids=["bare", "quoted"])
+def test_default_spec_keeps_cells_with_unicode_line_breaks(
+        tmp_path, separator, quoted):
+    cell = f"c{separator}d"
+    path = tmp_path / "odd.csv"
+    path.write_text("a,b\n1,{}\n".format(f'"{cell}"' if quoted else cell),
+                    encoding="utf-8")
+    direct = tabular.read_table(path)
+    assert direct.rows == ((1, cell),)
+    assert tabular.apply_loader(path, LoaderSpec()) == direct
+
+
 def test_loader_preserves_cell_values(tmp_path):
     path = tmp_path / "wild.txt"
     path.write_text(WILD_FILE, encoding="utf-8")
