@@ -121,14 +121,19 @@ def load_template(path: str | Path) -> TemplateSnapshot:
 
 def path_matches(cfg: WatchConfig, path: Path) -> bool:
     """Whether the watcher tags `path`, judged by name alone except for
-    the template's name: the template is compared by resolved path."""
+    the template's name: the template is compared by resolved path, and
+    a path that cannot be resolved (a symlink loop) is not the template."""
     name = path.name
     if not any(fnmatch.fnmatchcase(name, g) for g in cfg.include_globs):
         return False
     if any(fnmatch.fnmatchcase(name, g) for g in cfg.effective_excludes):
         return False
-    return name != cfg.template_path.name or \
-        path.resolve() != cfg.template_path.resolve()
+    if name != cfg.template_path.name:
+        return True
+    try:
+        return path.resolve() != cfg.template_path.resolve()
+    except (OSError, RuntimeError):
+        return True
 
 
 def meta_path_for(path: str | Path) -> Path:

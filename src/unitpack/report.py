@@ -297,18 +297,15 @@ def _entries_text(count: int) -> str:
 
 
 def render_entry_page(entry: Entry, cfg: ReportConfig, has_plot: bool,
-                      descriptor_cells: list[tuple[str, str]] | None = None
-                      ) -> str:
+                      descriptor_cells: list[tuple[str, str]]) -> str:
     """One page per entry: descriptors, plot, data preview, metadata.
 
     `has_plot` tells whether `render_plot` succeeded for the entry; if
-    not, the page shows a placeholder where the plot would be.  The
-    (label, value) `descriptor_cells` are computed from `cfg` if not given.
+    not, the page shows a placeholder where the plot would be.
+    `descriptor_cells` are the entry's (label, value) descriptor pairs.
     """
     fmt = _FORMATS[cfg.format]
     blocks = [fmt.heading(entry.identifier)]
-    if descriptor_cells is None:
-        descriptor_cells = _descriptor_cells(entry, cfg)
     if descriptor_cells:
         blocks.append(fmt.table(["descriptor", "value"], descriptor_cells))
     if has_plot:

@@ -262,6 +262,20 @@ def test_watch_never_tags_recreated_template(template_inside):
     assert not (cfg.watch_dir / "template.yaml.meta.yaml").exists()
 
 
+def test_template_named_symlink_loop_is_skipped(watch_setup):
+    watch_dir, template_path, cfg = watch_setup
+    (watch_dir / "template.yaml").symlink_to("template.yaml")
+    (watch_dir / "data.csv").write_text("x", encoding="utf-8")
+    events = backfill(cfg)
+    assert [pathlib.Path(e.source_path).name for e in events] == ["data.csv"]
+    with WatcherThread(cfg) as watcher:
+        time.sleep(0.2)
+        (watch_dir / "later.csv").write_text("x", encoding="utf-8")
+        assert watcher.wait_for(lambda ev: _tag_count(ev) == 1)
+    assert [e["source_path"] for e in watcher.events] == [
+        str(watch_dir / "later.csv")]
+
+
 # -------------------------------
 # watch
 # -------------------------------

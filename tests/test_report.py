@@ -88,9 +88,15 @@ def test_plot_deterministic(demo_entry):
 # render_entry_page
 # -------------------------------
 
+def _entry_page(entry, cfg):
+    """`entry`'s page with its plot, as `render_index` renders it."""
+    return render_entry_page(entry, cfg, True,
+                             report._descriptor_cells(entry, cfg))
+
+
 def test_entry_page_preview_header(demo_entry, tmp_path):
-    page = render_entry_page(demo_entry, _cfg(tmp_path, group_by=None,
-                                              descriptor_columns=()), True)
+    page = _entry_page(demo_entry, _cfg(tmp_path, group_by=None,
+                                        descriptor_columns=()))
     assert "| t [s] | U [mV] | T [K] |" in page
     assert page.startswith("# data\n")
     assert "![data](../plots/data.svg)" in page
@@ -98,7 +104,7 @@ def test_entry_page_preview_header(demo_entry, tmp_path):
 
 def test_entry_page_missing_descriptor_is_dash(demo_entry, tmp_path):
     cfg = _cfg(tmp_path, descriptor_columns=(("ghost", "no.such.path"),))
-    page = render_entry_page(demo_entry, cfg, True)
+    page = _entry_page(demo_entry, cfg)
     assert "| ghost | — |" in page
 
 
@@ -120,8 +126,7 @@ def test_entry_page_placeholder_on_plot_failure(tmp_path):
 def test_entry_page_preview_capped_at_10_rows(tmp_path):
     entry = material_entry("long", "Pt",
                            rows=tuple((i, float(i)) for i in range(25)))
-    page = render_entry_page(entry, _cfg(tmp_path, descriptor_columns=()),
-                             True)
+    page = _entry_page(entry, _cfg(tmp_path, descriptor_columns=()))
     data_rows = [line for line in page.splitlines()
                  if re.match(r"^\| \d", line)]
     assert len(data_rows) == 10
@@ -129,8 +134,8 @@ def test_entry_page_preview_capped_at_10_rows(tmp_path):
 
 
 def test_entry_page_html(demo_entry, tmp_path):
-    page = render_entry_page(demo_entry, _cfg(tmp_path, format="html",
-                                              descriptor_columns=()), True)
+    page = _entry_page(demo_entry, _cfg(tmp_path, format="html",
+                                        descriptor_columns=()))
     assert page.startswith("<!DOCTYPE html>")
     assert "<script" not in page
     assert "<h1>data</h1>" in page
