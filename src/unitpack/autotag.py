@@ -20,7 +20,7 @@ import json
 import stat
 import threading
 import time
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -77,7 +77,7 @@ class TagEvent:
     timestamp: str
 
     def to_record(self) -> dict:
-        return {"event": "tagged", **asdict(self)}
+        return {"event": "tagged", **vars(self)}
 
 
 @dataclass(frozen=True)
