@@ -6,6 +6,8 @@ Load YAML metadata, address nodes with dot-paths, validate against a
 small JSON-Schema subset, and scan a directory of sidecar files.
 """
 
+import atexit
+import shutil
 import tempfile
 from pathlib import Path
 
@@ -14,6 +16,7 @@ from unitpack import load_document, load_schema, scan_metadata_directory, \
 from unitpack.metadata import filter_metadata, get_path
 
 workdir = Path(tempfile.mkdtemp(prefix="unitpack-demo-"))
+atexit.register(shutil.rmtree, workdir)
 
 (workdir / "data.csv.meta.yaml").write_text("""\
 # instrument export, annotated by hand

@@ -7,6 +7,8 @@ describes the layout once (preamble, footer, renames) so every file
 from that device standardizes the same way, without touching values.
 """
 
+import atexit
+import shutil
 import tempfile
 from pathlib import Path
 
@@ -14,6 +16,7 @@ from unitpack import apply_loader
 from unitpack.tabular import LoaderSpec, load_loader_spec
 
 workdir = Path(tempfile.mkdtemp(prefix="unitpack-demo-"))
+atexit.register(shutil.rmtree, workdir)
 
 wild = workdir / "run7.txt"
 wild.write_text("""\

@@ -8,6 +8,8 @@ metadata, next to the CSV itself. Then rescale a column and compute a
 derived quantity (the resistance of the measured resistor).
 """
 
+import atexit
+import shutil
 import tempfile
 from pathlib import Path
 
@@ -17,6 +19,7 @@ from unitpack.datapackage import field_quantity
 from unitpack.metadata import get_path
 
 workdir = Path(tempfile.mkdtemp(prefix="unitpack-demo-"))
+atexit.register(shutil.rmtree, workdir)
 
 (workdir / "data.csv").write_text("""\
 t,U,T

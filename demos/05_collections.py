@@ -7,6 +7,8 @@ select entries by identifier, filter on metadata predicates, and
 summarize descriptor statistics through a profile.
 """
 
+import atexit
+import shutil
 import tempfile
 from pathlib import Path
 
@@ -18,6 +20,7 @@ from unitpack.metadata import MetadataDoc
 from unitpack.tabular import Table
 
 workdir = Path(tempfile.mkdtemp(prefix="unitpack-demo-"))
+atexit.register(shutil.rmtree, workdir)
 outdir = workdir / "db"
 
 

@@ -8,6 +8,8 @@ between measurements and each file records the metadata that was in
 effect when it appeared. This demo drives a short live session.
 """
 
+import atexit
+import shutil
 import tempfile
 import threading
 import time
@@ -16,6 +18,7 @@ from pathlib import Path
 from unitpack.autotag import WatchConfig, backfill, split_meta, watch
 
 workdir = Path(tempfile.mkdtemp(prefix="unitpack-demo-"))
+atexit.register(shutil.rmtree, workdir)
 incoming = workdir / "incoming"
 incoming.mkdir()
 

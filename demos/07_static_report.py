@@ -8,6 +8,8 @@ an SVG thumbnail of each curve. Pure files, no server, byte-identical
 across runs.
 """
 
+import atexit
+import shutil
 import tempfile
 from pathlib import Path
 
@@ -18,6 +20,7 @@ from unitpack.report import ReportConfig, write_report
 from unitpack.tabular import Table
 
 workdir = Path(tempfile.mkdtemp(prefix="unitpack-demo-"))
+atexit.register(shutil.rmtree, workdir)
 
 
 def make_entry(identifier, material, rows):

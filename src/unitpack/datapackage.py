@@ -20,6 +20,7 @@ The on-disk form is a ``<identifier>.json`` descriptor next to a
 from __future__ import annotations
 
 import json
+import os
 import statistics
 from dataclasses import dataclass, replace
 from fractions import Fraction
@@ -40,7 +41,14 @@ from .errors import (
     UnknownField,
 )
 from .metadata import MetadataDoc, get_path
-from .tabular import Table, _is_number, open_table, read_table, write_table
+from .tabular import (
+    Table,
+    _is_number,
+    _plain_numbers,
+    open_table,
+    read_table,
+    write_table,
+)
 
 FIELD_TYPES = ("number", "integer", "string")
 DEFAULT_FIELDS_PATH = "figure_description.fields"
@@ -177,9 +185,10 @@ def build_entry_from_table(identifier: str, table: Table,
         item = specs.get(column, {})
         declared_type = item.get("type")
         if declared_type is None:
+            cells = table.column_values(column)
             declared_type = ("number"
-                             if all(_is_number(c)
-                                    for c in table.column_values(column)
+                             if _plain_numbers(cells)
+                             or all(_is_number(c) for c in cells
                                     if c is not None)
                              else "string")
         fields.append(FieldSpec(
@@ -203,7 +212,13 @@ def build_entry(csv_path: str | Path, metadata: MetadataDoc,
 
 def save_entry(entry: Entry, outdir: str | Path,
                overwrite: bool = False) -> tuple[Path, Path]:
-    """Write ``<identifier>.json`` + ``<identifier>.csv`` into `outdir`."""
+    """Write ``<identifier>.json`` + ``<identifier>.csv`` into `outdir`.
+
+    Each file is written to a temporary file in `outdir` and moved into
+    place with `os.replace`, the CSV first and the descriptor last, so
+    neither name ever holds a partly written file and a new descriptor
+    only appears once its CSV is complete.
+    """
     outdir = Path(outdir)
     outdir.mkdir(parents=True, exist_ok=True)
     json_path = outdir / f"{entry.identifier}.json"
@@ -213,7 +228,6 @@ def save_entry(entry: Entry, outdir: str | Path,
             if target.exists():
                 raise RefusedOverwrite(
                     f"refusing to overwrite {target} (pass overwrite=True)")
-    write_table(entry.table, csv_path)
     descriptor = {
         "resources": [
             {
@@ -227,9 +241,23 @@ def save_entry(entry: Entry, outdir: str | Path,
             }
         ]
     }
-    json_path.write_text(json.dumps(descriptor, indent=2, ensure_ascii=False)
-                         + "\n", encoding="utf-8")
+    csv_temp, json_temp = _temp_path(csv_path), _temp_path(json_path)
+    try:
+        write_table(entry.table, csv_temp)
+        json_temp.write_text(json.dumps(descriptor, indent=2,
+                                        ensure_ascii=False) + "\n",
+                             encoding="utf-8")
+        os.replace(csv_temp, csv_path)
+        os.replace(json_temp, json_path)
+    finally:
+        for temp in (csv_temp, json_temp):
+            temp.unlink(missing_ok=True)
     return json_path, csv_path
+
+
+def _temp_path(target: Path) -> Path:
+    """A fresh hidden name beside `target` that no collection reads."""
+    return target.with_name(f".{target.name}.{os.urandom(6).hex()}.tmp")
 
 
 def load_entry(json_path: str | Path) -> Entry:

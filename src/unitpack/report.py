@@ -30,7 +30,7 @@ from .errors import (
     UnitpackError,
 )
 from .metadata import canonical_scalar, get_path, is_scalar
-from .tabular import _is_number, render_cell
+from .tabular import _is_number, _plain_numbers, render_cell
 
 MISSING = "—"
 
@@ -72,41 +72,37 @@ def render_plot(entry: Entry, x: str, y: str) -> str:
     """
     x_cells = entry.table.column_values(entry.field(x).name)
     y_cells = entry.table.column_values(entry.field(y).name)
-    points = []
-    for xc, yc in zip(x_cells, y_cells):
-        if xc is None or yc is None:
-            continue
-        for cell, name in ((xc, x), (yc, y)):
-            if not _is_number(cell):
-                raise NonNumericCell(
-                    f"field {name!r} holds non-numeric cell {cell!r}")
-        points.append((float(xc), float(yc)))
-    if len(points) < 2:
+    if _plain_numbers(x_cells) and _plain_numbers(y_cells):
+        xs, ys = list(map(float, x_cells)), list(map(float, y_cells))
+    else:
+        xs, ys = [], []
+        for xc, yc in zip(x_cells, y_cells):
+            if xc is None or yc is None:
+                continue
+            for cell, name in ((xc, x), (yc, y)):
+                if not _is_number(cell):
+                    raise NonNumericCell(
+                        f"field {name!r} holds non-numeric cell {cell!r}")
+            xs.append(float(xc))
+            ys.append(float(yc))
+    if len(xs) < 2:
         raise TooFewPoints(
-            f"need at least 2 numeric rows to plot, found {len(points)}")
+            f"need at least 2 numeric rows to plot, found {len(xs)}")
 
-    xs = [p[0] for p in points]
-    ys = [p[1] for p in points]
     x_min, x_max = min(xs), max(xs)
     y_min, y_max = min(ys), max(ys)
+    x_flat, x_range = x_max == x_min, x_max - x_min
+    y_flat, y_range = y_max == y_min, y_max - y_min
     plot_w = _VIEW_W - 2 * _MARGIN_X
     plot_h = _VIEW_H - 2 * _MARGIN_Y
-
-    def map_x(v: float) -> float:
-        if x_max == x_min:
-            return _VIEW_W / 2
-        return _MARGIN_X + (v - x_min) / (x_max - x_min) * plot_w
-
-    def map_y(v: float) -> float:
-        if y_max == y_min:
-            return _VIEW_H / 2
-        return _VIEW_H - _MARGIN_Y - (v - y_min) / (y_max - y_min) * plot_h
-
-    coords = " ".join(f"{map_x(px):.2f},{map_y(py):.2f}"
-                      for px, py in points)
+    left, bottom = _MARGIN_X, _VIEW_H - _MARGIN_Y
+    mid_x, mid_y = _VIEW_W / 2, _VIEW_H / 2
+    coords = " ".join([
+        f"{mid_x if x_flat else left + (px - x_min) / x_range * plot_w:.2f},"
+        f"{mid_y if y_flat else bottom - (py - y_min) / y_range * plot_h:.2f}"
+        for px, py in zip(xs, ys)])
     x_label = html_lib.escape(_axis_label(entry, x), quote=False)
     y_label = html_lib.escape(_axis_label(entry, y), quote=False)
-    mid_y = _VIEW_H / 2
     return (
         f'<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '
         f'viewBox="0 0 {_VIEW_W} {_VIEW_H}" width="{_VIEW_W}" '
@@ -176,13 +172,18 @@ class _Markdown:
         return f"*{text}*\n"
 
     def thumbnail(self, src: str, alt: str) -> str:
-        return f"![{alt}]({quote(src)})"
+        return f"![{self._link_text(alt)}]({quote(src)})"
 
     def image(self, src: str, alt: str) -> str:
         return self.thumbnail(src, alt) + "\n"
 
     def link(self, href: str, text: str) -> str:
-        return f"[{text}]({quote(href)})"
+        return f"[{self._link_text(text)}]({quote(href)})"
+
+    @staticmethod
+    def _link_text(text: str) -> str:
+        """Link or alt text with the characters that would end it escaped."""
+        return re.sub(r"([\\\[\]])", r"\\\1", text)
 
     def table(self, headers, rows) -> str:
         lines = [self._row(headers), self._row(["---"] * len(headers))]

@@ -3,7 +3,10 @@
 Cells are typed on read: a cell is numeric iff it matches an optional
 sign, decimal digits with an optional fractional part and an optional
 exponent.  Sentinels like ``NaN`` or ``inf`` stay strings so they cannot
-silently poison statistics.  Empty cells become null.
+silently poison statistics.  Empty cells become null.  Typing goes a
+column at a time: a column whose cells are all ints, or all floats, is
+recognised and converted in one step, and any other column is typed cell
+by cell; either way each cell gets the type the per-cell rule gives it.
 """
 
 from __future__ import annotations
@@ -11,6 +14,7 @@ from __future__ import annotations
 import csv
 import re
 from dataclasses import dataclass, field
+from operator import itemgetter
 from pathlib import Path
 
 import yaml
@@ -29,6 +33,14 @@ from .errors import (
 Cell = None | int | float | str
 
 _NUMBER_RE = re.compile(r"^[+-]?(\d+(\.\d+)?|\.\d+)([eE][+-]?\d+)?$")
+# _NUMBER_RE split by result type, for a column's cells joined by "\n":
+# a float has a ".", "e" or "E"; an int has none of them.
+_FLOAT = r"[+-]?(?:(?:\d+\.\d+|\.\d+)(?:[eE][+-]?\d+)?|\d+[eE][+-]?\d+)"
+_FLOAT_COLUMN_RE = re.compile(rf"{_FLOAT}(?:\n{_FLOAT})*")
+_INT_COLUMN_RE = re.compile(r"[+-]?\d+(?:\n[+-]?\d+)*")
+# Cells per column match: the regex engine keeps backtracking state for
+# every repetition, about 0.6 KB a cell, so long columns go in chunks.
+_CHUNK_CELLS = 128
 
 
 @dataclass(frozen=True, eq=False, init=False)
@@ -54,11 +66,12 @@ class Table:
                     f"duplicate column name {name!r}: fields can not be "
                     f"unambiguously addressed")
             seen.add(name)
-        for index, row in enumerate(rows or ()):
-            if len(row) != len(columns):
-                raise RaggedRow(
-                    f"row {index} has {len(row)} cells, expected "
-                    f"{len(columns)}", row_index=index)
+        if rows and set(map(len, rows)) != {len(columns)}:
+            for index, row in enumerate(rows):
+                if len(row) != len(columns):
+                    raise RaggedRow(
+                        f"row {index} has {len(row)} cells, expected "
+                        f"{len(columns)}", row_index=index)
         object.__setattr__(self, "columns", columns)
         object.__setattr__(self, "_rows", rows)
         object.__setattr__(self, "_path", _path)
@@ -98,8 +111,7 @@ class Table:
             raise KeyError(name) from None
 
     def column_values(self, name: str) -> tuple[Cell, ...]:
-        i = self.column_index(name)
-        return tuple(row[i] for row in self.rows)
+        return tuple(map(itemgetter(self.column_index(name)), self.rows))
 
 
 def _typed_cell(text: str, decimal_separator: str = ".") -> Cell:
@@ -115,9 +127,35 @@ def _typed_cell(text: str, decimal_separator: str = ".") -> Cell:
     return text
 
 
+def _typed_column(cells, decimal_separator: str = ".") -> list[Cell]:
+    """`_typed_cell` of each cell, in one step for a column of all ints or
+    all floats.  A cell holding a newline or an empty cell sends the
+    column cell by cell, which keeps the edges of `_NUMBER_RE` (its `$`
+    also matches before a trailing newline)."""
+    numbers = cells
+    if decimal_separator != ".":
+        numbers = [cell.replace(decimal_separator, ".") for cell in cells]
+    chunks = ["\n".join(numbers[i:i + _CHUNK_CELLS])
+              for i in range(0, len(numbers), _CHUNK_CELLS)]
+    if sum(chunk.count("\n") for chunk in chunks) == \
+            len(cells) - len(chunks):  # no cell holds a newline
+        for pattern, convert in ((_FLOAT_COLUMN_RE, float),
+                                 (_INT_COLUMN_RE, int)):
+            if all(map(pattern.fullmatch, chunks)):
+                return list(map(convert, numbers))
+    return [_typed_cell(cell, decimal_separator) for cell in cells]
+
+
 def _is_number(cell) -> bool:
     """True for an int or float cell; a bool is not a number here."""
     return isinstance(cell, (int, float)) and not isinstance(cell, bool)
+
+
+def _plain_numbers(cells) -> bool:
+    """True if every cell is exactly an int or a float, checked over the
+    column's types at once.  False decides nothing: a column with a null,
+    a bool or a subclass of int or float needs `_is_number` per cell."""
+    return set(map(type, cells)) <= {int, float}
 
 
 def render_cell(cell: Cell) -> str:
@@ -148,8 +186,10 @@ def _table_from_csv_rows(raw_rows, decimal_separator: str = ".") -> Table:
             raise RaggedRow(
                 f"row {index} has {len(raw)} cells, expected {len(header)}",
                 row_index=index)
-        rows.append(tuple(_typed_cell(c, decimal_separator) for c in raw))
-    return Table(columns=tuple(header), rows=tuple(rows))
+        rows.append(raw)
+    columns = [_typed_column(cells, decimal_separator)
+               for cells in zip(*rows)]
+    return Table(columns=tuple(header), rows=tuple(zip(*columns)))
 
 
 def read_table(path: str | Path) -> Table:
@@ -167,14 +207,15 @@ def open_table(path: str | Path) -> Table:
 
 
 def write_table(table: Table, path: str | Path) -> None:
-    """Emit header + rows; fields are quoted only when needed."""
+    """Emit header + rows; fields are quoted only when needed.  `csv`
+    renders each cell as `render_cell` does: null as empty, a float in
+    its shortest round-trip form."""
     rows = table.rows  # before opening: a lazy table may read from `path`
     with open(path, "w", encoding="utf-8", newline="") as handle:
         writer = csv.writer(handle, lineterminator="\n",
                             quoting=csv.QUOTE_MINIMAL)
         writer.writerow(table.columns)
-        for row in rows:
-            writer.writerow([render_cell(cell) for cell in row])
+        writer.writerows(rows)
 
 
 @dataclass(frozen=True)

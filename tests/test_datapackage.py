@@ -1,5 +1,7 @@
 import json
 import math
+import os
+from pathlib import Path
 
 import pytest
 
@@ -210,6 +212,27 @@ def test_save_loaded_entry_over_its_own_files(demo_entry, tmp_path):
     json_path, _ = save_entry(demo_entry, tmp_path / "out")
     save_entry(load_entry(json_path), tmp_path / "out", overwrite=True)
     assert load_entry(json_path) == demo_entry
+
+
+def test_failed_overwrite_keeps_old_descriptor(demo_entry, tmp_path,
+                                               monkeypatch):
+    outdir = tmp_path / "out"
+    json_path, _ = save_entry(demo_entry, outdir)
+    old_descriptor = json_path.read_bytes()
+    real_replace = os.replace
+
+    def failing_replace(src, dst):
+        if Path(dst) == json_path:
+            raise OSError("disk full")
+        real_replace(src, dst)
+
+    monkeypatch.setattr(datapackage.os, "replace", failing_replace)
+    rescaled = rescale(demo_entry, {"U": "V"})
+    with pytest.raises(OSError, match="disk full"):
+        save_entry(rescaled, outdir, overwrite=True)
+    assert json_path.read_bytes() == old_descriptor
+    assert sorted(p.name for p in outdir.iterdir()) == ["data.csv",
+                                                        "data.json"]
 
 
 def test_load_bad_descriptor(tmp_path):

@@ -315,3 +315,31 @@ def test_config_validation(tmp_path):
     with pytest.raises(Exception):
         ReportConfig(out_dir=tmp_path, plot_x="t", plot_y="U",
                      format="pdf")
+
+
+@pytest.mark.parametrize("rows, message", [
+    (((0, 1.0), (None, 2.0), (True, 3.0)),
+     "field 't' holds non-numeric cell True"),
+    (((0, 1.0), (1, None), (2, "a"), ("b", 4.0)),
+     "field 'U' holds non-numeric cell 'a'"),
+    (((0, 1.0), (False, "b")), "field 't' holds non-numeric cell False"),
+    (((0, "y"), ("x", 1.0)), "field 'U' holds non-numeric cell 'y'"),
+    (((0.5, 1), (1, True)), "field 'U' holds non-numeric cell True"),
+], ids=["bool-after-null", "string-after-null", "x-before-y",
+        "row-order", "bool-y"])
+def test_plot_names_first_non_numeric_cell(rows, message):
+    with pytest.raises(NonNumericCell) as info:
+        render_plot(material_entry("odd", "Pt", rows=rows), "t", "U")
+    assert str(info.value) == message
+
+
+def test_markdown_link_text_is_escaped(material_collection, tmp_path):
+    collection = Collection(entries=material_collection.entries + (
+        material_entry("a]b", "P[t]\\"),))
+    flat = render_index(collection, _cfg(tmp_path, group_by=None))
+    assert "| ![a\\]b](plots/a%5Db.svg) |" in flat["index.md"]
+    assert "| [a\\]b](entries/a%5Db.md) |" in flat["index.md"]
+    grouped = render_index(collection, _cfg(tmp_path))
+    assert "| [P\\[t\\]\\\\](groups/p-t.md) | 1 |" in grouped["index.md"]
+    for pages in (flat, grouped):
+        _assert_link_closure(pages, "markdown")

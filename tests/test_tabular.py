@@ -293,3 +293,68 @@ def test_roundtrip_property(tmp_path_factory, table):
     path = tmp_path_factory.mktemp("rt") / "t.csv"
     tabular.write_table(table, path)
     assert tabular.read_table(path) == table
+
+
+# -------------------------------
+# column typing: the per-cell rule, a column at a time
+# -------------------------------
+
+def _typed(cells):
+    return [(type(cell), cell) for cell in cells]
+
+
+# pieces on every edge of the number rule: signs, separators, exponents,
+# line breaks, spaces, underscores, non-ASCII digits and sentinels
+_number_like = st.lists(st.sampled_from(
+    ["1", "23", "0", "١٢", "+", "-", ".", ",", "e", "E", "\n", " ", "_",
+     "nan"]), max_size=5).map("".join)
+_numbers = st.one_of(st.integers().map(str),
+                     st.floats(allow_nan=False).map(repr),
+                     st.floats(allow_nan=False).map(repr).map(
+                         lambda s: s.replace(".", ",")))
+# ints with line breaks inside or at the end of a cell
+_broken_ints = st.lists(st.integers().map(str), min_size=1, max_size=3).map(
+    "\n".join) | st.integers().map("{}\n".format)
+_column_cells = st.one_of(
+    st.lists(st.integers().map(str), max_size=6),
+    st.lists(st.floats(allow_nan=False).map(repr), max_size=6),
+    st.lists(st.integers().map(str) | _broken_ints, max_size=6),
+    st.lists(st.one_of(_numbers, _number_like,
+                       st.sampled_from(["nan", "1.", "1\n", "١٢", ""])),
+             max_size=6))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_column_cells, st.sampled_from([".", ","]))
+def test_column_typing_equals_cell_typing(cells, separator):
+    expected = [tabular._typed_cell(cell, separator) for cell in cells]
+    assert _typed(tabular._typed_column(cells, separator)) == \
+        _typed(expected)
+
+
+@pytest.mark.parametrize("cells, separator, expected", [
+    (["1\n"], ".", [1]),
+    (["1\n", "2"], ".", [1, 2]),
+    (["2.5\n", "1.5"], ".", [2.5, 1.5]),
+    (["1\n2", "3"], ".", ["1\n2", 3]),
+    (["1."], ".", ["1."]),
+    (["١٢", "3"], ".", [12, 3]),
+    (["0", "0.5"], ".", [0, 0.5]),
+    (["", "1", ""], ".", [None, 1, None]),
+    (["nan", "1.5"], ".", ["nan", 1.5]),
+    (["1_0", "2"], ".", ["1_0", 2]),
+    (["1,5", "-2e3"], ",", [1.5, -2000.0]),
+    (["1.5", "2"], ",", [1.5, 2]),
+    ([], ".", []),
+    # longer than one chunk of the column match
+    ([str(i) for i in range(300)], ".", list(range(300))),
+    ([f"{i}.5" for i in range(299)] + ["1."], ".",
+     [i + 0.5 for i in range(299)] + ["1."]),
+    (["1"] * 200 + ["1\n2"] + ["3"] * 50, ".",
+     [1] * 200 + ["1\n2"] + [3] * 50),
+])
+def test_column_typing_edges(cells, separator, expected):
+    got = tabular._typed_column(cells, separator)
+    assert _typed(got) == _typed(expected)
+    assert _typed(got) == _typed(
+        [tabular._typed_cell(cell, separator) for cell in cells])
