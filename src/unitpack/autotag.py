@@ -9,7 +9,9 @@ never overwritten.
 
 The watcher polls the directory and considers a file complete once its
 size has been stable for the quiescence interval; this needs no file
-locks and survives instrument software that writes incrementally.
+locks and survives instrument software that writes incrementally.  A
+poll re-lists only the directories that changed, so an idle poll costs
+one `stat` per directory.
 """
 
 from __future__ import annotations
@@ -17,6 +19,7 @@ from __future__ import annotations
 import fnmatch
 import hashlib
 import json
+import os
 import stat
 import threading
 import time
@@ -32,10 +35,21 @@ from .errors import (
     UnitpackError,
     WatchSetupError,
 )
-from .metadata import META_SUFFIX, MetadataDoc, parse_yaml
+from .metadata import (
+    META_SUFFIX,
+    MetadataDoc,
+    _list_dir,
+    _temp_path,
+    _walk,
+    parse_yaml,
+)
 
 RESERVED_KEY = "autotag"
 LOG_NAME = "autotag.log.jsonl"
+# A directory listing is trusted only once the directory's mtime is this
+# much older than the moment the listing started: a change made after
+# that moment then moves the mtime even where timestamps are 2 s coarse.
+RACY_WINDOW_NS = 2_000_000_000
 
 
 @dataclass(frozen=True)
@@ -59,8 +73,9 @@ class WatchConfig:
     @property
     def effective_excludes(self) -> tuple[str, ...]:
         # The meta suffix can never be removed from the exclude set; the
-        # event log and the template itself are never tagged either.
-        extra = (f"*{META_SUFFIX}", LOG_NAME)
+        # temp names sidecars are written under, the event log and the
+        # template itself are never tagged either.
+        extra = (f"*{META_SUFFIX}", f".*{META_SUFFIX}.*.tmp", LOG_NAME)
         return tuple(self.exclude_globs) + extra
 
     @property
@@ -90,8 +105,13 @@ class TemplateSnapshot:
     doc: MetadataDoc
 
 
+def _utc_iso(seconds: float) -> str:
+    return datetime.fromtimestamp(seconds, timezone.utc).isoformat(
+        timespec="milliseconds")
+
+
 def _utc_now() -> str:
-    return datetime.now(timezone.utc).isoformat(timespec="milliseconds")
+    return _utc_iso(time.time())
 
 
 def load_template(path: str | Path) -> TemplateSnapshot:
@@ -119,11 +139,11 @@ def load_template(path: str | Path) -> TemplateSnapshot:
                             doc=MetadataDoc(root=root))
 
 
-def path_matches(cfg: WatchConfig, path: Path) -> bool:
+def path_matches(cfg: WatchConfig, path: str | Path) -> bool:
     """Whether the watcher tags `path`, judged by name alone except for
     the template's name: the template is compared by resolved path, and
     a path that cannot be resolved (a symlink loop) is not the template."""
-    name = path.name
+    name = os.path.basename(path)
     if not any(fnmatch.fnmatchcase(name, g) for g in cfg.include_globs):
         return False
     if any(fnmatch.fnmatchcase(name, g) for g in cfg.effective_excludes):
@@ -131,7 +151,7 @@ def path_matches(cfg: WatchConfig, path: Path) -> bool:
     if name != cfg.template_path.name:
         return True
     try:
-        return path.resolve() != cfg.template_path.resolve()
+        return Path(path).resolve() != cfg.template_path.resolve()
     except (OSError, RuntimeError):
         return True
 
@@ -142,7 +162,11 @@ def meta_path_for(path: str | Path) -> Path:
 
 def tag_file(path: str | Path, template: TemplateSnapshot,
              cfg: WatchConfig) -> TagEvent:
-    """Write the sidecar meta file for `path`. Never overwrites."""
+    """Write the sidecar meta file for `path`. Never overwrites.
+
+    The sidecar is written under a hidden temp name and hard-linked into
+    place, so a reader never sees it half-written; the temp name is
+    removed whether or not that succeeds."""
     path = Path(path)
     meta_path = meta_path_for(path)
     stamp = _utc_now()
@@ -151,11 +175,18 @@ def tag_file(path: str | Path, template: TemplateSnapshot,
                         "template_hash": template.version}},
         sort_keys=False, default_flow_style=False, allow_unicode=True)
     content = template.text + block
+    temp = _temp_path(meta_path)
     try:
-        with open(meta_path, "x", encoding="utf-8") as handle:
+        with open(temp, "x", encoding="utf-8") as handle:
             handle.write(content)
+        os.link(temp, meta_path)
     except FileExistsError:
         raise AlreadyTagged(f"meta file already exists: {meta_path}") from None
+    finally:
+        try:
+            os.unlink(temp)
+        except FileNotFoundError:
+            pass
     return TagEvent(source_path=str(path), meta_path=str(meta_path),
                     template_version=template.version, timestamp=stamp)
 
@@ -187,9 +218,10 @@ class _EventLog:
             self.sink(record)
 
 
-def _tag_and_log(path: Path, template: TemplateSnapshot, cfg: WatchConfig,
-                 logger: _EventLog) -> TagEvent | None:
-    """Tag `path` and log the outcome; None if it could not be tagged."""
+def _tag_and_log(path: str, template: TemplateSnapshot, cfg: WatchConfig,
+                 logger: _EventLog, **fields) -> TagEvent | None:
+    """Tag `path` and log the outcome, with `fields` added to the tagged
+    record; None if it could not be tagged."""
     try:
         event = tag_file(path, template, cfg)
     except (AlreadyTagged, OSError) as exc:
@@ -199,25 +231,49 @@ def _tag_and_log(path: Path, template: TemplateSnapshot, cfg: WatchConfig,
                      "message": str(exc), "source_path": str(path),
                      "timestamp": _utc_now()})
         return None
-    logger.emit(event.to_record())
+    logger.emit({**event.to_record(), **fields})
     return event
 
 
-def _scan(cfg: WatchConfig) -> dict[Path, int]:
-    """The size of every regular file the watcher would tag.  Names are
-    filtered first, so only accepted names cost a `stat`."""
-    pattern = "**/*" if cfg.recursive else "*"
-    sizes = {}
-    for path in cfg.watch_dir.glob(pattern):
-        if not path_matches(cfg, path):
-            continue
-        try:
-            st = path.stat()
-        except OSError:
-            continue
-        if stat.S_ISREG(st.st_mode):
-            sizes[path] = st.st_size
-    return sizes
+def _scan(cfg: WatchConfig, list_dir=_list_dir) -> list[str]:
+    """Every regular file below the watch dir that the watcher would tag,
+    in no particular order.  Names are judged before any `stat`."""
+    return _walk(str(cfg.watch_dir), lambda path: path_matches(cfg, path),
+                 cfg.recursive, list_dir)
+
+
+class _Scanner:
+    """The watcher's view of its tree.  Each directory's listing is kept
+    under the directory's (st_ino, st_mtime_ns) and reused while that key
+    holds and lies outside the racy window (git's racy-clean rule), so a
+    poll lists only the directories that changed.  Directories that have
+    vanished drop out of the cache."""
+
+    def __init__(self, cfg: WatchConfig):
+        self.cfg = cfg
+        self.listings: dict[str, tuple] = {}
+
+    def scan(self, now: float) -> set[str]:
+        """`_scan` at `now`, a `time.time()` reading taken before it."""
+        now_ns = int(now * 1e9)
+        fresh: dict[str, tuple] = {}
+
+        def list_dir(directory: str, accept) -> tuple[list[str], list[str]]:
+            try:
+                st = os.stat(directory)
+            except OSError:
+                return [], []
+            key = (st.st_ino, st.st_mtime_ns)
+            listing = self.listings.get(directory)
+            if listing is None or listing[0] != key or \
+                    listing[1] - st.st_mtime_ns < RACY_WINDOW_NS:
+                listing = (key, now_ns, *_list_dir(directory, accept))
+            fresh[directory] = listing
+            return listing[2], listing[3]
+
+        found = set(_scan(self.cfg, list_dir))
+        self.listings = fresh
+        return found
 
 
 def backfill(cfg: WatchConfig, event_sink=None) -> list[TagEvent]:
@@ -231,7 +287,7 @@ def backfill(cfg: WatchConfig, event_sink=None) -> list[TagEvent]:
     template = load_template(cfg.template_path)
     logger = _EventLog(cfg.effective_log_path, event_sink)
     events = []
-    for path in sorted(_scan(cfg)):
+    for path in sorted(_scan(cfg), key=Path):
         if meta_path_for(path).exists():
             continue
         event = _tag_and_log(path, template, cfg, logger)
@@ -246,6 +302,76 @@ def _template_stat(path: Path):
         return st.st_mtime_ns, st.st_size
     except OSError:
         return None
+
+
+class _Poller:
+    """The watcher's state between polls; `poll` is one pass of its loop.
+
+    Files present when it starts are known and left alone.  Only files
+    that are new or pending get a `stat` in a poll: a new file is pending
+    until its size has held for the quiescence interval, then tagged.
+    """
+
+    def __init__(self, cfg: WatchConfig, logger: _EventLog,
+                 scanner: _Scanner, now: float):
+        self.cfg = cfg
+        self.logger = logger
+        self.scanner = scanner
+        self.template = load_template(cfg.template_path)  # fatal if bad
+        self.template_stamp = _template_stat(cfg.template_path)
+        self.known = scanner.scan(now)
+        # path -> (size, time that size was first seen, time first seen)
+        self.pending: dict[str, tuple[int, float, float]] = {}
+
+    def _reload_template(self) -> None:
+        stamp = _template_stat(self.cfg.template_path)
+        if stamp == self.template_stamp:
+            return
+        self.template_stamp = stamp
+        try:
+            self.template = load_template(self.cfg.template_path)
+            self.logger.emit({"event": "template_reloaded",
+                              "template_version": self.template.version,
+                              "timestamp": _utc_now()})
+        except TemplateParseError as exc:
+            self.logger.emit({"event": "error",
+                              "code": TemplateParseError.code,
+                              "message": str(exc), "timestamp": _utc_now()})
+
+    def poll(self, now: float) -> None:
+        """One pass at `now`, a `time.time()` reading: reload an edited
+        template, cancel pending files that vanished, tag quiescent ones.
+        Events of one pass come in `Path` order."""
+        self._reload_template()
+        started = time.perf_counter()
+        current = self.scanner.scan(now)
+        scan_ms = round((time.perf_counter() - started) * 1000.0, 3)
+        self.known &= current
+        sizes = {}
+        for path in current - self.known:
+            try:
+                st = os.stat(path)
+            except OSError:
+                continue
+            if stat.S_ISREG(st.st_mode):
+                sizes[path] = st.st_size
+        for path in sorted(self.pending.keys() - sizes.keys(), key=Path):
+            del self.pending[path]
+            self.logger.emit({"event": "cancelled", "source_path": path,
+                              "timestamp": _utc_now()})
+        for path in sorted(sizes, key=Path):
+            size, since, seen = self.pending.get(path, (None, now, now))
+            if size != sizes[path] or now < since:  # grew, or clock stepped
+                since = now
+            self.pending[path] = (sizes[path], since, seen)
+            if (now - since) * 1000.0 < self.cfg.quiescence_ms:
+                continue
+            del self.pending[path]
+            self.known.add(path)
+            _tag_and_log(path, self.template, self.cfg, self.logger,
+                         detected_at=_utc_iso(seen),
+                         latency_ms=round((now - seen) * 1000.0, 3),
+                         scan_ms=scan_ms)
 
 
 def watch(cfg: WatchConfig, event_sink=None,
@@ -263,49 +389,14 @@ def watch(cfg: WatchConfig, event_sink=None,
         raise WatchSetupError(f"watch dir is not a directory: {cfg.watch_dir}")
     if not cfg.template_path.is_file():
         raise WatchSetupError(f"template not found: {cfg.template_path}")
-    template = load_template(cfg.template_path)  # fatal if unparseable
-
+    poller = _Poller(cfg, _EventLog(cfg.effective_log_path, event_sink),
+                     _Scanner(cfg), time.time())
     if stop_event is None:
         stop_event = threading.Event()
-    logger = _EventLog(cfg.effective_log_path, event_sink)
     poll_s = min(max(cfg.quiescence_ms / 4000.0, 0.02), 0.25)
-
-    known = set(_scan(cfg))
-    pending: dict[Path, tuple[int, float]] = {}
-    template_stamp = _template_stat(cfg.template_path)
-
     try:
         while not stop_event.is_set():
-            stamp = _template_stat(cfg.template_path)
-            if stamp != template_stamp:
-                template_stamp = stamp
-                try:
-                    template = load_template(cfg.template_path)
-                    logger.emit({"event": "template_reloaded",
-                                 "template_version": template.version,
-                                 "timestamp": _utc_now()})
-                except TemplateParseError as exc:
-                    logger.emit({"event": "error",
-                                 "code": TemplateParseError.code,
-                                 "message": str(exc),
-                                 "timestamp": _utc_now()})
-
-            current = _scan(cfg)
-            known &= current.keys()
-            now = time.monotonic()
-            for path in sorted(pending.keys() - current.keys()):
-                del pending[path]
-                logger.emit({"event": "cancelled",
-                             "source_path": str(path),
-                             "timestamp": _utc_now()})
-            for path in sorted(current.keys() - known):
-                if path not in pending or pending[path][0] != current[path]:
-                    pending[path] = (current[path], now)
-                if (now - pending[path][1]) * 1000.0 < cfg.quiescence_ms:
-                    continue
-                del pending[path]
-                known.add(path)
-                _tag_and_log(path, template, cfg, logger)
+            poller.poll(time.time())
             stop_event.wait(poll_s)
     except KeyboardInterrupt:
         pass

@@ -10,8 +10,6 @@ import zipfile
 from dataclasses import dataclass, field
 from pathlib import Path
 
-import yaml
-
 from .datapackage import Entry, load_entry
 from .errors import (
     AmbiguousKey,
@@ -25,7 +23,13 @@ from .errors import (
     PredicateParseError,
     UnitpackError,
 )
-from .metadata import canonical_scalar, get_path, is_scalar
+from .metadata import (
+    _walk,
+    canonical_scalar,
+    get_path,
+    is_scalar,
+    parse_yaml,
+)
 from .tabular import _is_number
 
 log = logging.getLogger("unitpack.collection")
@@ -85,11 +89,10 @@ def _load_directory(directory: Path, skip_errors: bool, load) -> Collection:
     if not directory.is_dir():
         raise DirectoryNotFound(f"not a directory: {directory}")
     entries: list[Entry] = []
-    sources: dict[str, Path] = {}
+    sources: dict[str, str] = {}
     failures: list[tuple[str, str]] = []
-    for json_path in sorted(directory.rglob("*.json"), key=lambda p: str(p)):
-        if not json_path.is_file():
-            continue
+    for json_path in sorted(_walk(str(directory),
+                                  lambda path: path.endswith(".json"))):
         try:
             entry = load(json_path)
         except UnitpackError as exc:
@@ -292,7 +295,7 @@ DEFAULT_PROFILE = Profile(
 
 def load_profile(path: str | Path) -> Profile:
     """Read a profile from its YAML file format."""
-    raw = yaml.safe_load(Path(path).read_text(encoding="utf-8-sig"))
+    raw = parse_yaml(Path(path).read_text(encoding="utf-8-sig"))
     if not isinstance(raw, dict):
         raise UnitpackError(f"profile {path} must be a map",
                             code="PROFILE_INVALID")

@@ -40,7 +40,7 @@ from .errors import (
     UnitpackError,
     UnknownField,
 )
-from .metadata import MetadataDoc, get_path
+from .metadata import MetadataDoc, _temp_path, get_path
 from .tabular import (
     Table,
     _is_number,
@@ -255,11 +255,6 @@ def save_entry(entry: Entry, outdir: str | Path,
     return json_path, csv_path
 
 
-def _temp_path(target: Path) -> Path:
-    """A fresh hidden name beside `target` that no collection reads."""
-    return target.with_name(f".{target.name}.{os.urandom(6).hex()}.tmp")
-
-
 def load_entry(json_path: str | Path) -> Entry:
     """Inverse of save_entry; re-parses unit strings.
 
@@ -298,7 +293,15 @@ def load_entry(json_path: str | Path) -> Entry:
     if not isinstance(identifier, str):
         raise DescriptorParseError(f"{json_path}: resource name must be a "
                                    f"string")
-    csv_path = json_path.parent / resource["path"]
+    rel_path = resource["path"]
+    # The Data Resource spec forbids absolute paths and ".." segments: a
+    # package must not read files outside its own directory.
+    if not isinstance(rel_path, str) or Path(rel_path).is_absolute() \
+            or ".." in Path(rel_path).parts:
+        raise DescriptorParseError(
+            f"{json_path}: resource path must be a relative path inside "
+            f"the package, got {rel_path!r}")
+    csv_path = json_path.parent / rel_path
     if not csv_path.is_file():
         raise MissingCsv(f"{json_path}: resource CSV not found: {csv_path}")
     table = open_table(csv_path)

@@ -11,6 +11,7 @@ makes ``figure_description.fields`` reach the YAML key
 from __future__ import annotations
 
 import json
+import os
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -53,7 +54,17 @@ class Violation:
 
 
 class _StrictYamlLoader(yaml.SafeLoader):
-    """SafeLoader that rejects duplicate keys and keeps dates as strings."""
+    """SafeLoader that rejects duplicate keys and aliases and keeps dates
+    as strings.  An alias shares its anchor's node, so a few bytes of
+    nested aliases can expand into a document of any size."""
+
+    def compose_node(self, parent, index):
+        if self.check_event(yaml.AliasEvent):
+            mark = self.peek_event().start_mark
+            raise MetadataParseError("YAML aliases are not supported",
+                                     line=mark.line + 1,
+                                     column=mark.column + 1)
+        return super().compose_node(parent, index)
 
     def construct_mapping(self, node, deep=False):
         seen = set()
@@ -329,6 +340,48 @@ def validate(doc: MetadataDoc, schema: SchemaDoc) -> list[Violation]:
 META_SUFFIX = ".meta.yaml"
 
 
+def _temp_path(target: Path) -> Path:
+    """A fresh hidden name beside `target` that no collection reads."""
+    return target.with_name(f".{target.name}.{os.urandom(6).hex()}.tmp")
+
+
+def _list_dir(directory: str, accept) -> tuple[list[str], list[str]]:
+    """The paths of the regular files in `directory` (a symlink to one
+    counts) that `accept` takes, and of its subdirectories, where a
+    symlink to a directory does not count.  Names are judged before any
+    `stat`; a directory that cannot be read lists as empty."""
+    prefix = "" if directory == os.curdir else os.path.join(directory, "")
+    files, dirs = [], []
+    try:
+        with os.scandir(directory) as entries:
+            for entry in entries:
+                path = prefix + entry.name
+                try:
+                    if entry.is_dir(follow_symlinks=False):
+                        dirs.append(path)
+                    elif accept(path) and entry.is_file():
+                        files.append(path)
+                except OSError:
+                    continue
+    except OSError:
+        pass
+    return files, dirs
+
+
+def _walk(top: str, accept, recursive: bool = True,
+          list_dir=_list_dir) -> list[str]:
+    """The paths of the regular files below `top` that `accept` takes, in
+    no particular order.  Paths are spelled as `pathlib` spells them (no
+    leading ``./``), and `list_dir` may answer from a cache."""
+    found, stack = [], [top]
+    while stack:
+        files, dirs = list_dir(stack.pop(), accept)
+        found += files
+        if recursive:
+            stack += dirs
+    return found
+
+
 @dataclass(frozen=True)
 class ScanResult:
     documents: list[tuple[Path, MetadataDoc]]
@@ -346,9 +399,9 @@ def scan_metadata_directory(directory: str | Path) -> ScanResult:
         raise DirectoryNotFound(f"not a directory: {directory}")
     documents: list[tuple[Path, MetadataDoc]] = []
     failures: list[tuple[Path, str]] = []
-    for path in sorted(directory.rglob(f"*{META_SUFFIX}"), key=str):
-        if not path.is_file():
-            continue
+    for name in sorted(_walk(str(directory),
+                             lambda path: path.endswith(META_SUFFIX))):
+        path = Path(name)
         try:
             documents.append((path, load_document(path)))
         except (MetadataParseError, DuplicateKey, UnsupportedExtension) as exc:

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import html as html_lib
 import json
+import os
 import re
 from dataclasses import dataclass
 from pathlib import Path
@@ -29,7 +30,7 @@ from .errors import (
     TooFewPoints,
     UnitpackError,
 )
-from .metadata import canonical_scalar, get_path, is_scalar
+from .metadata import _walk, canonical_scalar, get_path, is_scalar
 from .tabular import _is_number, _plain_numbers, render_cell
 
 MISSING = "—"
@@ -410,11 +411,13 @@ def write_report(c: Collection, cfg: ReportConfig) -> list[Path]:
         target.parent.mkdir(parents=True, exist_ok=True)
         target.write_text(pages[rel_path], encoding="utf-8")
         written.append(target)
-    owned = [cfg.out_dir / f"index.{fmt.ext}" for fmt in _FORMATS.values()]
+    out = str(cfg.out_dir)
+    indexes = {f"index.{fmt.ext}" for fmt in _FORMATS.values()}
+    owned = _walk(out, lambda path: os.path.basename(path) in indexes,
+                  recursive=False)
     for subdir in ("entries", "plots", "groups"):
-        owned.extend((cfg.out_dir / subdir).rglob("*"))
+        owned += _walk(os.path.join(out, subdir), lambda path: True)
     for path in owned:
-        if path.is_file() and \
-                path.relative_to(cfg.out_dir).as_posix() not in pages:
-            path.unlink()
+        if os.path.relpath(path, out).replace(os.sep, "/") not in pages:
+            os.unlink(path)
     return written

@@ -17,8 +17,6 @@ from dataclasses import dataclass, field
 from operator import itemgetter
 from pathlib import Path
 
-import yaml
-
 from .errors import (
     DuplicateColumnName,
     HeaderRowOutOfRange,
@@ -29,6 +27,7 @@ from .errors import (
     SchemaTableMismatch,
     UnitpackError,
 )
+from .metadata import parse_yaml
 
 Cell = None | int | float | str
 
@@ -261,8 +260,8 @@ _LOADER_KEYS = {"delimiter", "decimal_separator", "header_row", "skip_footer",
 def load_loader_spec(path: str | Path) -> LoaderSpec:
     """Read a LoaderSpec from its YAML file format."""
     try:
-        raw = yaml.safe_load(Path(path).read_text(encoding="utf-8-sig"))
-    except yaml.YAMLError as exc:
+        raw = parse_yaml(Path(path).read_text(encoding="utf-8-sig"))
+    except MetadataParseError as exc:
         raise MetadataParseError(f"bad loader spec {path}: {exc}") from exc
     if raw is None:
         raw = {}

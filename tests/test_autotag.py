@@ -1,4 +1,5 @@
 import json
+import os
 import pathlib
 import threading
 import time
@@ -68,6 +69,12 @@ class WatcherThread:
         return False
 
 
+def _write(path, text="t,U\n0,1\n"):
+    path.parent.mkdir(parents=True, exist_ok=True)
+    path.write_text(text, encoding="utf-8")
+    return path
+
+
 def _tag_count(events):
     return sum(1 for e in events if e.get("event") == "tagged")
 
@@ -107,10 +114,47 @@ def test_tag_never_overwrites(watch_setup):
         tag_file(source, template, cfg)
 
 
+class _TornHandle:
+    """A file handle whose write stops half-way with a full disk."""
+
+    def __init__(self, handle):
+        self.handle = handle
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.handle.close()
+
+    def write(self, text):
+        self.handle.write(text[:len(text) // 2])
+        self.handle.flush()
+        raise OSError(28, "No space left on device")
+
+
+def test_failed_tag_leaves_no_sidecar_or_temp_file(watch_setup, monkeypatch):
+    watch_dir, template_path, cfg = watch_setup
+    source = watch_dir / "data.csv"
+    source.write_text("x", encoding="utf-8")
+    template = load_template(template_path)
+    monkeypatch.setattr(autotag, "open", lambda *args, **kwargs: _TornHandle(
+        open(*args, **kwargs)), raising=False)
+    with pytest.raises(OSError):
+        tag_file(source, template, cfg)
+    assert os.listdir(watch_dir) == ["data.csv"]
+    monkeypatch.undo()
+    tag_file(source, template, cfg)
+    with pytest.raises(AlreadyTagged):
+        tag_file(source, template, cfg)
+    assert sorted(os.listdir(watch_dir)) == ["data.csv", "data.csv.meta.yaml"]
+
+
 def test_meta_files_are_excluded(watch_setup):
     _, _, cfg = watch_setup
     assert not path_matches(cfg, cfg.watch_dir / "data.csv.meta.yaml")
     assert not path_matches(cfg, cfg.watch_dir / autotag.LOG_NAME)
+    assert not path_matches(
+        cfg, cfg.watch_dir / ".data.csv.meta.yaml.0123456789ab.tmp")
     assert path_matches(cfg, cfg.watch_dir / "data.csv")
 
 
@@ -197,18 +241,115 @@ def test_scan_stats_only_matching_names(watch_setup, monkeypatch):
         source.write_text("x" * index, encoding="utf-8")
         (watch_dir / f"run{index}.csv.meta.yaml").write_text(
             "user: x\n", encoding="utf-8")
-        sources.append(source)
+        sources.append(str(source))
     stat_calls = []
-    real_stat = pathlib.Path.stat
+    real_stat = os.stat
 
-    def counting_stat(self, *args, **kwargs):
-        stat_calls.append(self)
-        return real_stat(self, *args, **kwargs)
-    monkeypatch.setattr(pathlib.Path, "stat", counting_stat)
-    sizes = autotag._scan(cfg)
-    # glob's own check that the watch dir is a directory is not counted
-    assert sorted(p for p in stat_calls if p != watch_dir) == sources
-    assert sizes == {source: index for index, source in enumerate(sources)}
+    def counting_stat(path, *args, **kwargs):
+        stat_calls.append(os.fspath(path))
+        return real_stat(path, *args, **kwargs)
+    monkeypatch.setattr(os, "stat", counting_stat)
+    paths = autotag._scan(cfg)
+    # names are judged first, and the listing gives each file's type
+    assert stat_calls == []
+    assert sorted(paths) == sources
+
+
+# -------------------------------
+# poll step, driven by an injected clock
+# -------------------------------
+
+def _poller(cfg, now):
+    records = []
+    poller = autotag._Poller(cfg, autotag._EventLog(cfg.effective_log_path,
+                                                    records.append),
+                             autotag._Scanner(cfg), now)
+    return poller, records
+
+
+def test_idle_poll_lists_no_directory_and_stats_no_file(watch_setup,
+                                                        monkeypatch):
+    watch_dir, _, cfg = watch_setup
+    dirs = [watch_dir] + [watch_dir / f"series-{d}" for d in range(3)]
+    for directory in dirs[1:]:
+        for i in range(4):
+            _write(directory / f"scan-{i}.csv")
+    past = time.time() - 10.0  # outside the racy window
+    for directory in dirs:
+        os.utime(directory, (past, past))
+    now = time.time()
+    poller, records = _poller(cfg, now)
+    listed, stated = [], []
+    real_scandir, real_stat = os.scandir, os.stat
+
+    def scandir(path):
+        listed.append(os.fspath(path))
+        return real_scandir(path)
+
+    def counting_stat(path, *args, **kwargs):
+        stated.append(os.fspath(path))
+        return real_stat(path, *args, **kwargs)
+    monkeypatch.setattr(os, "scandir", scandir)
+    monkeypatch.setattr(os, "stat", counting_stat)
+    poller.poll(now + 1.0)
+    assert listed == []
+    assert sorted(p for p in stated if p.startswith(str(watch_dir))) == \
+        sorted(map(str, dirs))
+    assert records == []
+
+
+def test_change_behind_a_reset_mtime_is_found_inside_racy_window(
+        watch_setup):
+    watch_dir, _, cfg = watch_setup
+    series = watch_dir / "series"
+    series.mkdir()
+    now = time.time()  # the directory was just made: inside the window
+    poller, records = _poller(cfg, now)
+    before = os.stat(series)
+    _write(series / "new.csv")
+    # On a file system with coarse timestamps the mtime would not move.
+    os.utime(series, ns=(before.st_atime_ns, before.st_mtime_ns))
+    poller.poll(now + 0.5)
+    poller.poll(now + 0.6)
+    assert [r["source_path"] for r in records] == [str(series / "new.csv")]
+
+
+def test_poll_waits_for_quiescence_and_records_latency(watch_setup):
+    watch_dir, _, cfg = watch_setup  # quiescence 80 ms
+    now = time.time()
+    poller, records = _poller(cfg, now)
+    source = _write(watch_dir / "a.csv", "1")
+    poller.poll(now + 0.01)
+    source.write_text("12", encoding="utf-8")  # still growing
+    poller.poll(now + 0.05)
+    poller.poll(now + 0.10)
+    assert records == []
+    poller.poll(now + 0.14)
+    [record] = records
+    assert list(record) == ["event", "source_path", "meta_path",
+                            "template_version", "timestamp", "detected_at",
+                            "latency_ms", "scan_ms"]
+    assert record["source_path"] == str(source)
+    assert record["detected_at"] == autotag._utc_iso(now + 0.01)
+    assert record["latency_ms"] == pytest.approx(130.0)
+    assert record["scan_ms"] >= 0.0
+
+
+def test_poll_cancels_vanished_file_and_drops_vanished_dirs(watch_setup):
+    watch_dir, _, cfg = watch_setup
+    gone = watch_dir / "gone"
+    gone.mkdir()
+    now = time.time()
+    poller, records = _poller(cfg, now)
+    assert str(gone) in poller.scanner.listings
+    source = _write(watch_dir / "a.csv")
+    poller.poll(now + 0.01)
+    source.unlink()
+    gone.rmdir()
+    poller.poll(now + 0.02)
+    assert [(r["event"], r["source_path"]) for r in records] == [
+        ("cancelled", str(source))]
+    assert sorted(poller.scanner.listings) == [str(watch_dir)]
 
 
 TEMPLATE_SPELLINGS = {

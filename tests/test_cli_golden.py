@@ -10,6 +10,7 @@ it wrote under ``out/``.  Any change to them is a change to the
 command line's published behaviour.
 """
 
+import json
 from pathlib import Path
 
 import pytest
@@ -25,12 +26,15 @@ CASES = {
     "ls": ["ls", "coll"],
     "ls-filter": ["ls", "coll", "--filter", PT],
     "ls-error": ["ls", "missing"],
+    "ls-escaping-path": ["ls", "escaping"],
     "show": ["show", "coll", "cv-pt-2"],
     "show-path": ["show", "coll", "cv-pt-2", "--path", "system.electrodes"],
     "show-error": ["show", "coll", "nope"],
     "describe": ["describe", "coll"],
     "describe-pretty": ["describe", "coll", "--pretty"],
     "describe-error": ["describe", "missing"],
+    "describe-profile-error": ["describe", "coll", "--profile",
+                               "profile.yaml"],
     "rescale": ["rescale", "coll", "cv-au-1", "--field", "U", "--unit", "V",
                 "--outdir", "out"],
     "rescale-error": ["rescale", "coll", "cv-au-1", "--field", "U",
@@ -79,6 +83,15 @@ def write_inputs(directory: Path) -> None:
                                         encoding="utf-8")
     (directory / "schema.json").write_text(SCHEMA, encoding="utf-8")
     (directory / "ref.json").write_text('{"$ref": "#/x"}', encoding="utf-8")
+    (directory / "profile.yaml").write_text("describe: [broken\n",
+                                            encoding="utf-8")
+    # A package whose resource path points outside its directory.
+    (directory / "escaping").mkdir()
+    (directory / "escaping" / "esc.json").write_text(json.dumps(
+        {"resources": [{"name": "esc", "path": "../data.csv",
+                        "schema": {"fields": [{"name": "t"}, {"name": "U"},
+                                              {"name": "T"}]},
+                        "metadata": {}}]}), encoding="utf-8")
 
 
 def run_case(argv: list[str], capsys) -> str:

@@ -26,6 +26,7 @@ from unitpack.errors import (
     DuplicateIdentifier,
     EntryNotFound,
     FetchError,
+    MetadataParseError,
     PredicateParseError,
 )
 
@@ -340,6 +341,17 @@ def test_load_profile(tmp_path):
     assert profile.describe_paths == (
         ("materials", "system.electrodes.working_electrode.material"),)
     assert profile.key_accessors == ("system.electrolyte",)
+
+
+@pytest.mark.parametrize("text", [
+    "describe: [broken\n",
+    "first: &p x\ndescribe:\n  - label: m\n    path: *p\n",
+])
+def test_load_profile_rejects_malformed_yaml(tmp_path, text):
+    path = tmp_path / "profile.yaml"
+    path.write_text(text, encoding="utf-8")
+    with pytest.raises(MetadataParseError):
+        load_profile(path)
 
 
 def test_profile_duplicate_labels_rejected():

@@ -245,6 +245,26 @@ def test_load_bad_descriptor(tmp_path):
         load_entry(path)
 
 
+@pytest.mark.parametrize("spelling", ["number", "dotdot", "nested-dotdot",
+                                      "absolute"])
+def test_load_rejects_resource_path_outside_package(demo_entry, tmp_path,
+                                                    spelling):
+    json_path, csv_path = save_entry(demo_entry, tmp_path / "pkg")
+    secret = tmp_path / "secret.csv"
+    secret.write_bytes(csv_path.read_bytes())
+    bad_path = {"number": 5, "dotdot": "../secret.csv",
+                "nested-dotdot": "sub/../../secret.csv",
+                "absolute": str(secret)}[spelling]
+    descriptor = json.loads(json_path.read_text(encoding="utf-8"))
+    descriptor["resources"][0]["path"] = bad_path
+    json_path.write_text(json.dumps(descriptor), encoding="utf-8")
+    with pytest.raises(DescriptorParseError) as excinfo:
+        load_entry(json_path)
+    assert str(excinfo.value) == (
+        f"{json_path}: resource path must be a relative path inside the "
+        f"package, got {bad_path!r}")
+
+
 # -------------------------------
 # rescale
 # -------------------------------

@@ -59,6 +59,25 @@ def test_parse_error_carries_position(tmp_path):
     assert "line" in str(excinfo.value)
 
 
+def test_yaml_alias_rejected_with_position():
+    with pytest.raises(MetadataParseError) as excinfo:
+        metadata.parse_yaml("a: &x [1, 2]\nb: [*x, *x]\n")
+    assert (excinfo.value.code, excinfo.value.line, excinfo.value.column) \
+        == ("PARSE_ERROR", 2, 5)
+
+
+def test_nested_aliases_fail_before_expanding(tmp_path):
+    # Each level holds ten aliases of the one before; loaded, the last
+    # level would hold 10**5 copies of the first.
+    lines = ["l0: &l0 [x, x, x, x, x, x, x, x, x, x]"]
+    lines += [f"l{n}: &l{n} [{', '.join([f'*l{n - 1}'] * 10)}]"
+              for n in range(1, 6)]
+    path = tmp_path / "laughs.yaml"
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    with pytest.raises(MetadataParseError):
+        metadata.load_document(path)
+
+
 def test_unsupported_extension(tmp_path):
     path = tmp_path / "meta.xml"
     path.write_text("<user/>", encoding="utf-8")

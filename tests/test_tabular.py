@@ -7,6 +7,7 @@ from unitpack.errors import (
     DuplicateColumnName,
     HeaderRowOutOfRange,
     LoaderSpecError,
+    MetadataParseError,
     RaggedRow,
     RenameSourceMissing,
     SchemaTableMismatch,
@@ -261,6 +262,15 @@ def test_load_loader_spec_file(tmp_path):
     bad.write_text("unknown_key: 1\n", encoding="utf-8")
     with pytest.raises(LoaderSpecError):
         tabular.load_loader_spec(bad)
+
+
+def test_load_loader_spec_rejects_aliases(tmp_path):
+    path = tmp_path / "loader.yaml"
+    path.write_text('delimiter: &d ","\nrename:\n  a: *d\n', encoding="utf-8")
+    with pytest.raises(MetadataParseError) as excinfo:
+        tabular.load_loader_spec(path)
+    assert str(path) in str(excinfo.value)
+    assert "line 3, column 6" in str(excinfo.value)
 
 
 # -------------------------------
