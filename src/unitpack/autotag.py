@@ -183,10 +183,7 @@ def tag_file(path: str | Path, template: TemplateSnapshot,
     except FileExistsError:
         raise AlreadyTagged(f"meta file already exists: {meta_path}") from None
     finally:
-        try:
-            os.unlink(temp)
-        except FileNotFoundError:
-            pass
+        temp.unlink(missing_ok=True)
     return TagEvent(source_path=str(path), meta_path=str(meta_path),
                     template_version=template.version, timestamp=stamp)
 
@@ -361,7 +358,7 @@ class _Poller:
                               "timestamp": _utc_now()})
         for path in sorted(sizes, key=Path):
             size, since, seen = self.pending.get(path, (None, now, now))
-            if size != sizes[path] or now < since:  # grew, or clock stepped
+            if size != sizes[path] or now < since:  # or the clock stepped back
                 since = now
             self.pending[path] = (sizes[path], since, seen)
             if (now - since) * 1000.0 < self.cfg.quiescence_ms:

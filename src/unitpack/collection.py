@@ -23,13 +23,7 @@ from .errors import (
     PredicateParseError,
     UnitpackError,
 )
-from .metadata import (
-    _walk,
-    canonical_scalar,
-    get_path,
-    is_scalar,
-    parse_yaml,
-)
+from .metadata import _walk, canonical_scalar, get_path, is_scalar, parse_yaml
 from .tabular import _is_number
 
 log = logging.getLogger("unitpack.collection")

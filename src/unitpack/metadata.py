@@ -58,13 +58,12 @@ class _StrictYamlLoader(yaml.SafeLoader):
     as strings.  An alias shares its anchor's node, so a few bytes of
     nested aliases can expand into a document of any size."""
 
-    def compose_node(self, parent, index):
-        if self.check_event(yaml.AliasEvent):
-            mark = self.peek_event().start_mark
-            raise MetadataParseError("YAML aliases are not supported",
-                                     line=mark.line + 1,
-                                     column=mark.column + 1)
-        return super().compose_node(parent, index)
+    def fetch_alias(self):
+        # The scanner calls this only at a `*`, so documents without
+        # aliases pay nothing for the check.
+        mark = self.get_mark()
+        raise MetadataParseError("YAML aliases are not supported",
+                                 line=mark.line + 1, column=mark.column + 1)
 
     def construct_mapping(self, node, deep=False):
         seen = set()
