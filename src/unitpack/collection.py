@@ -4,6 +4,7 @@ identifier, filter by metadata predicates, and summarize via profiles."""
 from __future__ import annotations
 
 import logging
+import operator
 import shlex
 import tempfile
 import zipfile
@@ -12,18 +13,16 @@ from pathlib import Path
 
 from .datapackage import Entry, load_entry
 from .errors import (
-    AmbiguousKey,
     BadArchive,
     CollectionLoadError,
     DirectoryNotFound,
     DuplicateIdentifier,
     EntryNotFound,
     FetchError,
-    PathNotFound,
     PredicateParseError,
     UnitpackError,
 )
-from .metadata import _walk, canonical_scalar, get_path, is_scalar, parse_yaml
+from .metadata import _walk, canonical_scalar, find_path, is_scalar, parse_yaml
 from .tabular import _is_number
 
 log = logging.getLogger("unitpack.collection")
@@ -171,7 +170,9 @@ def get(c: Collection, identifier: str) -> Entry:
 
 # --- predicates -------------------------------------------------------------
 
-OPERATORS = ("==", "!=", "<=", ">=", "<", ">", "contains")
+_COMPARISONS = {"==": operator.eq, "!=": operator.ne, "<=": operator.le,
+                ">=": operator.ge, "<": operator.lt, ">": operator.gt}
+OPERATORS = (*_COMPARISONS, "contains")
 
 
 @dataclass(frozen=True)
@@ -217,37 +218,20 @@ def parse_clause(text: str) -> Clause:
 
 
 def _clause_holds(entry: Entry, clause: Clause) -> bool:
-    try:
-        node = get_path(entry.metadata, clause.path)
-    except (PathNotFound, AmbiguousKey):
-        return False
+    node = find_path(entry.metadata, clause.path)
     if clause.op == "contains":
         if isinstance(node, list):
             wanted = canonical_scalar(clause.value)
             return any(is_scalar(el) and canonical_scalar(el) == wanted
                        for el in node)
-        if isinstance(node, str):
-            return str(clause.value) in node
-        return False
+        return isinstance(node, str) and str(clause.value) in node
     if not is_scalar(node):
         return False
     if _is_number(node) and _is_number(clause.value):
         left, right = node, clause.value
     else:
         left, right = canonical_scalar(node), canonical_scalar(clause.value)
-        if not isinstance(left, str) or not isinstance(right, str):
-            return False
-    if clause.op == "==":
-        return left == right
-    if clause.op == "!=":
-        return left != right
-    if clause.op == "<":
-        return left < right
-    if clause.op == "<=":
-        return left <= right
-    if clause.op == ">":
-        return left > right
-    return left >= right
+    return _COMPARISONS[clause.op](left, right)
 
 
 def filter(c: Collection, clauses) -> Collection:  # noqa: A001 - spec name
@@ -263,12 +247,11 @@ def filter(c: Collection, clauses) -> Collection:  # noqa: A001 - spec name
 
 @dataclass(frozen=True)
 class Profile:
-    """A declarative domain view: labelled describe paths + accessor
-    shortcuts (the data equivalent of domain-specific entry classes)."""
+    """A declarative domain view: labelled describe paths (the data
+    equivalent of domain-specific entry classes)."""
 
     name: str
     describe_paths: tuple[tuple[str, str], ...] = ()
-    key_accessors: tuple[str, ...] = ()
 
     def __post_init__(self):
         labels = [label for label, _ in self.describe_paths]
@@ -302,9 +285,8 @@ def load_profile(path: str | Path) -> Profile:
                 f"profile {path}: each describe item needs 'label' and "
                 f"'path'", code="PROFILE_INVALID")
         pairs.append((str(item["label"]), str(item["path"])))
-    accessors = tuple(str(a) for a in (raw.get("accessors") or []))
     return Profile(name=str(raw.get("name", Path(path).stem)),
-                   describe_paths=tuple(pairs), key_accessors=accessors)
+                   describe_paths=tuple(pairs))
 
 
 def describe(c: Collection, profile: Profile = DEFAULT_PROFILE) -> dict:
@@ -314,23 +296,9 @@ def describe(c: Collection, profile: Profile = DEFAULT_PROFILE) -> dict:
     for label, path in profile.describe_paths:
         distinct: dict[str, object] = {}
         for entry in c.entries:
-            try:
-                node = get_path(entry.metadata, path)
-            except (PathNotFound, AmbiguousKey):
-                continue
+            node = find_path(entry.metadata, path)
             if is_scalar(node):
                 distinct[canonical_scalar(node)] = node
         summary[label] = [distinct[k] for k in sorted(distinct)]
     return summary
 
-
-def accessor_values(profile: Profile, entry: Entry) -> dict[str, object]:
-    """Resolve a profile's accessor shortcuts against one entry, keyed by
-    the final path segment; unresolvable accessors are omitted."""
-    out: dict[str, object] = {}
-    for path in profile.key_accessors:
-        try:
-            out[path.rsplit(".", 1)[-1]] = get_path(entry.metadata, path)
-        except (PathNotFound, AmbiguousKey):
-            continue
-    return out

@@ -35,9 +35,6 @@ Node = None | bool | int | float | str | list | dict
 class MetadataDoc:
     root: Node
 
-    def get(self, path: str) -> Node:
-        return get_path(self, path)
-
     def to_json(self, indent: int | None = None) -> str:
         return json.dumps(self.root, indent=indent, ensure_ascii=False)
 
@@ -184,6 +181,20 @@ def get_path(doc: MetadataDoc | Node, path: str) -> Node:
                 f"{segment!r}", resolved_prefix=prefix)
         resolved.append(segment)
     return node
+
+
+# What `find_path` returns when a path names no one node.  It is not a
+# Node, so no scalar, list or str check accepts it; `None` would not do,
+# since that is a present ``null``.
+ABSENT = object()
+
+
+def find_path(doc: MetadataDoc | Node, path: str) -> Node:
+    """`get_path`, but a missing or ambiguous path gives `ABSENT`."""
+    try:
+        return get_path(doc, path)
+    except (PathNotFound, AmbiguousKey):
+        return ABSENT
 
 
 def is_scalar(node: Node) -> bool:
@@ -414,10 +425,7 @@ def filter_metadata(docs: list[tuple[Path, MetadataDoc]], path: str,
     expected_text = canonical_scalar(expected)
     kept = []
     for pair in docs:
-        try:
-            node = get_path(pair[1], path)
-        except (PathNotFound, AmbiguousKey):
-            continue
+        node = find_path(pair[1], path)
         if is_scalar(node) and canonical_scalar(node) == expected_text:
             kept.append(pair)
     return kept

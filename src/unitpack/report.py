@@ -23,14 +23,8 @@ from urllib.parse import quote
 
 from .collection import Collection
 from .datapackage import Entry
-from .errors import (
-    AmbiguousKey,
-    NonNumericCell,
-    PathNotFound,
-    TooFewPoints,
-    UnitpackError,
-)
-from .metadata import _walk, canonical_scalar, get_path, is_scalar
+from .errors import NonNumericCell, TooFewPoints, UnitpackError
+from .metadata import ABSENT, _walk, canonical_scalar, find_path, is_scalar
 from .tabular import _is_number, _plain_numbers, render_cell
 
 MISSING = "—"
@@ -122,27 +116,20 @@ def render_plot(entry: Entry, x: str, y: str) -> str:
 
 
 def _node_text(node) -> str:
+    if node is ABSENT:
+        return MISSING
     if is_scalar(node):
         return canonical_scalar(node)
     return json.dumps(node, ensure_ascii=False)
 
 
 def _descriptor_cells(entry: Entry, cfg: ReportConfig) -> list[tuple[str, str]]:
-    cells = []
-    for label, path in cfg.descriptor_columns:
-        try:
-            value = _node_text(get_path(entry.metadata, path))
-        except (PathNotFound, AmbiguousKey):
-            value = MISSING
-        cells.append((label, value))
-    return cells
+    return [(label, _node_text(find_path(entry.metadata, path)))
+            for label, path in cfg.descriptor_columns]
 
 
 def _group_value(entry: Entry, cfg: ReportConfig) -> str:
-    try:
-        node = get_path(entry.metadata, cfg.group_by)
-    except (PathNotFound, AmbiguousKey):
-        return "ungrouped"
+    node = find_path(entry.metadata, cfg.group_by)
     return canonical_scalar(node) if is_scalar(node) else "ungrouped"
 
 

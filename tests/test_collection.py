@@ -340,7 +340,6 @@ def test_load_profile(tmp_path):
     assert profile.name == "cv"
     assert profile.describe_paths == (
         ("materials", "system.electrodes.working_electrode.material"),)
-    assert profile.key_accessors == ("system.electrolyte",)
 
 
 @pytest.mark.parametrize("text", [
@@ -358,10 +357,3 @@ def test_profile_duplicate_labels_rejected():
     with pytest.raises(Exception) as excinfo:
         Profile(name="p", describe_paths=(("a", "x"), ("a", "y")))
     assert "unique" in str(excinfo.value)
-
-
-def test_accessor_values(material_collection):
-    profile = Profile(name="p", key_accessors=(
-        "system.electrodes.working_electrode.material", "no.path"))
-    entry = material_collection.entries[0]
-    assert collection.accessor_values(profile, entry) == {"material": "Au"}

@@ -8,7 +8,7 @@ from unitpack import report
 from unitpack.collection import Collection
 from unitpack.datapackage import Entry, FieldSpec
 from unitpack.errors import NonNumericCell, TooFewPoints, UnknownField
-from unitpack.metadata import MetadataDoc, get_path
+from unitpack.metadata import MetadataDoc, find_path
 from unitpack.report import (
     ReportConfig,
     render_entry_page,
@@ -207,8 +207,8 @@ def test_descriptor_cells_computed_once(material_collection, tmp_path,
 
     def counting(doc, path):
         paths.append(path)
-        return get_path(doc, path)
-    monkeypatch.setattr(report, "get_path", counting)
+        return find_path(doc, path)
+    monkeypatch.setattr(report, "find_path", counting)
     cfg = _cfg(tmp_path, group_by=None)
     render_index(material_collection, cfg)
     assert len(paths) == len(material_collection) * \
