@@ -217,7 +217,9 @@ def save_entry(entry: Entry, outdir: str | Path,
     Each file is written to a temporary file in `outdir` and moved into
     place with `os.replace`, the CSV first and the descriptor last, so
     neither name ever holds a partly written file and a new descriptor
-    only appears once its CSV is complete.
+    only appears once its CSV is complete.  The old CSV is hard-linked to
+    a hidden backup name first and moved back if the descriptor's move
+    fails, so a failed overwrite leaves the old pair as it was.
     """
     outdir = Path(outdir)
     outdir.mkdir(parents=True, exist_ok=True)
@@ -242,15 +244,25 @@ def save_entry(entry: Entry, outdir: str | Path,
         ]
     }
     csv_temp, json_temp = _temp_path(csv_path), _temp_path(json_path)
+    csv_backup = _temp_path(csv_path)
     try:
         write_table(entry.table, csv_temp)
         json_temp.write_text(json.dumps(descriptor, indent=2,
                                         ensure_ascii=False) + "\n",
                              encoding="utf-8")
+        try:
+            os.link(csv_path, csv_backup)
+        except FileNotFoundError:
+            pass
         os.replace(csv_temp, csv_path)
-        os.replace(json_temp, json_path)
+        try:
+            os.replace(json_temp, json_path)
+        except BaseException:
+            if csv_backup.exists():
+                os.replace(csv_backup, csv_path)
+            raise
     finally:
-        for temp in (csv_temp, json_temp):
+        for temp in (csv_temp, json_temp, csv_backup):
             temp.unlink(missing_ok=True)
     return json_path, csv_path
 

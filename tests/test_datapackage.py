@@ -212,13 +212,15 @@ def test_save_loaded_entry_over_its_own_files(demo_entry, tmp_path):
     json_path, _ = save_entry(demo_entry, tmp_path / "out")
     save_entry(load_entry(json_path), tmp_path / "out", overwrite=True)
     assert load_entry(json_path) == demo_entry
+    assert sorted(p.name for p in (tmp_path / "out").iterdir()) == [
+        "data.csv", "data.json"]
 
 
 def test_failed_overwrite_keeps_old_descriptor(demo_entry, tmp_path,
                                                monkeypatch):
     outdir = tmp_path / "out"
-    json_path, _ = save_entry(demo_entry, outdir)
-    old_descriptor = json_path.read_bytes()
+    json_path, csv_path = save_entry(demo_entry, outdir)
+    old_descriptor, old_csv = json_path.read_bytes(), csv_path.read_bytes()
     real_replace = os.replace
 
     def failing_replace(src, dst):
@@ -231,6 +233,8 @@ def test_failed_overwrite_keeps_old_descriptor(demo_entry, tmp_path,
     with pytest.raises(OSError, match="disk full"):
         save_entry(rescaled, outdir, overwrite=True)
     assert json_path.read_bytes() == old_descriptor
+    assert csv_path.read_bytes() == old_csv
+    assert load_entry(json_path) == demo_entry
     assert sorted(p.name for p in outdir.iterdir()) == ["data.csv",
                                                         "data.json"]
 
