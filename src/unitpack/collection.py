@@ -28,6 +28,10 @@ from .tabular import _is_number
 log = logging.getLogger("unitpack.collection")
 
 FETCH_TIMEOUT_S = 30
+# Bounds on what `from_archive` will download and unpack.
+MAX_DOWNLOAD_BYTES = 1 << 30
+MAX_ARCHIVE_MEMBERS = 100_000
+MAX_EXTRACTED_BYTES = 4 << 30
 
 
 @dataclass(frozen=True)
@@ -112,9 +116,16 @@ def _fetch_to_file(url: str, target: Path) -> None:
     import urllib.error  # imported here: no other command pays for it
     import urllib.request
 
+    size = 0
     try:
-        with urllib.request.urlopen(url, timeout=FETCH_TIMEOUT_S) as response:
-            target.write_bytes(response.read())
+        with urllib.request.urlopen(url, timeout=FETCH_TIMEOUT_S) as response, \
+                target.open("wb") as out:
+            for chunk in iter(lambda: response.read(1 << 20), b""):
+                size += len(chunk)
+                if size > MAX_DOWNLOAD_BYTES:
+                    raise FetchError(f"cannot fetch {url}: larger than "
+                                     f"{MAX_DOWNLOAD_BYTES} bytes")
+                out.write(chunk)
     except (urllib.error.URLError, TimeoutError, OSError) as exc:
         raise FetchError(f"cannot fetch {url}: {exc}") from exc
 
@@ -123,8 +134,10 @@ def from_archive(source: str | Path, skip_errors: bool = False) -> Collection:
     """Load a collection from a ZIP archive on disk or over HTTP(S).
 
     The only operation that may touch the network; 30 s timeout, no
-    retries.  Every table is read before the extracted files are
-    removed, so an error in a CSV body is a load error of its entry.
+    retries.  The download, the member count and the members' total
+    size are bounded by the module's ``MAX_*`` constants.  Every table
+    is read before the extracted files are removed, so an error in a CSV
+    body is a load error of its entry.
     """
     def load_with_rows(json_path: Path) -> Entry:
         entry = load_entry(json_path)
@@ -145,12 +158,22 @@ def from_archive(source: str | Path, skip_errors: bool = False) -> Collection:
         extract_dir.mkdir()
         try:
             with zipfile.ZipFile(archive_path) as archive:
-                for member in archive.namelist():
-                    member_path = Path(member)
+                members = archive.infolist()
+                for member in members:
+                    member_path = Path(member.filename)
                     if member_path.is_absolute() or ".." in member_path.parts:
                         raise BadArchive(
                             f"archive member escapes extraction dir: "
-                            f"{member!r}")
+                            f"{member.filename!r}")
+                # `zipfile` stops each member at its declared `file_size`,
+                # so the sum bounds what `extractall` writes.
+                if len(members) > MAX_ARCHIVE_MEMBERS:
+                    raise BadArchive(f"archive has {len(members)} members "
+                                     f"(at most {MAX_ARCHIVE_MEMBERS})")
+                size = sum(member.file_size for member in members)
+                if size > MAX_EXTRACTED_BYTES:
+                    raise BadArchive(f"archive unpacks to {size} bytes "
+                                     f"(at most {MAX_EXTRACTED_BYTES})")
                 archive.extractall(extract_dir)
         except zipfile.BadZipFile as exc:
             raise BadArchive(f"not a ZIP archive: {archive_path}") from exc

@@ -1,3 +1,4 @@
+import contextlib
 import http.server
 import json
 import shutil
@@ -154,26 +155,68 @@ def test_from_archive_missing_file(tmp_path):
         from_archive(tmp_path / "missing.zip")
 
 
-def test_from_archive_over_http(material_collection, tmp_path):
-    outdir = tmp_path / "db"
-    _save_all(material_collection, outdir)
-    _zip_dir(outdir, tmp_path / "db.zip")
-
+@contextlib.contextmanager
+def _serving(directory):
+    """The base URL of a loopback HTTP server for `directory`."""
     class QuietHandler(http.server.SimpleHTTPRequestHandler):
         def log_message(self, *args):
             pass
 
     handler = lambda *a, **kw: QuietHandler(
-        *a, directory=str(tmp_path), **kw)
+        *a, directory=str(directory), **kw)
     server = http.server.ThreadingHTTPServer(("127.0.0.1", 0), handler)
     thread = threading.Thread(target=server.serve_forever, daemon=True)
     thread.start()
     try:
-        url = f"http://127.0.0.1:{server.server_address[1]}/db.zip"
-        assert from_archive(url) == from_directory(outdir)
+        yield f"http://127.0.0.1:{server.server_address[1]}"
     finally:
         server.shutdown()
         thread.join()
+        server.server_close()
+
+
+def test_from_archive_over_http(material_collection, tmp_path):
+    outdir = tmp_path / "db"
+    _save_all(material_collection, outdir)
+    _zip_dir(outdir, tmp_path / "db.zip")
+    with _serving(tmp_path) as base:
+        assert from_archive(f"{base}/db.zip") == from_directory(outdir)
+
+
+def test_from_archive_download_is_bounded(material_collection, tmp_path,
+                                          monkeypatch):
+    outdir = tmp_path / "db"
+    _save_all(material_collection, outdir)
+    _zip_dir(outdir, tmp_path / "db.zip")
+    size = (tmp_path / "db.zip").stat().st_size
+    monkeypatch.setattr(collection, "MAX_DOWNLOAD_BYTES", size - 1,
+                        raising=False)
+    with _serving(tmp_path) as base:
+        with pytest.raises(FetchError) as excinfo:
+            from_archive(f"{base}/db.zip")
+        assert excinfo.value.code == "FETCH_ERROR"
+        monkeypatch.setattr(collection, "MAX_DOWNLOAD_BYTES", size)
+        assert from_archive(f"{base}/db.zip") == from_directory(outdir)
+
+
+@pytest.mark.parametrize("limit", ["MAX_ARCHIVE_MEMBERS",
+                                   "MAX_EXTRACTED_BYTES"])
+def test_from_archive_unpacking_is_bounded(material_collection, tmp_path,
+                                           monkeypatch, limit):
+    outdir = tmp_path / "db"
+    _save_all(material_collection, outdir)
+    zip_path = tmp_path / "db.zip"
+    _zip_dir(outdir, zip_path)
+    with zipfile.ZipFile(zip_path) as archive:
+        members = archive.infolist()
+    actual = {"MAX_ARCHIVE_MEMBERS": len(members),
+              "MAX_EXTRACTED_BYTES": sum(m.file_size for m in members)}[limit]
+    monkeypatch.setattr(collection, limit, actual - 1, raising=False)
+    with pytest.raises(BadArchive) as excinfo:
+        from_archive(zip_path)
+    assert excinfo.value.code == "BAD_ARCHIVE"
+    monkeypatch.setattr(collection, limit, actual)
+    assert from_archive(zip_path) == from_directory(outdir)
 
 
 # -------------------------------
