@@ -467,3 +467,4 @@ def test_criterion_10_archive_equals_directory(tmp_path):
         finally:
             server.shutdown()
             thread.join()
+            server.server_close()

@@ -296,25 +296,25 @@ def test_watch_daemon_tags_then_exits_zero_on_interrupt(tmp_path):
     template = tmp_path / "template.yaml"
     template.write_text("user: Max Doe\n", encoding="utf-8")
 
-    process = subprocess.Popen(
-        [sys.executable, "-m", "unitpack.cli", "watch",
-         "--dir", str(watch_dir), "--template", str(template),
-         "--quiescence-ms", "60"],
-        stdout=subprocess.PIPE, stderr=subprocess.PIPE)
-    try:
-        time.sleep(0.5)
-        (watch_dir / "data.csv").write_text("t\n0\n", encoding="utf-8")
-        deadline = time.monotonic() + 8
-        meta = watch_dir / "data.csv.meta.yaml"
-        while time.monotonic() < deadline and not meta.exists():
-            time.sleep(0.05)
-        assert meta.exists()
-        process.send_signal(signal.SIGINT)
-        process.wait(timeout=5)
-    finally:
-        if process.poll() is None:
-            process.kill()
-            process.wait()
+    with subprocess.Popen(
+            [sys.executable, "-m", "unitpack.cli", "watch",
+             "--dir", str(watch_dir), "--template", str(template),
+             "--quiescence-ms", "60"],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE) as process:
+        try:
+            time.sleep(0.5)
+            (watch_dir / "data.csv").write_text("t\n0\n", encoding="utf-8")
+            deadline = time.monotonic() + 8
+            meta = watch_dir / "data.csv.meta.yaml"
+            while time.monotonic() < deadline and not meta.exists():
+                time.sleep(0.05)
+            assert meta.exists()
+            process.send_signal(signal.SIGINT)
+            process.wait(timeout=5)
+        finally:
+            if process.poll() is None:
+                process.kill()
+                process.wait()
     assert process.returncode == 0
     assert (watch_dir / "autotag.log.jsonl").is_file()
 
