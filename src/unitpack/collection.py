@@ -134,10 +134,8 @@ def from_archive(source: str | Path, skip_errors: bool = False) -> Collection:
     """Load a collection from a ZIP archive on disk or over HTTP(S).
 
     The only operation that may touch the network; 30 s timeout, no
-    retries.  The download, the member count and the members' total
-    size are bounded by the module's ``MAX_*`` constants.  Every table
-    is read before the extracted files are removed, so an error in a CSV
-    body is a load error of its entry.
+    retries.  Every table is read before the extracted files are
+    removed, so an error in a CSV body is a load error of its entry.
     """
     def load_with_rows(json_path: Path) -> Entry:
         entry = load_entry(json_path)

@@ -217,9 +217,9 @@ def save_entry(entry: Entry, outdir: str | Path,
     Each file is written to a temporary file in `outdir` and moved into
     place with `os.replace`, the CSV first and the descriptor last, so
     neither name ever holds a partly written file and a new descriptor
-    only appears once its CSV is complete.  The old CSV is hard-linked to
-    a hidden backup name first and moved back if the descriptor's move
-    fails, so a failed overwrite leaves the old pair as it was.
+    only appears once its CSV is complete.  If the descriptor's move
+    fails, the CSV name gets back what it held (the old CSV is
+    hard-linked to a hidden backup name first), so the old pair stays.
     """
     outdir = Path(outdir)
     outdir.mkdir(parents=True, exist_ok=True)
@@ -260,6 +260,8 @@ def save_entry(entry: Entry, outdir: str | Path,
         except BaseException:
             if csv_backup.exists():
                 os.replace(csv_backup, csv_path)
+            else:
+                csv_path.unlink()
             raise
     finally:
         for temp in (csv_temp, json_temp, csv_backup):

@@ -239,6 +239,25 @@ def test_failed_overwrite_keeps_old_descriptor(demo_entry, tmp_path,
                                                         "data.json"]
 
 
+def test_failed_first_save_leaves_no_csv(demo_entry, tmp_path,
+                                         monkeypatch):
+    outdir = tmp_path / "out"
+    real_replace = os.replace
+
+    def failing_replace(src, dst):
+        if Path(dst).suffix == ".json":
+            raise OSError("disk full")
+        real_replace(src, dst)
+
+    monkeypatch.setattr(datapackage.os, "replace", failing_replace)
+    with pytest.raises(OSError, match="disk full"):
+        save_entry(demo_entry, outdir)
+    assert list(outdir.iterdir()) == []
+    monkeypatch.undo()
+    json_path, _ = save_entry(demo_entry, outdir)
+    assert load_entry(json_path) == demo_entry
+
+
 def test_load_bad_descriptor(tmp_path):
     path = tmp_path / "bad.json"
     path.write_text("{not json", encoding="utf-8")
