@@ -258,6 +258,11 @@ def test_failed_first_save_leaves_no_csv(demo_entry, tmp_path,
     assert load_entry(json_path) == demo_entry
 
 
+def test_load_missing_descriptor(tmp_path):
+    with pytest.raises(DescriptorParseError, match="no such descriptor"):
+        load_entry(tmp_path / "absent.json")
+
+
 def test_load_bad_descriptor(tmp_path):
     path = tmp_path / "bad.json"
     path.write_text("{not json", encoding="utf-8")
@@ -329,6 +334,39 @@ def test_rescale_field_without_unit(tmp_path):
     entry = build_entry(csv_path, metadata)
     with pytest.raises(FieldHasNoUnit):
         rescale(entry, {"note": "V"})
+
+
+def _voltage_entry(rows, fields=(FieldSpec(name="U", unit="mV"),)) -> Entry:
+    columns = tuple(f.name for f in fields)
+    return Entry(identifier="volts", fields=fields,
+                 table=Table(columns=columns, rows=rows),
+                 metadata=MetadataDoc(root={}))
+
+
+def test_rescale_keeps_null_cells():
+    entry = _voltage_entry(((1000,), (None,), (2500.0,)))
+    assert rescale(entry, {"U": "V"}).table.column_values("U") == \
+        (1, None, 2.5)
+
+
+def test_rescale_names_non_numeric_cell():
+    entry = _voltage_entry(((1.0,), ("n/a",), (2.0,)))
+    with pytest.raises(NonNumericCell,
+                       match="field 'U' holds non-numeric cell 'n/a'"):
+        rescale(entry, {"U": "V"})
+
+
+def test_rescale_resolves_every_target_before_any_cell():
+    fields = (FieldSpec(name="U", unit="mV"), FieldSpec(name="I", unit="mA"))
+    entry = _voltage_entry((("bad", 1.0),), fields)
+    with pytest.raises(UnknownField):
+        rescale(entry, {"U": "V", "X": "A"})
+
+
+def test_rescale_header_only_entry():
+    rescaled = rescale(_voltage_entry(()), {"U": "V"})
+    assert rescaled.table == Table(columns=("U",), rows=())
+    assert rescaled.field("U").unit == "V"
 
 
 def test_rescale_invertible(demo_entry):

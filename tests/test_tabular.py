@@ -49,6 +49,12 @@ def test_ragged_row_reports_index(tmp_path):
     assert excinfo.value.row_index == 1
 
 
+def test_table_rejects_ragged_row():
+    with pytest.raises(RaggedRow) as excinfo:
+        Table(("a", "b"), ((1, 2), (3,)))
+    assert excinfo.value.row_index == 1
+
+
 # -------------------------------
 # open_table: header now, rows on first use
 # -------------------------------

@@ -180,6 +180,13 @@ def test_convert_v_per_a_to_ohm():
     assert math.isclose(q.to("Ohm").magnitude, 0.2, rel_tol=1e-12)
 
 
+def test_apply_factor_keeps_integral_ints():
+    assert units.apply_factor(5, Fraction(1000)) == 5000
+    assert type(units.apply_factor(5, Fraction(1000))) is int
+    assert units.apply_factor(5, Fraction(1, 1000)) == 0.005
+    assert type(units.apply_factor(5, Fraction(1, 1000))) is float
+
+
 def test_parse_quantity():
     q = units.parse_quantity("5 mA")
     assert q.magnitude == 5.0
