@@ -11,7 +11,7 @@ import zipfile
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .datapackage import Entry, load_entry
+from .datapackage import Entry, load_entry, stays_inside
 from .errors import (
     BadArchive,
     CollectionLoadError,
@@ -158,8 +158,7 @@ def from_archive(source: str | Path, skip_errors: bool = False) -> Collection:
             with zipfile.ZipFile(archive_path) as archive:
                 members = archive.infolist()
                 for member in members:
-                    member_path = Path(member.filename)
-                    if member_path.is_absolute() or ".." in member_path.parts:
+                    if not stays_inside(member.filename):
                         raise BadArchive(
                             f"archive member escapes extraction dir: "
                             f"{member.filename!r}")

@@ -23,7 +23,7 @@ import json
 import os
 import statistics
 from dataclasses import dataclass, replace
-from fractions import Fraction
+from operator import itemgetter
 from pathlib import Path
 
 from . import units
@@ -45,6 +45,7 @@ from .tabular import (
     Table,
     _is_number,
     _plain_numbers,
+    numeric_column,
     open_table,
     read_table,
     write_table,
@@ -106,6 +107,14 @@ def validate_identifier(identifier: str) -> str:
         raise InvalidIdentifier(
             f"identifier must not contain path separators: {identifier!r}")
     return identifier
+
+
+def stays_inside(rel_path: str) -> bool:
+    """Whether `rel_path` names a place inside the directory it is taken
+    relative to: it is not absolute and has no ".." segment, the Data
+    Resource rule for a package's paths."""
+    path = Path(rel_path)
+    return not (path.is_absolute() or ".." in path.parts)
 
 
 def identifier_from_path(path: str | Path) -> str:
@@ -308,10 +317,7 @@ def load_entry(json_path: str | Path) -> Entry:
         raise DescriptorParseError(f"{json_path}: resource name must be a "
                                    f"string")
     rel_path = resource["path"]
-    # The Data Resource spec forbids absolute paths and ".." segments: a
-    # package must not read files outside its own directory.
-    if not isinstance(rel_path, str) or Path(rel_path).is_absolute() \
-            or ".." in Path(rel_path).parts:
+    if not isinstance(rel_path, str) or not stays_inside(rel_path):
         raise DescriptorParseError(
             f"{json_path}: resource path must be a relative path inside "
             f"the package, got {rel_path!r}")
@@ -344,17 +350,14 @@ def rescale(entry: Entry, targets: dict[str, str]) -> Entry:
     """
     if not targets:
         return entry
-    factors: dict[int, Fraction] = {}
+    factors = {}
     new_fields = list(entry.fields)
     for name, unit_text in targets.items():
-        index = None
-        for i, spec in enumerate(entry.fields):
-            if spec.name == name:
-                index = i
-                break
-        if index is None:
+        try:
+            index = entry.table.column_index(name)
+        except KeyError:
             raise UnknownField(
-                f"no field {name!r} in entry {entry.identifier!r}")
+                f"no field {name!r} in entry {entry.identifier!r}") from None
         old_unit = entry.fields[index].parsed_unit()
         try:
             new_unit = units.parse_unit(unit_text)
@@ -363,51 +366,31 @@ def rescale(entry: Entry, targets: dict[str, str]) -> Entry:
         factors[index] = units.conversion_factor(old_unit, new_unit)
         new_fields[index] = replace(entry.fields[index], unit=unit_text)
 
-    new_rows = []
-    for row in entry.table.rows:
-        cells = list(row)
-        for index, factor in factors.items():
-            cell = cells[index]
-            if cell is None:
-                continue
-            if not _is_number(cell):
-                raise NonNumericCell(
-                    f"field {entry.fields[index].name!r} holds non-numeric "
-                    f"cell {cell!r}")
-            cells[index] = units.apply_factor(cell, factor)
-        new_rows.append(tuple(cells))
-    new_table = Table(columns=entry.table.columns, rows=tuple(new_rows))
+    columns = list(zip(*entry.table.rows)) or [()] * len(new_fields)
+    for index, factor in factors.items():
+        columns[index] = [
+            None if cell is None else units.apply_factor(cell, factor)
+            for cell in numeric_column(new_fields[index].name, columns[index])]
+    new_table = Table(columns=entry.table.columns, rows=tuple(zip(*columns)))
     return Entry(identifier=entry.identifier, fields=tuple(new_fields),
                  table=new_table, metadata=entry.metadata)
 
 
-AGGREGATES = ("mean", "min", "max", "first")
+_AGGREGATES = {"mean": statistics.fmean, "min": min, "max": max,
+               "first": itemgetter(0)}
+AGGREGATES = tuple(_AGGREGATES)
 
 
 def field_quantity(entry: Entry, field_name: str,
                    aggregate: str = "mean") -> units.Quantity:
     """Aggregate a unit-carrying column into a Quantity."""
-    if aggregate not in AGGREGATES:
+    if aggregate not in _AGGREGATES:
         raise ValueError(f"unknown aggregate {aggregate!r} "
                          f"(expected one of {', '.join(AGGREGATES)})")
-    spec = entry.field(field_name)
-    unit = spec.parsed_unit()
-    values = []
-    for cell in entry.table.column_values(field_name):
-        if cell is None:
-            continue
-        if not _is_number(cell):
-            raise NonNumericCell(
-                f"field {field_name!r} holds non-numeric cell {cell!r}")
-        values.append(cell)
+    unit = entry.field(field_name).parsed_unit()
+    values = [cell for cell in numeric_column(
+        field_name, entry.table.column_values(field_name))
+        if cell is not None]
     if not values:
         raise NonNumericCell(f"field {field_name!r} has no numeric cells")
-    if aggregate == "mean":
-        value = statistics.fmean(values)
-    elif aggregate == "min":
-        value = min(values)
-    elif aggregate == "max":
-        value = max(values)
-    else:
-        value = values[0]
-    return units.Quantity(float(value), unit)
+    return units.Quantity(float(_AGGREGATES[aggregate](values)), unit)

@@ -266,22 +266,6 @@ def load_schema(path: str | Path) -> SchemaDoc:
     return SchemaDoc(root=doc.root)
 
 
-def _type_matches(node: Node, type_name: str) -> bool:
-    if type_name == "string":
-        return isinstance(node, str)
-    if type_name == "number":
-        return isinstance(node, (int, float)) and not isinstance(node, bool)
-    if type_name == "integer":
-        return isinstance(node, int) and not isinstance(node, bool)
-    if type_name == "boolean":
-        return isinstance(node, bool)
-    if type_name == "object":
-        return isinstance(node, dict)
-    if type_name == "array":
-        return isinstance(node, list)
-    return node is None  # "null"
-
-
 def _type_name(node: Node) -> str:
     if node is None:
         return "null"
@@ -310,10 +294,11 @@ def _join(path: str, segment: str) -> str:
 
 def _validate_node(node: Node, schema: dict, path: str,
                    out: list[Violation]) -> None:
-    type_name = schema.get("type")
-    if type_name is not None and not _type_matches(node, type_name):
+    expected, found = schema.get("type"), _type_name(node)
+    if expected not in (None, found) and \
+            (expected, found) != ("number", "integer"):
         out.append(Violation(path or "<root>",
-                             f"expected {type_name}, found {_type_name(node)}"))
+                             f"expected {expected}, found {found}"))
         return
     if "enum" in schema and not any(_values_equal(node, allowed)
                                     for allowed in schema["enum"]):

@@ -22,6 +22,7 @@ from .errors import (
     HeaderRowOutOfRange,
     LoaderSpecError,
     MetadataParseError,
+    NonNumericCell,
     RaggedRow,
     RenameSourceMissing,
     SchemaTableMismatch,
@@ -155,6 +156,17 @@ def _plain_numbers(cells) -> bool:
     column's types at once.  False decides nothing: a column with a null,
     a bool or a subclass of int or float needs `_is_number` per cell."""
     return set(map(type, cells)) <= {int, float}
+
+
+def numeric_column(name: str, cells):
+    """`cells`, once each is null or a number; otherwise `NonNumericCell`
+    names the first that is not, as a cell of field `name`."""
+    if not _plain_numbers(cells):
+        for cell in cells:
+            if cell is not None and not _is_number(cell):
+                raise NonNumericCell(
+                    f"field {name!r} holds non-numeric cell {cell!r}")
+    return cells
 
 
 def render_cell(cell: Cell) -> str:
