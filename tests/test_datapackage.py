@@ -363,6 +363,15 @@ def test_rescale_resolves_every_target_before_any_cell():
         rescale(entry, {"U": "V", "X": "A"})
 
 
+def test_rescale_names_the_first_target_with_a_bad_cell():
+    # Each target column is checked whole, in `targets` order, so the
+    # second target's bad cell is named though it sits in an earlier row.
+    fields = (FieldSpec(name="U", unit="mV"), FieldSpec(name="I", unit="mA"))
+    entry = _voltage_entry(((1.0, "x"), ("y", 2.0)), fields)
+    with pytest.raises(NonNumericCell, match="field 'I' holds .* 'x'"):
+        rescale(entry, {"I": "A", "U": "V"})
+
+
 def test_rescale_header_only_entry():
     rescaled = rescale(_voltage_entry(()), {"U": "V"})
     assert rescaled.table == Table(columns=("U",), rows=())
