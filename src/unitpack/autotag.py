@@ -118,7 +118,7 @@ def load_template(path: str | Path) -> TemplateSnapshot:
     path = Path(path)
     try:
         text = path.read_text(encoding="utf-8")
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise TemplateParseError(f"cannot read template {path}: {exc}") from exc
     try:
         root = parse_yaml(text)

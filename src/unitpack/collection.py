@@ -22,7 +22,8 @@ from .errors import (
     PredicateParseError,
     UnitpackError,
 )
-from .metadata import _walk, canonical_scalar, find_path, is_scalar, parse_yaml
+from .metadata import (_walk, canonical_scalar, find_path, is_scalar,
+                       parse_yaml, read_text)
 from .tabular import _is_number
 
 log = logging.getLogger("unitpack.collection")
@@ -292,7 +293,7 @@ DEFAULT_PROFILE = Profile(
 
 def load_profile(path: str | Path) -> Profile:
     """Read a profile from its YAML file format."""
-    raw = parse_yaml(Path(path).read_text(encoding="utf-8-sig"))
+    raw = parse_yaml(read_text(path))
     if not isinstance(raw, dict):
         raise UnitpackError(f"profile {path} must be a map",
                             code="PROFILE_INVALID")

@@ -290,7 +290,7 @@ def load_entry(json_path: str | Path) -> Entry:
         raise DescriptorParseError(f"no such descriptor: {json_path}")
     try:
         descriptor = json.loads(json_path.read_text(encoding="utf-8-sig"))
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise DescriptorParseError(
             f"bad JSON in {json_path}: {exc}") from exc
 

@@ -104,6 +104,10 @@ class RaggedRow(UnitpackError):
         self.row_index = row_index
 
 
+class CsvParseError(UnitpackError):
+    code = "CSV_PARSE_ERROR"
+
+
 class LoaderSpecError(UnitpackError):
     code = "LOADER_SPEC_INVALID"
 

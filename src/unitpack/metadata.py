@@ -121,6 +121,16 @@ def parse_json(text: str) -> Node:
                                  column=exc.colno) from exc
 
 
+def read_text(path: str | Path) -> str:
+    """The text of a YAML or JSON file: UTF-8, a BOM allowed.  Bytes that
+    do not decode are a `MetadataParseError`."""
+    try:
+        return Path(path).read_text(encoding="utf-8-sig")
+    except UnicodeDecodeError as exc:
+        raise MetadataParseError(f"{path} is not UTF-8 text: {exc}") \
+            from exc
+
+
 def load_document(path: str | Path) -> MetadataDoc:
     """Load a YAML or JSON metadata document from disk."""
     path = Path(path)
@@ -129,7 +139,7 @@ def load_document(path: str | Path) -> MetadataDoc:
         raise UnsupportedExtension(
             f"unsupported metadata extension {path.suffix!r} "
             f"(expected .yaml, .yml, or .json): {path}")
-    text = path.read_text(encoding="utf-8-sig")
+    text = read_text(path)
     root = parse_json(text) if suffix == ".json" else parse_yaml(text)
     return MetadataDoc(root=root)
 

@@ -13,11 +13,13 @@ from __future__ import annotations
 
 import csv
 import re
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from operator import itemgetter
 from pathlib import Path
 
 from .errors import (
+    CsvParseError,
     DuplicateColumnName,
     HeaderRowOutOfRange,
     LoaderSpecError,
@@ -28,7 +30,7 @@ from .errors import (
     SchemaTableMismatch,
     UnitpackError,
 )
-from .metadata import parse_yaml
+from .metadata import parse_yaml, read_text
 
 Cell = None | int | float | str
 
@@ -203,16 +205,28 @@ def _table_from_csv_rows(raw_rows, decimal_separator: str = ".") -> Table:
     return Table(columns=tuple(header), rows=tuple(zip(*columns)))
 
 
+@contextmanager
+def _csv_source(path: str | Path):
+    """`path` open as UTF-8 text (a BOM is allowed); bytes that do not
+    decode or a `csv` parser error inside the block are a `CsvParseError`
+    naming the path."""
+    try:
+        with open(path, "r", encoding="utf-8-sig", newline="") as handle:
+            yield handle
+    except (UnicodeDecodeError, csv.Error) as exc:
+        raise CsvParseError(f"{path}: {exc}") from exc
+
+
 def read_table(path: str | Path) -> Table:
     """Parse an RFC-4180 CSV whose first line is the header."""
-    with open(path, "r", encoding="utf-8-sig", newline="") as handle:
+    with _csv_source(path) as handle:
         return _table_from_csv_rows(csv.reader(handle))
 
 
 def open_table(path: str | Path) -> Table:
     """Read only the header of a CSV now; `read_table` parses the rows
     when they are first used, so errors in them surface then."""
-    with open(path, "r", encoding="utf-8-sig", newline="") as handle:
+    with _csv_source(path) as handle:
         columns = tuple(_header(csv.reader(handle)))
     return Table(columns=columns, rows=None, _path=Path(path))
 
@@ -271,8 +285,9 @@ _LOADER_KEYS = {"delimiter", "decimal_separator", "header_row", "skip_footer",
 
 def load_loader_spec(path: str | Path) -> LoaderSpec:
     """Read a LoaderSpec from its YAML file format."""
+    text = read_text(path)  # its error names the path already
     try:
-        raw = parse_yaml(Path(path).read_text(encoding="utf-8-sig"))
+        raw = parse_yaml(text)
     except MetadataParseError as exc:
         raise MetadataParseError(f"bad loader spec {path}: {exc}") from exc
     if raw is None:
@@ -308,19 +323,20 @@ def apply_loader(path: str | Path, spec: LoaderSpec) -> Table:
     lines counts as the lines it occupies.  Cell values are never
     altered, only renamed and retyped.
     """
-    with open(path, "r", encoding="utf-8-sig", newline="") as handle:
+    with _csv_source(path) as handle:
         lines = list(handle)  # split where csv splits, as in read_table
-    if spec.comment_prefix is not None:
-        lines = [l for l in lines if not l.startswith(spec.comment_prefix)]
-    if spec.skip_footer:
-        lines = lines[:-spec.skip_footer]
-    if spec.header_row >= len(lines):
-        raise HeaderRowOutOfRange(
-            f"header_row {spec.header_row} out of range: only {len(lines)} "
-            f"lines remain after comment/footer removal")
-    lines = lines[spec.header_row:]
-    raw_rows = csv.reader(lines, delimiter=spec.delimiter)
-    table = _table_from_csv_rows(raw_rows, spec.decimal_separator)
+        if spec.comment_prefix is not None:
+            lines = [l for l in lines
+                     if not l.startswith(spec.comment_prefix)]
+        if spec.skip_footer:
+            lines = lines[:-spec.skip_footer]
+        if spec.header_row >= len(lines):
+            raise HeaderRowOutOfRange(
+                f"header_row {spec.header_row} out of range: only "
+                f"{len(lines)} lines remain after comment/footer removal")
+        raw_rows = csv.reader(lines[spec.header_row:],
+                              delimiter=spec.delimiter)
+        table = _table_from_csv_rows(raw_rows, spec.decimal_separator)
     if not spec.rename:
         return table
     missing = [k for k in spec.rename if k not in table.columns]

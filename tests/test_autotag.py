@@ -183,6 +183,13 @@ def test_template_must_parse(tmp_path):
 # backfill
 # -------------------------------
 
+def test_undecodable_template_is_template_parse_error(tmp_path):
+    path = tmp_path / "t.yaml"
+    path.write_bytes(b"user: \xff\n")
+    with pytest.raises(TemplateParseError):
+        load_template(path)
+
+
 def test_backfill_tags_existing(watch_setup):
     watch_dir, _, cfg = watch_setup
     (watch_dir / "a.csv").write_text("x", encoding="utf-8")
@@ -333,6 +340,21 @@ def test_poll_waits_for_quiescence_and_records_latency(watch_setup):
     assert record["detected_at"] == autotag._utc_iso(now + 0.01)
     assert record["latency_ms"] == pytest.approx(130.0)
     assert record["scan_ms"] >= 0.0
+
+
+def test_poll_keeps_last_good_template_when_it_stops_decoding(watch_setup):
+    watch_dir, template_path, cfg = watch_setup
+    now = time.time()
+    poller, records = _poller(cfg, now)
+    good = poller.template.version
+    template_path.write_bytes(TEMPLATE.encode("utf-8") + b"note: \xff\n")
+    source = _write(watch_dir / "a.csv")
+    poller.poll(now + 0.01)
+    poller.poll(now + 0.2)
+    assert [(r["event"], r.get("code")) for r in records] == [
+        ("error", "TEMPLATE_PARSE_ERROR"), ("tagged", None)]
+    assert records[1]["source_path"] == str(source)
+    assert records[1]["template_version"] == good
 
 
 def test_poll_cancels_vanished_file_and_drops_vanished_dirs(watch_setup):

@@ -261,6 +261,19 @@ def test_ragged_csv_body_fails_only_commands_that_read_rows(tmp_path,
     assert code == 1 and err.startswith("RAGGED_ROW:")
 
 
+def test_ls_skips_undecodable_descriptor(tmp_path, capsys):
+    clean = _packed(tmp_path, capsys)
+    bad = tmp_path / "bad"
+    shutil.copytree(clean, bad)
+    json_path = bad / "data.json"
+    json_path.write_bytes(json_path.read_bytes().replace(b"Max", b"\xff"))
+    code, out, err = run(capsys, "ls", str(bad))
+    assert (code, out) == (1, "")
+    assert err.startswith("COLLECTION_LOAD_ERROR:") and "decode" in err
+    code, out, err = run(capsys, "ls", str(bad), "--skip-errors")
+    assert (code, out) == (0, "")
+
+
 # -------------------------------
 # watch --backfill
 # -------------------------------

@@ -47,6 +47,7 @@ CASES = {
     "pack-loader": ["pack", "run7.txt", "--loader", "loader.yaml",
                     "--outdir", "out"],
     "pack-error": ["pack", "loader.yaml"],
+    "pack-csv-error": ["pack", "latin1.csv"],
     "report-error": ["report", "coll", "--out", "site", "--x", "t",
                      "--y", "U", "--column", "no-separator"],
     "watch-error": ["watch", "--dir", "missing", "--template", "doc.yaml",
@@ -78,6 +79,11 @@ def write_inputs(directory: Path) -> None:
     (directory / "loader.yaml").write_text(
         'header_row: 3\nskip_footer: 2\nrename:\n  "voltage [mV]": "U"\n',
         encoding="utf-8")
+    # A CSV saved as Latin-1, not UTF-8.
+    (directory / "latin1.csv").write_bytes(
+        "t,T/°C\n0,21\n".encode("latin-1"))
+    (directory / "latin1.csv.meta.yaml").write_text("user: Max Doe\n",
+                                                    encoding="utf-8")
     (directory / "doc.yaml").write_text("user: Max Doe\n", encoding="utf-8")
     (directory / "bad.yaml").write_text("user: 3\nextra: x\n",
                                         encoding="utf-8")

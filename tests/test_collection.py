@@ -396,6 +396,13 @@ def test_load_profile_rejects_malformed_yaml(tmp_path, text):
         load_profile(path)
 
 
+def test_undecodable_profile_is_parse_error(tmp_path):
+    path = tmp_path / "profile.yaml"
+    path.write_bytes(b"name: \xff\n")
+    with pytest.raises(MetadataParseError, match="not UTF-8"):
+        load_profile(path)
+
+
 def test_profile_duplicate_labels_rejected():
     with pytest.raises(Exception) as excinfo:
         Profile(name="p", describe_paths=(("a", "x"), ("a", "y")))

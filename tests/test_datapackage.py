@@ -19,6 +19,7 @@ from unitpack.datapackage import (
 from unitpack.collection import from_directory
 from unitpack.errors import (
     CollectionLoadError,
+    CsvParseError,
     DescriptorParseError,
     DimensionMismatch,
     FieldHasNoUnit,
@@ -261,6 +262,34 @@ def test_failed_first_save_leaves_no_csv(demo_entry, tmp_path,
 def test_load_missing_descriptor(tmp_path):
     with pytest.raises(DescriptorParseError, match="no such descriptor"):
         load_entry(tmp_path / "absent.json")
+
+
+def test_load_undecodable_descriptor(packed_dir):
+    json_path = packed_dir / "data.json"
+    json_path.write_bytes(json_path.read_bytes().replace(b"Max", b"\xff"))
+    with pytest.raises(DescriptorParseError, match="can't decode"):
+        load_entry(json_path)
+
+
+def test_load_undecodable_csv_header(packed_dir):
+    csv_path = packed_dir / "data.csv"
+    csv_path.write_bytes(b"t,\xff,T\n0,1,2\n")
+    with pytest.raises(CsvParseError) as excinfo:
+        load_entry(packed_dir / "data.json")
+    assert str(csv_path) in str(excinfo.value)
+    with pytest.raises(CollectionLoadError, match="can't decode"):
+        from_directory(packed_dir)
+    assert len(from_directory(packed_dir, skip_errors=True)) == 0
+
+
+def test_rescale_of_oversized_csv_field(packed_dir):
+    csv_path = packed_dir / "data.csv"
+    csv_path.write_text("t,U,T\n0," + "1" * 200_000 + ",2\n",
+                        encoding="utf-8")
+    entry = load_entry(packed_dir / "data.json")
+    with pytest.raises(CsvParseError) as excinfo:
+        rescale(entry, {"U": "V"})
+    assert str(csv_path) in str(excinfo.value)
 
 
 def test_load_bad_descriptor(tmp_path):

@@ -59,6 +59,16 @@ def test_parse_error_carries_position(tmp_path):
     assert "line" in str(excinfo.value)
 
 
+@pytest.mark.parametrize("name", ["meta.yaml", "meta.json"])
+def test_undecodable_document_is_parse_error(tmp_path, name):
+    path = tmp_path / name
+    path.write_bytes(b'{"user": "\xff"}\n')
+    with pytest.raises(MetadataParseError, match="not UTF-8") as excinfo:
+        metadata.load_document(path)
+    assert excinfo.value.code == "PARSE_ERROR"
+    assert str(path) in str(excinfo.value)
+
+
 def test_yaml_alias_rejected_with_position():
     with pytest.raises(MetadataParseError) as excinfo:
         metadata.parse_yaml("a: &x [1, 2]\nb: [*x, *x]\n")

@@ -4,6 +4,7 @@ from hypothesis import strategies as st
 
 from unitpack import tabular
 from unitpack.errors import (
+    CsvParseError,
     DuplicateColumnName,
     HeaderRowOutOfRange,
     LoaderSpecError,
@@ -128,6 +129,53 @@ def test_bom_tolerated(tmp_path):
     path = tmp_path / "bom.csv"
     path.write_bytes(b"\xef\xbb\xbft,U\n0,1\n")
     assert tabular.read_table(path).columns == ("t", "U")
+
+
+def test_undecodable_header_is_csv_parse_error(tmp_path):
+    path = tmp_path / "bad.csv"
+    path.write_bytes(b"t,\xff\n0,1\n")
+    for read in (tabular.read_table, tabular.open_table):
+        with pytest.raises(CsvParseError, match="can't decode") as excinfo:
+            read(path)
+        assert str(path) in str(excinfo.value)
+
+
+def test_undecodable_body_fails_on_first_use(tmp_path):
+    # The decoder reads ahead, so the bad byte sits well past its first
+    # chunk: only then is the header readable on its own.
+    path = tmp_path / "bad.csv"
+    path.write_bytes(b"t,U\n" + b"0,1\n" * 20_000 + b"1,\xff\n")
+    table = tabular.open_table(path)
+    assert table.columns == ("t", "U")
+    with pytest.raises(CsvParseError) as excinfo:
+        table.rows
+    assert str(path) in str(excinfo.value)
+
+
+def test_oversized_field_is_csv_parse_error(tmp_path):
+    path = tmp_path / "big.csv"
+    path.write_text("t,U\n0," + "9" * 200_000 + "\n", encoding="utf-8")
+    with pytest.raises(CsvParseError, match="field larger than field limit"):
+        tabular.read_table(path)
+
+
+def test_loader_maps_undecodable_and_oversized_input(tmp_path):
+    path = tmp_path / "wild.txt"
+    path.write_bytes(b"t;U\n0;\xff\n")
+    with pytest.raises(CsvParseError) as excinfo:
+        tabular.apply_loader(path, LoaderSpec(delimiter=";"))
+    assert str(path) in str(excinfo.value)
+    path.write_text("t;U\n0;" + "9" * 200_000 + "\n", encoding="utf-8")
+    with pytest.raises(CsvParseError, match="field larger than field limit"):
+        tabular.apply_loader(path, LoaderSpec(delimiter=";"))
+
+
+def test_undecodable_loader_spec_is_parse_error(tmp_path):
+    path = tmp_path / "loader.yaml"
+    path.write_bytes(b"delimiter: \"\xff\"\n")
+    with pytest.raises(MetadataParseError, match="not UTF-8") as excinfo:
+        tabular.load_loader_spec(path)
+    assert str(path) in str(excinfo.value)
 
 
 # -------------------------------
