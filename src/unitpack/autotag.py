@@ -25,6 +25,7 @@ import threading
 import time
 from dataclasses import dataclass
 from datetime import datetime, timezone
+from functools import cached_property
 from pathlib import Path
 
 import yaml
@@ -70,7 +71,7 @@ class WatchConfig:
         if self.log_path is not None:
             object.__setattr__(self, "log_path", Path(self.log_path))
 
-    @property
+    @cached_property
     def effective_excludes(self) -> tuple[str, ...]:
         # The meta suffix can never be removed from the exclude set; the
         # temp names sidecars are written under, the event log and the
@@ -82,6 +83,12 @@ class WatchConfig:
     def effective_log_path(self) -> Path:
         return self.log_path if self.log_path is not None \
             else self.watch_dir / LOG_NAME
+
+    @cached_property
+    def _own_names(self) -> frozenset[str]:
+        """The basenames of the template and the event log."""
+        return frozenset((self.template_path.name,
+                          self.effective_log_path.name))
 
 
 @dataclass(frozen=True)
@@ -141,17 +148,19 @@ def load_template(path: str | Path) -> TemplateSnapshot:
 
 def path_matches(cfg: WatchConfig, path: str | Path) -> bool:
     """Whether the watcher tags `path`, judged by name alone except for
-    the template's name: the template is compared by resolved path, and
-    a path that cannot be resolved (a symlink loop) is not the template."""
+    the names of the template and the event log: those two files are
+    compared by resolved path, and a path that cannot be resolved (a
+    symlink loop) is neither of them."""
     name = os.path.basename(path)
     if not any(fnmatch.fnmatchcase(name, g) for g in cfg.include_globs):
         return False
     if any(fnmatch.fnmatchcase(name, g) for g in cfg.effective_excludes):
         return False
-    if name != cfg.template_path.name:
+    if name not in cfg._own_names:
         return True
     try:
-        return Path(path).resolve() != cfg.template_path.resolve()
+        return Path(path).resolve() not in (cfg.template_path.resolve(),
+                                            cfg.effective_log_path.resolve())
     except (OSError, RuntimeError):
         return True
 

@@ -425,6 +425,31 @@ def test_watch_never_tags_recreated_template(template_inside):
     assert not (cfg.watch_dir / "template.yaml.meta.yaml").exists()
 
 
+def _logging_inside(watch_setup):
+    watch_dir, template_path, _ = watch_setup
+    return WatchConfig(watch_dir=watch_dir, template_path=template_path,
+                       quiescence_ms=80, log_path=watch_dir / "my.log")
+
+
+def test_backfill_never_tags_its_event_log(watch_setup):
+    cfg = _logging_inside(watch_setup)
+    source = _write(cfg.watch_dir / "a.csv")
+    assert [e.source_path for e in backfill(cfg)] == [str(source)]
+    assert backfill(cfg) == []
+    assert not (cfg.watch_dir / "my.log.meta.yaml").exists()
+
+
+def test_poll_never_tags_its_event_log(watch_setup):
+    cfg = _logging_inside(watch_setup)
+    now = time.time()
+    poller, records = _poller(cfg, now)
+    source = _write(cfg.watch_dir / "a.csv")
+    for step in (0.01, 0.2, 0.4, 0.6):  # the log appears, then holds still
+        poller.poll(now + step)
+    assert [r["source_path"] for r in records] == [str(source)]
+    assert not (cfg.watch_dir / "my.log.meta.yaml").exists()
+
+
 def test_template_named_symlink_loop_is_skipped(watch_setup):
     watch_dir, template_path, cfg = watch_setup
     (watch_dir / "template.yaml").symlink_to("template.yaml")
