@@ -11,7 +11,7 @@ import zipfile
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .datapackage import Entry, load_entry, stays_inside
+from .datapackage import Entry, _stays_inside, load_entry
 from .errors import (
     BadArchive,
     CollectionLoadError,
@@ -22,8 +22,8 @@ from .errors import (
     PredicateParseError,
     UnitpackError,
 )
-from .metadata import (_walk, canonical_scalar, find_path, is_scalar,
-                       parse_yaml, read_text)
+from .metadata import (_read_text, _walk, canonical_scalar, find_path,
+                       is_scalar, parse_yaml)
 from .tabular import _is_number
 
 log = logging.getLogger("unitpack.collection")
@@ -159,7 +159,7 @@ def from_archive(source: str | Path, skip_errors: bool = False) -> Collection:
             with zipfile.ZipFile(archive_path) as archive:
                 members = archive.infolist()
                 for member in members:
-                    if not stays_inside(member.filename):
+                    if not _stays_inside(member.filename):
                         raise BadArchive(
                             f"archive member escapes extraction dir: "
                             f"{member.filename!r}")
@@ -294,7 +294,7 @@ DEFAULT_PROFILE = Profile(
 
 def load_profile(path: str | Path) -> Profile:
     """Read a profile from its YAML file format."""
-    raw = parse_yaml(read_text(path))
+    raw = parse_yaml(_read_text(path))
     if not isinstance(raw, dict):
         raise UnitpackError(f"profile {path} must be a map",
                             code="PROFILE_INVALID")

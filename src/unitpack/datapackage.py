@@ -44,8 +44,8 @@ from .metadata import MetadataDoc, _temp_path, get_path
 from .tabular import (
     Table,
     _is_number,
+    _numeric_column,
     _plain_numbers,
-    numeric_column,
     open_table,
     read_table,
     write_table,
@@ -109,7 +109,7 @@ def validate_identifier(identifier: str) -> str:
     return identifier
 
 
-def stays_inside(rel_path: str) -> bool:
+def _stays_inside(rel_path: str) -> bool:
     """Whether `rel_path` names a place inside the directory it is taken
     relative to: it is not absolute and has no ".." segment, the Data
     Resource rule for a package's paths."""
@@ -317,7 +317,7 @@ def load_entry(json_path: str | Path) -> Entry:
         raise DescriptorParseError(f"{json_path}: resource name must be a "
                                    f"string")
     rel_path = resource["path"]
-    if not isinstance(rel_path, str) or not stays_inside(rel_path):
+    if not isinstance(rel_path, str) or not _stays_inside(rel_path):
         raise DescriptorParseError(
             f"{json_path}: resource path must be a relative path inside "
             f"the package, got {rel_path!r}")
@@ -368,9 +368,10 @@ def rescale(entry: Entry, targets: dict[str, str]) -> Entry:
 
     columns = list(zip(*entry.table.rows)) or [()] * len(new_fields)
     for index, factor in factors.items():
-        columns[index] = [
-            None if cell is None else units.apply_factor(cell, factor)
-            for cell in numeric_column(new_fields[index].name, columns[index])]
+        cells = _numeric_column(new_fields[index].name, columns[index])
+        columns[index] = [None if cell is None
+                          else units.apply_factor(cell, factor)
+                          for cell in cells]
     new_table = Table(columns=entry.table.columns, rows=tuple(zip(*columns)))
     return Entry(identifier=entry.identifier, fields=tuple(new_fields),
                  table=new_table, metadata=entry.metadata)
@@ -388,7 +389,7 @@ def field_quantity(entry: Entry, field_name: str,
         raise ValueError(f"unknown aggregate {aggregate!r} "
                          f"(expected one of {', '.join(AGGREGATES)})")
     unit = entry.field(field_name).parsed_unit()
-    values = [cell for cell in numeric_column(
+    values = [cell for cell in _numeric_column(
         field_name, entry.table.column_values(field_name))
         if cell is not None]
     if not values:

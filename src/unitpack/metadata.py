@@ -121,7 +121,7 @@ def parse_json(text: str) -> Node:
                                  column=exc.colno) from exc
 
 
-def read_text(path: str | Path) -> str:
+def _read_text(path: str | Path) -> str:
     """The text of a YAML or JSON file: UTF-8, a BOM allowed.  Bytes that
     do not decode are a `MetadataParseError`."""
     try:
@@ -139,7 +139,7 @@ def load_document(path: str | Path) -> MetadataDoc:
         raise UnsupportedExtension(
             f"unsupported metadata extension {path.suffix!r} "
             f"(expected .yaml, .yml, or .json): {path}")
-    text = read_text(path)
+    text = _read_text(path)
     root = parse_json(text) if suffix == ".json" else parse_yaml(text)
     return MetadataDoc(root=root)
 

@@ -30,7 +30,7 @@ from .errors import (
     SchemaTableMismatch,
     UnitpackError,
 )
-from .metadata import parse_yaml, read_text
+from .metadata import _read_text, parse_yaml
 
 Cell = None | int | float | str
 
@@ -160,7 +160,7 @@ def _plain_numbers(cells) -> bool:
     return set(map(type, cells)) <= {int, float}
 
 
-def numeric_column(name: str, cells):
+def _numeric_column(name: str, cells):
     """`cells`, once each is null or a number; otherwise `NonNumericCell`
     names the first that is not, as a cell of field `name`."""
     if not _plain_numbers(cells):
@@ -285,7 +285,7 @@ _LOADER_KEYS = {"delimiter", "decimal_separator", "header_row", "skip_footer",
 
 def load_loader_spec(path: str | Path) -> LoaderSpec:
     """Read a LoaderSpec from its YAML file format."""
-    text = read_text(path)  # its error names the path already
+    text = _read_text(path)  # its error names the path already
     try:
         raw = parse_yaml(text)
     except MetadataParseError as exc:
