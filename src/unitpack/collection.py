@@ -246,8 +246,8 @@ def _clause_holds(entry: Entry, clause: Clause) -> bool:
             return any(is_scalar(el) and canonical_scalar(el) == wanted
                        for el in node)
         return isinstance(node, str) and str(clause.value) in node
-    if not is_scalar(node) or clause.op not in ("==", "!=") and \
-            (node is None or clause.value is None):  # null has no order
+    if not is_scalar(node) or (clause.op not in ("==", "!=") and (
+            node is None or clause.value is None)):  # null has no order
         return False
     if _is_number(node) and _is_number(clause.value):
         left, right = node, clause.value

@@ -209,11 +209,15 @@ def _table_from_csv_rows(raw_rows, decimal_separator: str = ".") -> Table:
 def _csv_source(path: str | Path):
     """`path` open as UTF-8 text (a BOM is allowed); bytes that do not
     decode or a `csv` parser error inside the block are a `CsvParseError`
-    naming the path."""
+    naming the path.  A decoding error's position counts from the start
+    of the decoder's current chunk, not of the file, so it is left out."""
     try:
         with open(path, "r", encoding="utf-8-sig", newline="") as handle:
             yield handle
-    except (UnicodeDecodeError, csv.Error) as exc:
+    except UnicodeDecodeError as exc:
+        raise CsvParseError(f"{path}: not UTF-8 text ({exc.reason})") \
+            from exc
+    except csv.Error as exc:
         raise CsvParseError(f"{path}: {exc}") from exc
 
 

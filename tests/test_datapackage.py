@@ -277,7 +277,7 @@ def test_load_undecodable_csv_header(packed_dir):
     with pytest.raises(CsvParseError) as excinfo:
         load_entry(packed_dir / "data.json")
     assert str(csv_path) in str(excinfo.value)
-    with pytest.raises(CollectionLoadError, match="can't decode"):
+    with pytest.raises(CollectionLoadError, match="not UTF-8"):
         from_directory(packed_dir)
     assert len(from_directory(packed_dir, skip_errors=True)) == 0
 
