@@ -179,16 +179,16 @@ def test_template_must_parse(tmp_path):
         load_template(path)
 
 
-# -------------------------------
-# backfill
-# -------------------------------
-
 def test_undecodable_template_is_template_parse_error(tmp_path):
     path = tmp_path / "t.yaml"
     path.write_bytes(b"user: \xff\n")
     with pytest.raises(TemplateParseError):
         load_template(path)
 
+
+# -------------------------------
+# backfill
+# -------------------------------
 
 def test_backfill_tags_existing(watch_setup):
     watch_dir, _, cfg = watch_setup
