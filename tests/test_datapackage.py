@@ -89,6 +89,19 @@ def test_unspecced_column_gets_inferred_spec(tmp_path):
     assert note.unit is None
 
 
+@pytest.mark.parametrize("rows, expected", [
+    (((None,), (None,)), "number"),  # all null
+    ((), "number"),  # header only
+    (((1,), ("x",), (None,)), "string"),
+])
+def test_inferred_column_type(rows, expected):
+    table = Table(columns=("c",), rows=rows)
+    metadata = MetadataDoc(root={"fields": []})
+    entry = datapackage.build_entry_from_table("data", table, metadata,
+                                               fields_path="fields")
+    assert entry.field("c").type == expected
+
+
 def test_spec_for_absent_column_rejected(tmp_path):
     csv_path = tmp_path / "data.csv"
     csv_path.write_text("t,U\n0,1\n", encoding="utf-8")

@@ -125,6 +125,21 @@ def test_cell_typing_rules(tmp_path):
     assert isinstance(row[0], int) and isinstance(row[1], float)
 
 
+@pytest.mark.parametrize("separator", [".", ","])
+@pytest.mark.parametrize("text, expected", [
+    ("1\n", 1),  # `$` also matches before a trailing newline
+    ("1.", "1."),
+    ("+.5e-3", 0.0005),
+    ("E5", "E5"),
+    ("١٢", 12),
+    ("1_0", "1_0"),
+    (" 1", " 1"),
+])
+def test_cell_typing_edges(text, expected, separator):
+    got = tabular._typed_cell(text, separator)
+    assert (type(got), got) == (type(expected), expected)
+
+
 def test_bom_tolerated(tmp_path):
     path = tmp_path / "bom.csv"
     path.write_bytes(b"\xef\xbb\xbft,U\n0,1\n")

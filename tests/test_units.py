@@ -196,6 +196,22 @@ def test_parse_quantity():
         units.parse_quantity("5")
 
 
+@pytest.mark.parametrize("text, magnitude, unit", [
+    ("1e3m", 1000.0, "m"),
+    ("5mA", 5.0, "mA"),
+    (".5 V", 0.5, "V"),
+])
+def test_parse_quantity_splits_magnitude_from_unit(text, magnitude, unit):
+    q = units.parse_quantity(text)
+    assert (q.magnitude, q.unit) == (magnitude, units.parse_unit(unit))
+
+
+def test_parse_quantity_exponent_needs_digits():
+    # "2em" is 2 of the unit "em", not an exponent
+    with pytest.raises(UnknownUnit):
+        units.parse_quantity("2em")
+
+
 # -------------------------------
 # properties
 # -------------------------------
