@@ -38,7 +38,6 @@ from .errors import (
 )
 from .metadata import (
     META_SUFFIX,
-    MetadataDoc,
     _list_dir,
     _temp_path,
     _walk,
@@ -105,11 +104,10 @@ class TagEvent:
 @dataclass(frozen=True)
 class TemplateSnapshot:
     """A validated template: verbatim text (normalized to end with a
-    newline), its content hash, and the parsed document."""
+    newline) and its content hash."""
 
     text: str
     version: str
-    doc: MetadataDoc
 
 
 def _utc_iso(seconds: float) -> str:
@@ -142,8 +140,7 @@ def load_template(path: str | Path) -> TemplateSnapshot:
     if text and not text.endswith("\n"):
         text += "\n"
     version = hashlib.sha256(text.encode("utf-8")).hexdigest()
-    return TemplateSnapshot(text=text, version=version,
-                            doc=MetadataDoc(root=root))
+    return TemplateSnapshot(text=text, version=version)
 
 
 def path_matches(cfg: WatchConfig, path: str | Path) -> bool:
@@ -241,13 +238,6 @@ def _tag_and_log(path: str, template: TemplateSnapshot, cfg: WatchConfig,
     return event
 
 
-def _scan(cfg: WatchConfig, list_dir=_list_dir) -> list[str]:
-    """Every regular file below the watch dir that the watcher would tag,
-    in no particular order.  Names are judged before any `stat`."""
-    return _walk(str(cfg.watch_dir), lambda path: path_matches(cfg, path),
-                 cfg.recursive, list_dir)
-
-
 class _Scanner:
     """The watcher's view of its tree.  Each directory's listing is kept
     under the directory's (st_ino, st_mtime_ns) and reused while that key
@@ -260,7 +250,9 @@ class _Scanner:
         self.listings: dict[str, tuple] = {}
 
     def scan(self, now: float) -> set[str]:
-        """`_scan` at `now`, a `time.time()` reading taken before it."""
+        """Every regular file below the watch dir that the watcher would
+        tag, at `now`, a `time.time()` reading taken before the scan.
+        Names are judged before any file is stat'ed."""
         now_ns = int(now * 1e9)
         fresh: dict[str, tuple] = {}
 
@@ -277,7 +269,9 @@ class _Scanner:
             fresh[directory] = listing
             return listing[2], listing[3]
 
-        found = set(_scan(self.cfg, list_dir))
+        found = set(_walk(str(self.cfg.watch_dir),
+                          lambda path: path_matches(self.cfg, path),
+                          self.cfg.recursive, list_dir))
         self.listings = fresh
         return found
 
@@ -293,7 +287,7 @@ def backfill(cfg: WatchConfig, event_sink=None) -> list[TagEvent]:
     template = load_template(cfg.template_path)
     logger = _EventLog(cfg.effective_log_path, event_sink)
     events = []
-    for path in sorted(_scan(cfg), key=Path):
+    for path in sorted(_Scanner(cfg).scan(time.time()), key=Path):
         if meta_path_for(path).exists():
             continue
         event = _tag_and_log(path, template, cfg, logger)

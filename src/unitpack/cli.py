@@ -158,11 +158,11 @@ def _cmd_pack(args) -> int:
     if args.loader:
         spec = tabular.load_loader_spec(args.loader)
         table = tabular.apply_loader(csv_path, spec)
-        entry = datapackage.build_entry_from_table(
-            datapackage.identifier_from_path(csv_path), table, doc,
-            args.fields_path)
     else:
-        entry = datapackage.build_entry(csv_path, doc, args.fields_path)
+        table = tabular.read_table(csv_path)
+    entry = datapackage.build_entry_from_table(
+        datapackage.identifier_from_path(csv_path), table, doc,
+        args.fields_path)
     json_path, out_csv = datapackage.save_entry(entry, args.outdir,
                                                 overwrite=args.overwrite)
     print(json_path)

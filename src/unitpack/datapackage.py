@@ -43,9 +43,7 @@ from .errors import (
 from .metadata import MetadataDoc, _temp_path, get_path
 from .tabular import (
     Table,
-    _is_number,
     _numeric_column,
-    _plain_numbers,
     open_table,
     read_table,
     write_table,
@@ -194,12 +192,11 @@ def build_entry_from_table(identifier: str, table: Table,
         item = specs.get(column, {})
         declared_type = item.get("type")
         if declared_type is None:
-            cells = table.column_values(column)
-            declared_type = ("number"
-                             if _plain_numbers(cells)
-                             or all(_is_number(c) for c in cells
-                                    if c is not None)
-                             else "string")
+            try:
+                _numeric_column(column, table.column_values(column))
+                declared_type = "number"
+            except NonNumericCell:
+                declared_type = "string"
         fields.append(FieldSpec(
             name=column,
             type=declared_type,

@@ -17,10 +17,6 @@ class UnitpackError(Exception):
         if code is not None:
             self.code = code
 
-    @property
-    def message(self) -> str:
-        return str(self)
-
 
 # --- units ---------------------------------------------------------------
 

@@ -31,15 +31,16 @@ from .errors import (
     UnitpackError,
 )
 from .metadata import _read_text, parse_yaml
+from .units import _FLOAT, _INT
 
 Cell = None | int | float | str
 
-_NUMBER_RE = re.compile(r"^[+-]?(\d+(\.\d+)?|\.\d+)([eE][+-]?\d+)?$")
-# _NUMBER_RE split by result type, for a column's cells joined by "\n":
-# a float has a ".", "e" or "E"; an int has none of them.
-_FLOAT = r"[+-]?(?:(?:\d+\.\d+|\.\d+)(?:[eE][+-]?\d+)?|\d+[eE][+-]?\d+)"
+# One cell under `.match`; the int group picks `int`.  `$` also matches
+# before a trailing newline, so "1\n" is the int 1.
+_CELL_RE = re.compile(rf"(?:({_INT})|{_FLOAT})$")
+# A column's cells joined by "\n", all floats or all ints.
 _FLOAT_COLUMN_RE = re.compile(rf"{_FLOAT}(?:\n{_FLOAT})*")
-_INT_COLUMN_RE = re.compile(r"[+-]?\d+(?:\n[+-]?\d+)*")
+_INT_COLUMN_RE = re.compile(rf"{_INT}(?:\n{_INT})*")
 # Cells per column match: the regex engine keeps backtracking state for
 # every repetition, about 0.6 KB a cell, so long columns go in chunks.
 _CHUNK_CELLS = 128
@@ -81,11 +82,7 @@ class Table:
     @property
     def rows(self) -> tuple[tuple[Cell, ...], ...]:
         if self._rows is None:
-            try:
-                body = read_table(self._path)
-            except RaggedRow as exc:
-                raise RaggedRow(f"{self._path}: {exc}",
-                                row_index=exc.row_index) from exc
+            body = read_table(self._path)
             if body.columns != self.columns:
                 raise SchemaTableMismatch(
                     f"{self._path}: header changed since it was read: "
@@ -122,17 +119,16 @@ def _typed_cell(text: str, decimal_separator: str = ".") -> Cell:
     candidate = text
     if decimal_separator != ".":
         candidate = text.replace(decimal_separator, ".")
-    if _NUMBER_RE.match(candidate):
-        if "." in candidate or "e" in candidate or "E" in candidate:
-            return float(candidate)
-        return int(candidate)
-    return text
+    match = _CELL_RE.match(candidate)
+    if match is None:
+        return text
+    return int(candidate) if match[1] else float(candidate)
 
 
 def _typed_column(cells, decimal_separator: str = ".") -> list[Cell]:
     """`_typed_cell` of each cell, in one step for a column of all ints or
     all floats.  A cell holding a newline or an empty cell sends the
-    column cell by cell, which keeps the edges of `_NUMBER_RE` (its `$`
+    column cell by cell, which keeps the edges of `_CELL_RE` (its `$`
     also matches before a trailing newline)."""
     numbers = cells
     if decimal_separator != ".":
@@ -209,8 +205,9 @@ def _table_from_csv_rows(raw_rows, decimal_separator: str = ".") -> Table:
 def _csv_source(path: str | Path):
     """`path` open as UTF-8 text (a BOM is allowed); bytes that do not
     decode or a `csv` parser error inside the block are a `CsvParseError`
-    naming the path.  A decoding error's position counts from the start
-    of the decoder's current chunk, not of the file, so it is left out."""
+    naming the path, and a `RaggedRow` gets the path in front.  A decoding
+    error's position counts from the start of the decoder's current
+    chunk, not of the file, so it is left out."""
     try:
         with open(path, "r", encoding="utf-8-sig", newline="") as handle:
             yield handle
@@ -219,6 +216,8 @@ def _csv_source(path: str | Path):
             from exc
     except csv.Error as exc:
         raise CsvParseError(f"{path}: {exc}") from exc
+    except RaggedRow as exc:
+        raise RaggedRow(f"{path}: {exc}", row_index=exc.row_index) from exc
 
 
 def read_table(path: str | Path) -> Table:
@@ -283,8 +282,11 @@ class LoaderSpec:
             raise LoaderSpecError("comment_prefix must be non-empty if set")
 
 
-_LOADER_KEYS = {"delimiter", "decimal_separator", "header_row", "skip_footer",
-                "rename", "comment_prefix"}
+# Each loader spec key and the type of its value.  A null value means
+# the key is absent, so the `LoaderSpec` default applies.
+_LOADER_TYPES = {"delimiter": str, "decimal_separator": str,
+                 "header_row": int, "skip_footer": int, "rename": dict,
+                 "comment_prefix": str}
 
 
 def load_loader_spec(path: str | Path) -> LoaderSpec:
@@ -298,24 +300,20 @@ def load_loader_spec(path: str | Path) -> LoaderSpec:
         raw = {}
     if not isinstance(raw, dict):
         raise LoaderSpecError(f"loader spec {path} must be a map")
-    unknown = set(raw) - _LOADER_KEYS
+    unknown = raw.keys() - _LOADER_TYPES
     if unknown:
         raise LoaderSpecError(
             f"unknown loader spec keys: {', '.join(sorted(unknown))}")
-    if "rename" in raw and raw["rename"] is not None:
-        rename = raw["rename"]
-        if not isinstance(rename, dict) or \
-                not all(isinstance(k, str) and isinstance(v, str)
-                        for k, v in rename.items()):
-            raise LoaderSpecError("rename must map strings to strings")
-    return LoaderSpec(
-        delimiter=raw.get("delimiter", ","),
-        decimal_separator=raw.get("decimal_separator", "."),
-        header_row=int(raw.get("header_row", 0)),
-        skip_footer=int(raw.get("skip_footer", 0)),
-        rename=dict(raw.get("rename") or {}),
-        comment_prefix=raw.get("comment_prefix"),
-    )
+    raw = {key: value for key, value in raw.items() if value is not None}
+    for key, value in raw.items():
+        kind = _LOADER_TYPES[key]
+        if not isinstance(value, kind) or isinstance(value, bool):
+            raise LoaderSpecError(
+                f"{key} must be of type {kind.__name__}, got {value!r}")
+    if not all(isinstance(k, str) and isinstance(v, str)
+               for k, v in raw.get("rename", {}).items()):
+        raise LoaderSpecError("rename must map strings to strings")
+    return LoaderSpec(**raw)
 
 
 def apply_loader(path: str | Path, spec: LoaderSpec) -> Table:

@@ -329,8 +329,11 @@ def apply_factor(value: int | float, factor: Fraction) -> int | float:
     return float(exact)
 
 
-_QUANTITY_RE = re.compile(
-    r"^([+-]?(?:\d+(?:\.\d+)?|\.\d+)(?:[eE][+-]?\d+)?)\s*(.+)$")
+# The magnitude grammar, split by result type: an int has no ".", "e" or
+# "E"; a float has one of them.  Table cells are typed by it too.
+_INT = r"[+-]?\d+"
+_FLOAT = r"[+-]?(?:(?:\d+\.\d+|\.\d+)(?:[eE][+-]?\d+)?|\d+[eE][+-]?\d+)"
+_QUANTITY_RE = re.compile(rf"({_FLOAT}|{_INT})\s*(.+)$")
 
 
 def parse_quantity(text: str) -> Quantity:

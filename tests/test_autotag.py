@@ -256,9 +256,10 @@ def test_scan_stats_only_matching_names(watch_setup, monkeypatch):
         stat_calls.append(os.fspath(path))
         return real_stat(path, *args, **kwargs)
     monkeypatch.setattr(os, "stat", counting_stat)
-    paths = autotag._scan(cfg)
-    # names are judged first, and the listing gives each file's type
-    assert stat_calls == []
+    paths = autotag._Scanner(cfg).scan(time.time())
+    # names are judged first, and the listing gives each file's type; only
+    # the directory is stat'ed, for its cache key
+    assert stat_calls == [str(watch_dir)]
     assert sorted(paths) == sources
 
 

@@ -106,6 +106,29 @@ def test_pack_with_loader(tmp_path, capsys):
     assert fields[0]["unit"] == "mV"
 
 
+def test_pack_ragged_csv_names_the_file(tmp_path, capsys):
+    csv_path, _ = write_demo_fixture(tmp_path)
+    with open(csv_path, "a", encoding="utf-8") as handle:
+        handle.write("9,9\n")
+    loader = tmp_path / "loader.yaml"
+    loader.write_text("header_row: 0\n", encoding="utf-8")
+    for extra in ([], ["--loader", str(loader)]):
+        code, _, err = run(capsys, "pack", str(csv_path), "--outdir",
+                           str(tmp_path / "out"), *extra)
+        assert code == 1
+        assert err.startswith(f"RAGGED_ROW: {csv_path}: row 3 ")
+
+
+def test_pack_mistyped_loader_spec(tmp_path, capsys):
+    csv_path, _ = write_demo_fixture(tmp_path)
+    loader = tmp_path / "loader.yaml"
+    loader.write_text("header_row: abc\n", encoding="utf-8")
+    code, _, err = run(capsys, "pack", str(csv_path), "--loader",
+                       str(loader), "--outdir", str(tmp_path / "out"))
+    assert code == 1
+    assert err.startswith("LOADER_SPEC_INVALID:")
+
+
 # -------------------------------
 # validate
 # -------------------------------

@@ -48,6 +48,7 @@ def test_ragged_row_reports_index(tmp_path):
     with pytest.raises(RaggedRow) as excinfo:
         tabular.read_table(path)
     assert excinfo.value.row_index == 1
+    assert str(excinfo.value).startswith(f"{path}: row 1 ")
 
 
 def test_table_rejects_ragged_row():
@@ -332,6 +333,35 @@ def test_load_loader_spec_file(tmp_path):
     bad.write_text("unknown_key: 1\n", encoding="utf-8")
     with pytest.raises(LoaderSpecError):
         tabular.load_loader_spec(bad)
+
+
+@pytest.mark.parametrize("body", [
+    "header_row: abc", "header_row: 1.7", "header_row: true",
+    "skip_footer: [1]", "delimiter: 5", "comment_prefix: 5",
+    "decimal_separator: false", "rename: [a]", "rename: {a: 1}",
+])
+def test_load_loader_spec_checks_value_types(tmp_path, body):
+    path = tmp_path / "loader.yaml"
+    path.write_text(body + "\n", encoding="utf-8")
+    with pytest.raises(LoaderSpecError):
+        tabular.load_loader_spec(path)
+
+
+def test_load_loader_spec_null_means_default(tmp_path):
+    path = tmp_path / "loader.yaml"
+    path.write_text("".join(f"{key}: null\n" for key in (
+        "delimiter", "decimal_separator", "header_row", "skip_footer",
+        "rename", "comment_prefix")), encoding="utf-8")
+    assert tabular.load_loader_spec(path) == LoaderSpec()
+
+
+def test_loader_ragged_row_names_the_file(tmp_path):
+    path = tmp_path / "ragged.txt"
+    path.write_text("t,U\n0,1\n2\n", encoding="utf-8")
+    with pytest.raises(RaggedRow) as excinfo:
+        tabular.apply_loader(path, LoaderSpec())
+    assert excinfo.value.row_index == 1
+    assert str(excinfo.value).startswith(f"{path}: row 1 ")
 
 
 def test_load_loader_spec_rejects_aliases(tmp_path):
