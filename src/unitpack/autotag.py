@@ -276,14 +276,21 @@ class _Scanner:
         return found
 
 
+def _check_setup(cfg: WatchConfig) -> None:
+    """The watch dir and the template exist, or `WatchSetupError`."""
+    if not cfg.watch_dir.is_dir():
+        raise WatchSetupError(f"watch dir is not a directory: {cfg.watch_dir}")
+    if not cfg.template_path.is_file():
+        raise WatchSetupError(f"template not found: {cfg.template_path}")
+
+
 def backfill(cfg: WatchConfig, event_sink=None) -> list[TagEvent]:
     """Tag every existing matching file that has no meta sibling yet.
 
     Migration companion to the live watcher; already-tagged files are
     skipped silently, so re-running produces zero new events.
     """
-    if not cfg.watch_dir.is_dir():
-        raise WatchSetupError(f"watch dir is not a directory: {cfg.watch_dir}")
+    _check_setup(cfg)
     template = load_template(cfg.template_path)
     logger = _EventLog(cfg.effective_log_path, event_sink)
     events = []
@@ -385,10 +392,7 @@ def watch(cfg: WatchConfig, event_sink=None,
     events and errors go to the JSON-lines log (and `event_sink`).
     Pre-existing files are left to `backfill`.
     """
-    if not cfg.watch_dir.is_dir():
-        raise WatchSetupError(f"watch dir is not a directory: {cfg.watch_dir}")
-    if not cfg.template_path.is_file():
-        raise WatchSetupError(f"template not found: {cfg.template_path}")
+    _check_setup(cfg)
     poller = _Poller(cfg, _EventLog(cfg.effective_log_path, event_sink),
                      _Scanner(cfg), time.time())
     if stop_event is None:

@@ -299,6 +299,9 @@ def load_profile(path: str | Path) -> Profile:
         raise UnitpackError(f"profile {path} must be a map",
                             code="PROFILE_INVALID")
     describe = raw.get("describe") or []
+    if not isinstance(describe, list):
+        raise UnitpackError(f"profile {path}: describe must be a list",
+                            code="PROFILE_INVALID")
     pairs = []
     for item in describe:
         if not isinstance(item, dict) or "label" not in item \

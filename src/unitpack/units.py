@@ -190,6 +190,9 @@ def parse_unit(text: str) -> UnitExpr:
     Results are cached: a `UnitExpr` is immutable, and a failed parse is
     not cached, so it raises again on every call.
     """
+    if text is not None and not isinstance(text, str):
+        raise UnitSyntaxError(
+            f"unit expression must be a string, got {text!r}")
     return _parse_unit(text)
 
 

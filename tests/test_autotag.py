@@ -564,13 +564,14 @@ def test_watch_keeps_running_on_template_breakage(watch_setup):
 def test_watch_setup_errors(tmp_path):
     template = tmp_path / "t.yaml"
     template.write_text("user: x\n", encoding="utf-8")
-    with pytest.raises(WatchSetupError):
-        watch(WatchConfig(watch_dir=tmp_path / "nope",
-                          template_path=template))
     (tmp_path / "d").mkdir()
-    with pytest.raises(WatchSetupError):
-        watch(WatchConfig(watch_dir=tmp_path / "d",
-                          template_path=tmp_path / "missing.yaml"))
+    for run in (watch, backfill):
+        with pytest.raises(WatchSetupError):
+            run(WatchConfig(watch_dir=tmp_path / "nope",
+                            template_path=template))
+        with pytest.raises(WatchSetupError):
+            run(WatchConfig(watch_dir=tmp_path / "d",
+                            template_path=tmp_path / "missing.yaml"))
 
 
 def test_quiescence_waits_for_stable_size(watch_setup):

@@ -119,6 +119,24 @@ def test_pack_ragged_csv_names_the_file(tmp_path, capsys):
         assert err.startswith(f"RAGGED_ROW: {csv_path}: row 3 ")
 
 
+def test_non_string_unit_is_invalid_unit(tmp_path, capsys):
+    csv_path, meta_path = write_demo_fixture(tmp_path)
+    meta_path.write_text("figure description:\n  fields:\n"
+                         "    - name: t\n      unit: 1\n", encoding="utf-8")
+    code, _, err = run(capsys, "pack", str(csv_path), "--outdir",
+                       str(tmp_path / "out"))
+    assert code == 1 and err.startswith("INVALID_UNIT:")
+    (tmp_path / "clean").mkdir()
+    clean = _packed(tmp_path / "clean", capsys)
+    descriptor = json.loads((clean / "data.json").read_text())
+    descriptor["resources"][0]["schema"]["fields"][0]["unit"] = 5
+    (clean / "data.json").write_text(json.dumps(descriptor))
+    code, _, err = run(capsys, "ls", str(clean))
+    assert code == 1 and err.startswith("COLLECTION_LOAD_ERROR:")
+    assert "bad unit 5" in err
+    assert run(capsys, "ls", str(clean), "--skip-errors")[:2] == (0, "")
+
+
 def test_pack_mistyped_loader_spec(tmp_path, capsys):
     csv_path, _ = write_demo_fixture(tmp_path)
     loader = tmp_path / "loader.yaml"
@@ -324,6 +342,12 @@ def test_watch_setup_error_exits_1(tmp_path, capsys):
                        "--template", str(template), "--backfill")
     assert code == 1
     assert err.startswith("WATCH_SETUP_ERROR:")
+    for extra in (["--backfill"], []):
+        code, _, err = run(capsys, "watch", "--dir", str(tmp_path),
+                           "--template", str(tmp_path / "missing.yaml"),
+                           *extra)
+        assert code == 1
+        assert err.startswith("WATCH_SETUP_ERROR: template not found")
 
 
 def test_watch_daemon_tags_then_exits_zero_on_interrupt(tmp_path):

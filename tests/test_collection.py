@@ -2,6 +2,7 @@ import contextlib
 import http.server
 import json
 import shutil
+import tempfile
 import threading
 import zipfile
 
@@ -29,6 +30,7 @@ from unitpack.errors import (
     FetchError,
     MetadataParseError,
     PredicateParseError,
+    UnitpackError,
 )
 
 from conftest import forbid_csv_body, material_entry
@@ -129,6 +131,24 @@ def test_from_archive_ragged_body_is_a_load_error(material_collection,
     assert [entry.table.rows for entry in db] == \
         [entry.table.rows for entry in material_collection
          if entry.identifier != "cv-au-1"]
+
+
+@pytest.mark.parametrize("member", ["../x.json", "/x.json"])
+def test_from_archive_rejects_escaping_member(tmp_path, monkeypatch,
+                                              member):
+    zip_path = tmp_path / "evil.zip"
+    with zipfile.ZipFile(zip_path, "w") as archive:
+        archive.writestr(member, "{}")
+    work = tmp_path / "work"
+    work.mkdir()
+    monkeypatch.setattr(tempfile, "tempdir", str(work))
+    extracted = []
+    monkeypatch.setattr(zipfile.ZipFile, "extractall",
+                        lambda self, *a, **k: extracted.append(a))
+    with pytest.raises(BadArchive, match="escapes"):
+        from_archive(zip_path)
+    assert extracted == []
+    assert sorted(tmp_path.rglob("*")) == [zip_path, work]
 
 
 def test_from_archive_empty_zip(tmp_path):
@@ -394,6 +414,15 @@ def test_load_profile_rejects_malformed_yaml(tmp_path, text):
     path.write_text(text, encoding="utf-8")
     with pytest.raises(MetadataParseError):
         load_profile(path)
+
+
+@pytest.mark.parametrize("describe", ["5", "{label: m, path: x}"])
+def test_profile_describe_must_be_a_list(tmp_path, describe):
+    path = tmp_path / "profile.yaml"
+    path.write_text(f"describe: {describe}\n", encoding="utf-8")
+    with pytest.raises(UnitpackError) as excinfo:
+        load_profile(path)
+    assert excinfo.value.code == "PROFILE_INVALID"
 
 
 def test_undecodable_profile_is_parse_error(tmp_path):

@@ -111,6 +111,12 @@ def test_spec_for_absent_column_rejected(tmp_path):
         build_entry(csv_path, metadata)
 
 
+@pytest.mark.parametrize("unit", [1, ["m"]])
+def test_non_string_unit_in_spec(unit):
+    with pytest.raises(InvalidUnit):
+        FieldSpec(name="t", unit=unit)
+
+
 def test_bad_unit_in_spec(tmp_path):
     csv_path = tmp_path / "data.csv"
     csv_path.write_text("t\n0\n", encoding="utf-8")

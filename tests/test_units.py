@@ -80,10 +80,16 @@ def test_syntax_errors(bad):
         units.parse_unit(bad)
 
 
-@pytest.mark.parametrize("empty", ["", "   ", "\t"])
+@pytest.mark.parametrize("empty", ["", "   ", "\t", None])
 def test_empty_expression(empty):
     with pytest.raises(EmptyExpression):
         units.parse_unit(empty)
+
+
+@pytest.mark.parametrize("bad", [1, 5.0, True, ["m"], {"m": 1}])
+def test_non_string_unit_is_syntax_error(bad):
+    with pytest.raises(UnitSyntaxError):
+        units.parse_unit(bad)
 
 
 def test_parse_is_cached_but_failures_are_not():
