@@ -185,7 +185,8 @@ def _normalize_aliases(text: str) -> str:
 
 
 def parse_unit(text: str) -> UnitExpr:
-    """Parse a unit expression such as ``mV`` or ``kg*m^2/s^3/A``.
+    """Parse a unit expression such as ``mV`` or ``kg*m^2/s^3/A``; a
+    value that is neither a string nor ``None`` is a `UnitSyntaxError`.
 
     Results are cached: a `UnitExpr` is immutable, and a failed parse is
     not cached, so it raises again on every call.
