@@ -1,10 +1,13 @@
+import fnmatch
 import json
 import os
 import pathlib
+import tempfile
 import threading
 import time
 
 import pytest
+import yaml
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -104,6 +107,54 @@ def test_tag_writes_sidecar(watch_setup):
     assert tree["autotag"]["template_hash"] == template.version
 
 
+# Names whose block each emitter must write alike: YAML would read the
+# bare name as another type, an indicator starts it, it needs escapes, or
+# it is long enough to fold (with spaces, or double-quoted).
+SIDECAR_NAMES = [
+    "data.csv", "run 1.csv", " ".join(["long name"] * 12) + ".csv",
+    "true", "1.5", "2020-01-01", "~", "...", "-x.csv", "#a.csv",
+    "a: b.csv", "'q.csv", "\u00e9.csv", "\U0001F600.csv", "nel\x85.csv",
+    "tab\there.csv", "tab\t" + " ".join(["long name"] * 12),
+    os.fsdecode(b"bad\xff.csv"),
+]
+
+
+def _expected_sidecar(template, stamp, name):
+    block = {"autotag": {"tagged": stamp, "file": name,
+                         "template_hash": template.version}}
+    return template.text + yaml.safe_dump(
+        block, sort_keys=False, default_flow_style=False, allow_unicode=True)
+
+
+@pytest.mark.parametrize("name", SIDECAR_NAMES)
+def test_sidecar_is_template_plus_safe_dump_of_block(watch_setup, name):
+    watch_dir, template_path, cfg = watch_setup
+    template = load_template(template_path)
+    event = tag_file(watch_dir / name, template, cfg)
+    assert pathlib.Path(event.meta_path).read_bytes() == \
+        _expected_sidecar(template, event.timestamp, name).encode("utf-8")
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.text(st.one_of(st.characters(blacklist_categories=("Cs",),
+                                       blacklist_characters="/\x00"),
+                         st.sampled_from(["\udc80", "\udcff", "\x85", "\t",
+                                          "\u2028", "\u2029"])),
+               min_size=1, max_size=60))
+def test_sidecar_bytes_for_any_name(name):
+    if name in (".", "..") or \
+            len(os.fsencode(name + autotag.META_SUFFIX)) > 200:
+        return
+    with tempfile.TemporaryDirectory() as tmp:
+        template_path = pathlib.Path(tmp, "t.yaml")
+        template_path.write_text(TEMPLATE, encoding="utf-8")
+        cfg = WatchConfig(watch_dir=tmp, template_path=template_path)
+        template = load_template(template_path)
+        event = tag_file(pathlib.Path(tmp, name), template, cfg)
+        assert pathlib.Path(event.meta_path).read_bytes() == \
+            _expected_sidecar(template, event.timestamp, name).encode("utf-8")
+
+
 def test_tag_never_overwrites(watch_setup):
     watch_dir, template_path, cfg = watch_setup
     source = watch_dir / "data.csv"
@@ -163,6 +214,30 @@ def test_exclude_set_cannot_drop_meta_suffix(watch_setup):
     cfg = WatchConfig(watch_dir=watch_dir, template_path=template_path,
                       include_globs=("*.meta.yaml",), exclude_globs=())
     assert not path_matches(cfg, watch_dir / "data.csv.meta.yaml")
+
+
+_GLOB_TEXT = st.text(alphabet="ab.*?[]!-", max_size=6)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(_GLOB_TEXT, max_size=3), st.lists(_GLOB_TEXT, max_size=3),
+       st.text(alphabet="ab.*?[]!-\n", min_size=1, max_size=8))
+def test_path_matches_equals_fnmatchcase_per_glob(include, exclude, name):
+    cfg = WatchConfig(watch_dir="w", template_path="t.yaml",
+                      include_globs=tuple(include),
+                      exclude_globs=tuple(exclude))
+    expected = name != "t.yaml" and \
+        any(fnmatch.fnmatchcase(name, g) for g in cfg.include_globs) and \
+        not any(fnmatch.fnmatchcase(name, g) for g in cfg.effective_excludes)
+    assert path_matches(cfg, f"w/{name}") is expected
+
+
+def test_empty_include_globs_match_nothing(watch_setup):
+    watch_dir, template_path, _ = watch_setup
+    cfg = WatchConfig(watch_dir=watch_dir, template_path=template_path,
+                      include_globs=())
+    assert not any(path_matches(cfg, watch_dir / name)
+                   for name in ("data.csv", ".hidden", "a b"))
 
 
 def test_template_reserved_key_rejected(tmp_path):
