@@ -20,6 +20,7 @@ import fnmatch
 import hashlib
 import json
 import os
+import re
 import stat
 import threading
 import time
@@ -50,6 +51,11 @@ LOG_NAME = "autotag.log.jsonl"
 # much older than the moment the listing started: a change made after
 # that moment then moves the mtime even where timestamps are 2 s coarse.
 RACY_WINDOW_NS = 2_000_000_000
+# libyaml's emitter where PyYAML has it.  It writes the same bytes as the
+# Python emitter for names of printable ASCII only: it escapes NEL and
+# characters beyond U+FFFF that the Python one writes raw, folds long
+# double-quoted scalars elsewhere, and cannot encode a lone surrogate.
+_FAST_DUMPER = getattr(yaml, "CSafeDumper", yaml.SafeDumper)
 
 
 @dataclass(frozen=True)
@@ -77,6 +83,14 @@ class WatchConfig:
         # template itself are never tagged either.
         extra = (f"*{META_SUFFIX}", f".*{META_SUFFIX}.*.tmp", LOG_NAME)
         return tuple(self.exclude_globs) + extra
+
+    @cached_property
+    def _include_re(self) -> re.Pattern:
+        return _globs_re(self.include_globs)
+
+    @cached_property
+    def _exclude_re(self) -> re.Pattern:
+        return _globs_re(self.effective_excludes)
 
     @property
     def effective_log_path(self) -> Path:
@@ -108,6 +122,14 @@ class TemplateSnapshot:
 
     text: str
     version: str
+
+
+def _globs_re(globs: tuple[str, ...]) -> re.Pattern:
+    """One pattern whose `match` holds where `fnmatch.fnmatchcase` holds
+    for any of `globs`; with no glob, one that matches nothing."""
+    if not globs:
+        return re.compile(r"(?!)")
+    return re.compile("|".join(map(fnmatch.translate, globs)))
 
 
 def _utc_iso(seconds: float) -> str:
@@ -149,9 +171,7 @@ def path_matches(cfg: WatchConfig, path: str | Path) -> bool:
     compared by resolved path, and a path that cannot be resolved (a
     symlink loop) is neither of them."""
     name = os.path.basename(path)
-    if not any(fnmatch.fnmatchcase(name, g) for g in cfg.include_globs):
-        return False
-    if any(fnmatch.fnmatchcase(name, g) for g in cfg.effective_excludes):
+    if not cfg._include_re.match(name) or cfg._exclude_re.match(name):
         return False
     if name not in cfg._own_names:
         return True
@@ -176,10 +196,13 @@ def tag_file(path: str | Path, template: TemplateSnapshot,
     path = Path(path)
     meta_path = meta_path_for(path)
     stamp = _utc_now()
-    block = yaml.safe_dump(
+    dumper = _FAST_DUMPER if path.name.isascii() and path.name.isprintable() \
+        else yaml.SafeDumper
+    block = yaml.dump(
         {RESERVED_KEY: {"tagged": stamp, "file": path.name,
                         "template_hash": template.version}},
-        sort_keys=False, default_flow_style=False, allow_unicode=True)
+        Dumper=dumper, sort_keys=False, default_flow_style=False,
+        allow_unicode=True)
     content = template.text + block
     temp = _temp_path(meta_path)
     try:
@@ -196,7 +219,6 @@ def tag_file(path: str | Path, template: TemplateSnapshot,
 
 def split_meta(meta_text: str) -> tuple[str, dict | None]:
     """Split a tagged meta file back into (template text, autotag map)."""
-    import re
     matches = list(re.finditer(r"(?m)^autotag:$", meta_text))
     if not matches:
         return meta_text, None
@@ -204,6 +226,19 @@ def split_meta(meta_text: str) -> tuple[str, dict | None]:
     block = parse_yaml(meta_text[cut:])
     return meta_text[:cut], block.get(RESERVED_KEY) if isinstance(block, dict) \
         else None
+
+
+def json_line(record: dict) -> str:
+    """`record` as one line of JSON that encodes to UTF-8.  Text is
+    written unescaped, unless a value holds a lone surrogate (an
+    undecodable byte of a file name): then the whole line is ASCII, and
+    `json.loads` turns its escapes back into the same string."""
+    line = json.dumps(record, ensure_ascii=False)
+    try:
+        line.encode("utf-8")
+    except UnicodeEncodeError:
+        return json.dumps(record)
+    return line
 
 
 class _EventLog:
@@ -214,7 +249,7 @@ class _EventLog:
         self.sink = sink
 
     def emit(self, record: dict) -> None:
-        line = json.dumps(record, ensure_ascii=False)
+        line = json_line(record)
         with open(self.path, "a", encoding="utf-8") as handle:
             handle.write(line + "\n")
         if self.sink is not None:

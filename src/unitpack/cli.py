@@ -137,7 +137,7 @@ def _cmd_watch(args) -> int:
     )
 
     def sink(record: dict) -> None:
-        print(json.dumps(record, ensure_ascii=False))
+        print(autotag.json_line(record))
 
     if args.backfill:
         events = autotag.backfill(cfg, event_sink=sink)

@@ -246,6 +246,13 @@ def write_table(table: Table, path: str | Path) -> None:
         writer.writerows(rows)
 
 
+# Each loader spec key and the type of its value.  Only
+# `comment_prefix` may be None, its default.
+_LOADER_TYPES = {"delimiter": str, "decimal_separator": str,
+                 "header_row": int, "skip_footer": int, "rename": dict,
+                 "comment_prefix": str}
+
+
 @dataclass(frozen=True)
 class LoaderSpec:
     """Declarative description of a nonstandard instrument file layout."""
@@ -258,6 +265,16 @@ class LoaderSpec:
     comment_prefix: str | None = None
 
     def __post_init__(self):
+        for key, kind in _LOADER_TYPES.items():
+            value = getattr(self, key)
+            if key == "comment_prefix" and value is None:
+                continue
+            if not isinstance(value, kind) or isinstance(value, bool):
+                raise LoaderSpecError(
+                    f"{key} must be of type {kind.__name__}, got {value!r}")
+        if not all(isinstance(k, str) and isinstance(v, str)
+                   for k, v in self.rename.items()):
+            raise LoaderSpecError("rename must map strings to strings")
         if len(self.delimiter) != 1:
             raise LoaderSpecError(
                 f"delimiter must be a single character, got "
@@ -282,13 +299,6 @@ class LoaderSpec:
             raise LoaderSpecError("comment_prefix must be non-empty if set")
 
 
-# Each loader spec key and the type of its value.  A null value means
-# the key is absent, so the `LoaderSpec` default applies.
-_LOADER_TYPES = {"delimiter": str, "decimal_separator": str,
-                 "header_row": int, "skip_footer": int, "rename": dict,
-                 "comment_prefix": str}
-
-
 def load_loader_spec(path: str | Path) -> LoaderSpec:
     """Read a LoaderSpec from its YAML file format."""
     text = _read_text(path)  # its error names the path already
@@ -304,16 +314,9 @@ def load_loader_spec(path: str | Path) -> LoaderSpec:
     if unknown:
         raise LoaderSpecError(
             f"unknown loader spec keys: {', '.join(sorted(unknown))}")
-    raw = {key: value for key, value in raw.items() if value is not None}
-    for key, value in raw.items():
-        kind = _LOADER_TYPES[key]
-        if not isinstance(value, kind) or isinstance(value, bool):
-            raise LoaderSpecError(
-                f"{key} must be of type {kind.__name__}, got {value!r}")
-    if not all(isinstance(k, str) and isinstance(v, str)
-               for k, v in raw.get("rename", {}).items()):
-        raise LoaderSpecError("rename must map strings to strings")
-    return LoaderSpec(**raw)
+    # A null value means the key is absent, so the default applies.
+    return LoaderSpec(**{key: value for key, value in raw.items()
+                         if value is not None})
 
 
 def apply_loader(path: str | Path, spec: LoaderSpec) -> Table:

@@ -341,7 +341,10 @@ _QUANTITY_RE = re.compile(rf"({_FLOAT}|{_INT})\s*(.+)$")
 
 
 def parse_quantity(text: str) -> Quantity:
-    """Parse a magnitude-with-unit string such as ``5 mA`` or ``0.2 Ohm``."""
+    """Parse a magnitude-with-unit string such as ``5 mA`` or ``0.2 Ohm``;
+    a value that is not a string is a `UnitSyntaxError`."""
+    if not isinstance(text, str):
+        raise UnitSyntaxError(f"quantity must be a string, got {text!r}")
     match = _QUANTITY_RE.match(text.strip())
     if not match:
         raise UnitSyntaxError(f"cannot parse quantity {text!r}")

@@ -1,4 +1,5 @@
 import json
+import os
 import shutil
 import signal
 import subprocess
@@ -333,6 +334,31 @@ def test_watch_backfill(tmp_path, capsys):
     assert (watch_dir / "a.csv.meta.yaml").is_file()
     assert (watch_dir / "b.csv.meta.yaml").is_file()
     # no daemon: the call returned on its own
+
+
+def test_backfill_goes_on_past_a_name_that_is_not_utf8(tmp_path):
+    watch_dir = tmp_path / "incoming"
+    watch_dir.mkdir()
+    names = ["a.csv", os.fsdecode(b"bad\xff.csv"), "\u00e9.csv"]
+    for name in names:
+        (watch_dir / name).write_text("x", encoding="utf-8")
+    template = tmp_path / "template.yaml"
+    template.write_text("user: Max Doe\n", encoding="utf-8")
+    process = subprocess.run(
+        [sys.executable, "-m", "unitpack.cli", "watch", "--dir",
+         str(watch_dir), "--template", str(template), "--backfill"],
+        capture_output=True, timeout=60)
+    assert process.returncode == 0, process.stderr
+    assert b"backfilled 3 file(s)" in process.stderr
+    log = (watch_dir / "autotag.log.jsonl").read_bytes()
+    for output in (process.stdout, log):
+        records = [json.loads(line)
+                   for line in output.decode("utf-8").splitlines()]
+        assert sorted(r["source_path"] for r in records) == \
+            sorted(str(watch_dir / name) for name in names)
+    sidecar = (watch_dir / (names[1] + ".meta.yaml")).read_text("utf-8")
+    assert sidecar.startswith("user: Max Doe\nautotag:\n")
+    assert '\n  file: "bad\\uDCFF.csv"\n' in sidecar
 
 
 def test_watch_setup_error_exits_1(tmp_path, capsys):

@@ -319,6 +319,23 @@ def test_spec_validation():
         LoaderSpec(skip_footer=-1)
 
 
+@pytest.mark.parametrize("kwargs, message", [
+    ({"delimiter": 5}, "delimiter must be of type str, got 5"),
+    ({"decimal_separator": None},
+     "decimal_separator must be of type str, got None"),
+    ({"header_row": "3"}, "header_row must be of type int, got '3'"),
+    ({"skip_footer": True}, "skip_footer must be of type int, got True"),
+    ({"rename": None}, "rename must be of type dict, got None"),
+    ({"rename": {"a": 1}}, "rename must map strings to strings"),
+    ({"comment_prefix": 5}, "comment_prefix must be of type str, got 5"),
+])
+def test_loader_spec_checks_types_before_values(kwargs, message):
+    with pytest.raises(LoaderSpecError) as excinfo:
+        LoaderSpec(**kwargs)
+    assert str(excinfo.value) == message
+    assert excinfo.value.code == "LOADER_SPEC_INVALID"
+
+
 def test_load_loader_spec_file(tmp_path):
     path = tmp_path / "loader.yaml"
     path.write_text(

@@ -212,6 +212,14 @@ def test_parse_quantity_splits_magnitude_from_unit(text, magnitude, unit):
     assert (q.magnitude, q.unit) == (magnitude, units.parse_unit(unit))
 
 
+@pytest.mark.parametrize("value", [5, 1.5, None, ["5 mA"]])
+def test_parse_quantity_rejects_a_non_string(value):
+    with pytest.raises(UnitSyntaxError,
+                       match="quantity must be a string") as excinfo:
+        units.parse_quantity(value)
+    assert excinfo.value.code == "UNIT_SYNTAX"
+
+
 def test_parse_quantity_exponent_needs_digits():
     # "2em" is 2 of the unit "em", not an exponent
     with pytest.raises(UnknownUnit):
