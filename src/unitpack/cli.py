@@ -25,12 +25,6 @@ def _styled(text: str) -> str:
     return f"\033[1m{text}\033[0m"
 
 
-def _fail(code: str, message: str) -> int:
-    one_line = " ".join(str(message).split())
-    print(f"{code}: {one_line}", file=sys.stderr)
-    return 1
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="unitpack",
@@ -152,8 +146,8 @@ def _cmd_pack(args) -> int:
     meta_path = Path(args.meta) if args.meta else \
         autotag.meta_path_for(csv_path)
     if not meta_path.is_file():
-        return _fail("META_NOT_FOUND",
-                     f"metadata file not found: {meta_path}")
+        raise UnitpackError(f"metadata file not found: {meta_path}",
+                            code="META_NOT_FOUND")
     doc = metadata.load_document(meta_path)
     if args.loader:
         spec = tabular.load_loader_spec(args.loader)
@@ -235,8 +229,8 @@ def _cmd_report(args) -> int:
     for item in args.column:
         label, sep, path = item.partition("=")
         if not sep or not label or not path:
-            return _fail("REPORT_CONFIG_INVALID",
-                         f"--column expects LABEL=PATH, got {item!r}")
+            raise UnitpackError(f"--column expects LABEL=PATH, got {item!r}",
+                                code="REPORT_CONFIG_INVALID")
         columns.append((label, path))
     cfg = report.ReportConfig(
         out_dir=Path(args.out), plot_x=args.plot_x, plot_y=args.plot_y,
@@ -264,11 +258,13 @@ def main(argv=None) -> int:
     try:
         return _COMMANDS[args.command](args)
     except UnitpackError as exc:
-        return _fail(exc.code, str(exc))
+        code, message = exc.code, str(exc)
     except OSError as exc:
-        return _fail("IO_ERROR", str(exc))
+        code, message = "IO_ERROR", str(exc)
     except KeyboardInterrupt:
         return 0
+    print(f"{code}: {' '.join(message.split())}", file=sys.stderr)
+    return 1
 
 
 if __name__ == "__main__":

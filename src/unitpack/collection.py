@@ -15,15 +15,14 @@ from .datapackage import Entry, _stays_inside, load_entry
 from .errors import (
     BadArchive,
     CollectionLoadError,
-    DirectoryNotFound,
     DuplicateIdentifier,
     EntryNotFound,
     FetchError,
     PredicateParseError,
     UnitpackError,
 )
-from .metadata import (_read_text, _walk, canonical_scalar, find_path,
-                       is_scalar, parse_yaml)
+from .metadata import (_load_each, _read_text, canonical_scalar,
+                       find_path, is_scalar, parse_yaml)
 from .tabular import _is_number
 
 log = logging.getLogger("unitpack.collection")
@@ -84,24 +83,14 @@ def from_directory(directory: str | Path, skip_errors: bool = False
 def _load_directory(directory: Path, skip_errors: bool, load) -> Collection:
     """`from_directory`, with `load` turning each descriptor path into an
     entry; its `UnitpackError`s are per-file load errors."""
-    if not directory.is_dir():
-        raise DirectoryNotFound(f"not a directory: {directory}")
-    entries: list[Entry] = []
+    loaded, failures = _load_each(directory, ".json", load)
     sources: dict[str, str] = {}
-    failures: list[tuple[str, str]] = []
-    for json_path in sorted(_walk(str(directory),
-                                  lambda path: path.endswith(".json"))):
-        try:
-            entry = load(json_path)
-        except UnitpackError as exc:
-            failures.append((str(json_path), str(exc)))
-            continue
+    for json_path, entry in loaded:
         if entry.identifier in sources:
             raise DuplicateIdentifier(
                 f"identifier {entry.identifier!r} produced by both "
                 f"{sources[entry.identifier]} and {json_path}")
         sources[entry.identifier] = json_path
-        entries.append(entry)
     if failures:
         if not skip_errors:
             details = "; ".join(f"{p}: {m}" for p, m in failures)
@@ -110,7 +99,7 @@ def _load_directory(directory: Path, skip_errors: bool, load) -> Collection:
                 failures=failures)
         for path, message in failures:
             log.warning("skipping %s: %s", path, message)
-    return Collection(entries=tuple(entries))
+    return Collection(entries=tuple(entry for _, entry in loaded))
 
 
 def _fetch_to_file(url: str, target: Path) -> None:

@@ -104,6 +104,11 @@ def validate_identifier(identifier: str) -> str:
     if "/" in identifier or "\\" in identifier:
         raise InvalidIdentifier(
             f"identifier must not contain path separators: {identifier!r}")
+    try:
+        identifier.encode("utf-8")
+    except UnicodeEncodeError:  # a lone surrogate, as from a non-UTF-8 name
+        raise InvalidIdentifier(
+            f"identifier must be valid UTF-8 text: {identifier!r}") from None
     return identifier
 
 
@@ -285,9 +290,11 @@ def load_entry(json_path: str | Path) -> Entry:
     json_path = Path(json_path)
     if not json_path.is_file():
         raise DescriptorParseError(f"no such descriptor: {json_path}")
+    # A decoding error or an int of over 4300 digits is a `ValueError`,
+    # and a deep nesting a `RecursionError`.
     try:
         descriptor = json.loads(json_path.read_text(encoding="utf-8-sig"))
-    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+    except (ValueError, RecursionError) as exc:
         raise DescriptorParseError(
             f"bad JSON in {json_path}: {exc}") from exc
 

@@ -40,6 +40,10 @@ class DivisionByZero(UnitpackError):
     code = "DIVISION_BY_ZERO"
 
 
+class OutOfRange(UnitpackError):
+    code = "OUT_OF_RANGE"
+
+
 # --- metadata ------------------------------------------------------------
 
 class MetadataParseError(UnitpackError):

@@ -25,6 +25,7 @@ from .errors import (
     PathNotFound,
     SchemaMalformed,
     SchemaUnsupportedKeyword,
+    UnitpackError,
     UnsupportedExtension,
 )
 
@@ -96,29 +97,30 @@ def _json_pairs_hook(pairs):
     return mapping
 
 
+# Beside the parsers' own errors, both raise `ValueError` for an integer
+# of more than 4300 digits (`int`'s limit) and `RecursionError` for a
+# document nested too deeply; each is a `MetadataParseError` too.
 def parse_yaml(text: str) -> Node:
     try:
         return yaml.load(text, Loader=_StrictYamlLoader)
-    except (DuplicateKey, MetadataParseError):
-        raise
     except yaml.MarkedYAMLError as exc:
         mark = exc.problem_mark
         raise MetadataParseError(
             str(exc.problem or exc),
             line=None if mark is None else mark.line + 1,
             column=None if mark is None else mark.column + 1) from exc
-    except yaml.YAMLError as exc:
+    except (yaml.YAMLError, ValueError, RecursionError) as exc:
         raise MetadataParseError(str(exc)) from exc
 
 
 def parse_json(text: str) -> Node:
     try:
         return json.loads(text, object_pairs_hook=_json_pairs_hook)
-    except DuplicateKey:
-        raise
     except json.JSONDecodeError as exc:
         raise MetadataParseError(exc.msg, line=exc.lineno,
                                  column=exc.colno) from exc
+    except (ValueError, RecursionError) as exc:
+        raise MetadataParseError(str(exc)) from exc
 
 
 def _read_text(path: str | Path) -> str:
@@ -387,6 +389,25 @@ def _walk(top: str, accept, recursive: bool = True,
     return found
 
 
+def _load_each(directory: str | Path, suffix: str, load
+               ) -> tuple[list[tuple[str, object]], list[tuple[str, str]]]:
+    """`load` of each regular file below `directory` whose name ends in
+    `suffix`, in path order, as ``(path, loaded)`` pairs, and each file
+    whose `load` raised a `UnitpackError` as a ``(path, "CODE: message")``
+    pair."""
+    directory = Path(directory)
+    if not directory.is_dir():
+        raise DirectoryNotFound(f"not a directory: {directory}")
+    loaded, failures = [], []
+    for path in sorted(_walk(str(directory),
+                             lambda path: path.endswith(suffix))):
+        try:
+            loaded.append((path, load(path)))
+        except UnitpackError as exc:
+            failures.append((path, f"{exc.code}: {exc}"))
+    return loaded, failures
+
+
 @dataclass(frozen=True)
 class ScanResult:
     documents: list[tuple[Path, MetadataDoc]]
@@ -396,22 +417,14 @@ class ScanResult:
 def scan_metadata_directory(directory: str | Path) -> ScanResult:
     """Collect and parse every ``*.meta.yaml`` below a directory.
 
-    Parse failures are reported per file and skipped; the result is
-    sorted by path regardless of file-system enumeration order.
+    Parse failures are reported per file as ``CODE: message`` and
+    skipped; the result is sorted by path regardless of file-system
+    enumeration order.
     """
-    directory = Path(directory)
-    if not directory.is_dir():
-        raise DirectoryNotFound(f"not a directory: {directory}")
-    documents: list[tuple[Path, MetadataDoc]] = []
-    failures: list[tuple[Path, str]] = []
-    for name in sorted(_walk(str(directory),
-                             lambda path: path.endswith(META_SUFFIX))):
-        path = Path(name)
-        try:
-            documents.append((path, load_document(path)))
-        except (MetadataParseError, DuplicateKey, UnsupportedExtension) as exc:
-            failures.append((path, str(exc)))
-    return ScanResult(documents=documents, failures=failures)
+    documents, failures = _load_each(directory, META_SUFFIX, load_document)
+    return ScanResult(
+        documents=[(Path(path), doc) for path, doc in documents],
+        failures=[(Path(path), message) for path, message in failures])
 
 
 def filter_metadata(docs: list[tuple[Path, MetadataDoc]], path: str,

@@ -3,15 +3,20 @@
 Cells are typed on read: a cell is numeric iff it matches an optional
 sign, decimal digits with an optional fractional part and an optional
 exponent.  Sentinels like ``NaN`` or ``inf`` stay strings so they cannot
-silently poison statistics.  Empty cells become null.  Typing goes a
-column at a time: a column whose cells are all ints, or all floats, is
-recognised and converted in one step, and any other column is typed cell
-by cell; either way each cell gets the type the per-cell rule gives it.
+silently poison statistics.  So does a numeric cell whose number does
+not fit: a float that overflows (``1e999``, ``-1e400``), which would
+otherwise be written back as ``inf``, and an int of more than 4300
+digits, which ``int`` refuses to read from text.  Empty cells become
+null.  Typing goes a column at a time: a column whose cells are all
+ints, or all floats, is recognised and converted in one step, and any
+other column is typed cell by cell; either way each cell gets the type
+the per-cell rule gives it.
 """
 
 from __future__ import annotations
 
 import csv
+import math
 import re
 from contextlib import contextmanager
 from dataclasses import dataclass, field
@@ -122,14 +127,21 @@ def _typed_cell(text: str, decimal_separator: str = ".") -> Cell:
     match = _CELL_RE.match(candidate)
     if match is None:
         return text
-    return int(candidate) if match[1] else float(candidate)
+    if match[1]:
+        try:
+            return int(candidate)
+        except ValueError:  # more digits than `int` reads
+            return text
+    number = float(candidate)
+    return number if math.isfinite(number) else text
 
 
 def _typed_column(cells, decimal_separator: str = ".") -> list[Cell]:
     """`_typed_cell` of each cell, in one step for a column of all ints or
     all floats.  A cell holding a newline or an empty cell sends the
     column cell by cell, which keeps the edges of `_CELL_RE` (its `$`
-    also matches before a trailing newline)."""
+    also matches before a trailing newline), and so does a cell whose
+    number does not fit."""
     numbers = cells
     if decimal_separator != ".":
         numbers = [cell.replace(decimal_separator, ".") for cell in cells]
@@ -137,10 +149,18 @@ def _typed_column(cells, decimal_separator: str = ".") -> list[Cell]:
               for i in range(0, len(numbers), _CHUNK_CELLS)]
     if sum(chunk.count("\n") for chunk in chunks) == \
             len(cells) - len(chunks):  # no cell holds a newline
-        for pattern, convert in ((_FLOAT_COLUMN_RE, float),
-                                 (_INT_COLUMN_RE, int)):
-            if all(map(pattern.fullmatch, chunks)):
-                return list(map(convert, numbers))
+        if all(map(_FLOAT_COLUMN_RE.fullmatch, chunks)):
+            floats = list(map(float, numbers))
+            # A finite sum means no cell overflowed; any other sum (an
+            # overflow, or finite cells summing past the float range)
+            # leaves it to the per-cell rule.
+            if math.isfinite(sum(floats)):
+                return floats
+        elif all(map(_INT_COLUMN_RE.fullmatch, chunks)):
+            try:
+                return list(map(int, numbers))
+            except ValueError:  # a cell has more digits than `int` reads
+                pass
     return [_typed_cell(cell, decimal_separator) for cell in cells]
 
 

@@ -29,6 +29,7 @@ from .errors import (
     DimensionMismatch,
     DivisionByZero,
     EmptyExpression,
+    OutOfRange,
     UnitSyntaxError,
     UnknownUnit,
 )
@@ -116,6 +117,9 @@ _PREFIXES: dict[str, Fraction] = {
 _PREFIXES_BY_LENGTH = sorted(_PREFIXES, key=len, reverse=True)
 
 _EXPONENT_RE = re.compile(r"^[+-]?\d+$")
+# The largest magnitude of an exponent, written or merged: `m^99` parses
+# and `m^100` or `m^99*m` does not, so every canonical text parses again.
+MAX_EXPONENT = 99
 
 
 @dataclass(frozen=True)
@@ -205,36 +209,39 @@ def _parse_unit(text: str) -> UnitExpr:
         raise EmptyExpression("empty unit expression")
     source = _normalize_aliases(text.strip())
 
-    # Split into factors with signs: '*' keeps sign, '/' flips it for the
-    # single following factor.
+    # The split alternates factor text and operator; '/' negates the
+    # exponent of the single factor that follows it.
     pieces = re.split(r"([*/])", source)
     factors: list[tuple[str, int]] = []
-    scale = Fraction(1)
-    dims = DIMENSIONLESS
-    sign = 1
-    expect_factor = True
-    for piece in pieces:
+    for operator, piece in zip(("*", *pieces[1::2]), pieces[::2]):
         piece = piece.strip()
-        if piece in ("*", "/"):
-            if expect_factor:
-                raise UnitSyntaxError(
-                    f"misplaced {piece!r} in unit expression {text!r}")
-            sign = -1 if piece == "/" else 1
-            expect_factor = True
-            continue
         if not piece:
             raise UnitSyntaxError(f"empty factor in unit expression {text!r}")
         symbol, exponent = _split_factor(piece, text)
-        factor_scale, factor_dims = _resolve_symbol(symbol)
-        exponent *= sign
-        scale *= factor_scale ** exponent
-        dims = dims + factor_dims * exponent
+        _resolve_symbol(symbol)  # an unknown symbol fails in written order
+        if operator == "/":
+            exponent = -exponent
         if symbol != "1":
             factors.append((symbol, exponent))
-        expect_factor = False
-    if expect_factor:
-        raise UnitSyntaxError(f"dangling operator in unit expression {text!r}")
-    return UnitExpr(scale=scale, dims=dims, factors=_merge_factors(factors))
+    # Powers are taken of the merged exponents, one per distinct symbol,
+    # each bounded, so no exponent in the text sizes the work.
+    merged = _merge_factors(factors)
+    scale = Fraction(1)
+    dims = DIMENSIONLESS
+    for symbol, exponent in merged:
+        if abs(exponent) > MAX_EXPONENT:
+            raise _exponent_out_of_range(text)
+        factor_scale, factor_dims = _resolve_symbol(symbol)
+        scale *= factor_scale ** exponent
+        dims = dims + factor_dims * exponent
+    return UnitExpr(scale=scale, dims=dims, factors=merged)
+
+
+def _exponent_out_of_range(source: str) -> UnitSyntaxError:
+    return UnitSyntaxError(
+        f"exponent out of range in unit expression {source!r}: each "
+        f"exponent, written or after like symbols merge, is at most "
+        f"{MAX_EXPONENT} in magnitude")
 
 
 def _split_factor(piece: str, source: str) -> tuple[str, int]:
@@ -244,6 +251,10 @@ def _split_factor(piece: str, source: str) -> tuple[str, int]:
         exp_text = exp_text.strip()
         if not symbol or not _EXPONENT_RE.match(exp_text):
             raise UnitSyntaxError(f"malformed factor {piece!r} in {source!r}")
+        # More significant digits than 99 has is exactly |n| > 99, and
+        # counting them keeps `int` (which refuses 4300) off a long text.
+        if len(exp_text.lstrip("+-0")) > len(str(MAX_EXPONENT)):
+            raise _exponent_out_of_range(source)
         return symbol, int(exp_text)
     return piece, 1
 
@@ -320,17 +331,23 @@ def apply_factor(value: int | float, factor: Fraction) -> int | float:
     Floats are lifted to the exact rational behind their shortest
     decimal rendering, multiplied exactly, and rounded once, so 1.05 mV
     lands on 0.00105 V rather than one ulp off.  Integer values stay
-    integers when the result is integral.
+    integers when the result is integral.  A result beyond the float
+    range is an `OutOfRange`; an infinite or NaN value stays as it is,
+    since every factor is positive.
     """
     if isinstance(value, float):
         if not math.isfinite(value):
-            return value * factor.numerator / factor.denominator
+            return value
         exact = Fraction(Decimal(repr(value))) * factor
+    else:
+        exact = value * factor
+        if exact.denominator == 1:
+            return int(exact)
+    try:
         return float(exact)
-    exact = value * factor
-    if exact.denominator == 1:
-        return int(exact)
-    return float(exact)
+    except OverflowError:
+        raise OutOfRange(f"{value!r} times {factor} is beyond the float "
+                         f"range") from None
 
 
 # The magnitude grammar, split by result type: an int has no ".", "e" or

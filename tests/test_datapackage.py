@@ -509,3 +509,21 @@ def test_entry_rejects_bad_identifier():
     with pytest.raises(InvalidIdentifier):
         Entry(identifier="Has.Dot", fields=(FieldSpec(name="a"),),
               table=table, metadata=MetadataDoc(root={}))
+
+
+def test_identifier_must_be_valid_utf8():
+    with pytest.raises(InvalidIdentifier, match="valid UTF-8"):
+        identifier_from_path("bad\udcff.csv")
+
+
+def test_overflowing_cells_stay_text_through_pack_and_load(tmp_path):
+    csv_path = tmp_path / "big.csv"
+    csv_path.write_text("t,U\n0,1e999\n1,-1e400\n2,1.5\n", encoding="utf-8")
+    metadata = MetadataDoc(root={"figure_description": {"fields": [
+        {"name": "U", "unit": "mV"}]}})
+    entry = build_entry(csv_path, metadata)
+    assert entry.table.column_values("U") == ("1e999", "-1e400", 1.5)
+    json_path, _ = save_entry(entry, tmp_path / "out")
+    assert load_entry(json_path).table == entry.table
+    with pytest.raises(NonNumericCell, match="'1e999'"):
+        field_quantity(entry, "U")

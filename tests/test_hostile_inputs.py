@@ -1,0 +1,317 @@
+"""Hostile inputs through the whole command line, in process.
+
+Each case writes outside input into a fresh directory: a descriptor, a
+CSV, a sidecar, a loader spec, a profile, a unit string, a file name or
+a value at the edge of the float range.  It then runs one `unitpack`
+command over it.  Whatever the input, the command ends with exit 0, 1 or
+2, prints at most one ``CODE:`` line on stderr and lets no exception out
+of `cli.main`.
+"""
+
+import io
+import json
+import re
+import sys
+
+import pytest
+
+from unitpack import cli
+
+from conftest import DEMO_CSV, DEMO_META
+
+CODE_LINE = re.compile(r"^[A-Z][A-Z_]*: ", re.MULTILINE)
+HUGE_EXPONENT = "m^" + "9" * 5000
+LONG_INT = "1" * 5000  # more digits than `int` converts from text
+DEEP = "[" * 100_000 + "]" * 100_000
+
+
+def descriptor(name="data", path="data.csv", u_unit="mV", **resource):
+    """A one-resource descriptor over the demo columns, with `resource`
+    keys overriding the defaults."""
+    fields = [{"name": "t", "type": "number", "unit": "s"},
+              {"name": "U", "type": "number", "unit": u_unit},
+              {"name": "T", "type": "number", "unit": "K"}]
+    return json.dumps({"resources": [{
+        "name": name, "path": path, "schema": {"fields": fields},
+        "metadata": {"user": "Max Doe"}, **resource}]})
+
+
+def sidecar(u_unit="mV"):
+    return DEMO_META.replace("unit: mV", f"unit: {u_unit}")
+
+
+def run(tmp_path, monkeypatch, files, argv):
+    """Write `files` (relative name to text or bytes) under `tmp_path` and
+    run `argv` there, with stdout and stderr encoded as the interpreter's
+    own: UTF-8, strict on stdout and backslash-escaped on stderr.  Checks
+    the promise above and gives back the exit code, stdout and stderr."""
+    for name, content in files.items():
+        path = tmp_path / name
+        path.parent.mkdir(parents=True, exist_ok=True)
+        if isinstance(content, bytes):
+            path.write_bytes(content)
+        else:
+            path.write_text(content, encoding="utf-8")
+    monkeypatch.chdir(tmp_path)
+    out = io.TextIOWrapper(io.BytesIO(), encoding="utf-8",
+                           write_through=True)
+    err = io.TextIOWrapper(io.BytesIO(), encoding="utf-8",
+                           errors="backslashreplace", write_through=True)
+    monkeypatch.setattr(sys, "stdout", out)
+    monkeypatch.setattr(sys, "stderr", err)
+    try:
+        code = cli.main(argv)
+    except SystemExit as exc:  # argparse's usage errors
+        code = exc.code
+    finally:
+        monkeypatch.undo()
+    stdout = out.buffer.getvalue().decode("utf-8")
+    stderr = err.buffer.getvalue().decode("utf-8")
+    assert code in (0, 1, 2), stderr
+    assert len(CODE_LINE.findall(stderr)) <= 1, stderr
+    assert "Traceback" not in stderr, stderr
+    return code, stdout, stderr
+
+
+DESCRIPTORS = {
+    "empty": "",
+    "truncated": '{"resources": [',
+    "not-utf8": b'{"resources": "\xff"}',
+    "not-a-map": "[]",
+    "resource-not-a-map": '{"resources": [1]}',
+    "no-schema": json.dumps({"resources": [{"name": "data",
+                                            "path": "data.csv",
+                                            "metadata": {}}]}),
+    "fields-not-a-list": descriptor(schema={"fields": {}}),
+    "field-not-a-map": descriptor(schema={"fields": [1]}),
+    "field-type-unknown": descriptor(schema={"fields": [
+        {"name": "t", "type": "date"}, {"name": "U"}, {"name": "T"}]}),
+    "columns-mismatch": descriptor(schema={"fields": [{"name": "t"}]}),
+    "name-not-text": descriptor(name=5),
+    "name-uppercase": descriptor(name="Data"),
+    "name-lone-surrogate": descriptor(name="bad\udcff"),
+    "path-escapes": descriptor(path="../data.csv"),
+    "path-absolute": descriptor(path="/data.csv"),
+    "path-not-text": descriptor(path=5),
+    "csv-missing": descriptor(path="none.csv"),
+    "unit-not-text": descriptor(u_unit=5),
+    "unit-unknown": descriptor(u_unit="furlong"),
+    "unit-empty-factor": descriptor(u_unit="m**2"),
+    "unit-exponent-100": descriptor(u_unit="km^100"),
+    "unit-merged-exponent-100": descriptor(u_unit="m^99*m"),
+    "unit-exponent-5000-digits": descriptor(u_unit=HUGE_EXPONENT),
+    # Spliced in as text: `json.dumps` cannot nest this deep.
+    "metadata-nested-deeply": descriptor(metadata=0).replace(
+        '"metadata": 0', f'"metadata": {DEEP}'),
+    "metadata-long-int": descriptor(metadata=0).replace(
+        '"metadata": 0', f'"metadata": {LONG_INT}'),
+}
+
+
+@pytest.mark.parametrize("argv", [["ls", "coll"],
+                                  ["ls", "coll", "--skip-errors"],
+                                  ["show", "coll", "data"],
+                                  ["describe", "coll"]],
+                         ids=" ".join)
+@pytest.mark.parametrize("name", sorted(DESCRIPTORS))
+def test_hostile_descriptor(tmp_path, monkeypatch, name, argv):
+    run(tmp_path, monkeypatch, {"coll/data.json": DESCRIPTORS[name],
+                                "coll/data.csv": DEMO_CSV}, argv)
+
+
+CSVS = {
+    "empty": "",
+    "header-only": "t,U,T\n",
+    "ragged": DEMO_CSV + "9,9\n",
+    "not-utf8": b"t,U,T\n0,1.01,\xff\n",
+    "duplicate-columns": "t,U,U\n0,1,2\n",
+    "nul-byte": "t,U,T\n0,1\x00,275\n",
+    "unclosed-quote": 't,U,T\n0,"1.01,275\n',
+    "field-over-csv-limit": "t,U,T\n0," + "x" * 200_000 + ",275\n",
+    "float-overflow": "t,U,T\n0,1e999,275\n1,-1e400,275\n",
+    "long-int": f"t,U,T\n0,{LONG_INT},275\n",
+    "subnormal": "t,U,T\n0,5e-324,275\n",
+    "column-without-spec": "t,U,T,X\n0,1,275,1\n",
+}
+
+
+@pytest.mark.parametrize("name", sorted(CSVS))
+def test_hostile_csv_in_pack(tmp_path, monkeypatch, name):
+    run(tmp_path, monkeypatch,
+        {"data.csv": CSVS[name], "data.csv.meta.yaml": DEMO_META},
+        ["pack", "data.csv", "--outdir", "out"])
+
+
+@pytest.mark.parametrize("name", sorted(CSVS))
+def test_hostile_csv_in_rescale(tmp_path, monkeypatch, name):
+    run(tmp_path, monkeypatch,
+        {"coll/data.json": descriptor(), "coll/data.csv": CSVS[name]},
+        ["rescale", "coll", "data", "--field", "U", "--unit", "V",
+         "--outdir", "out"])
+
+
+SIDECARS = {
+    "empty": "",
+    "not-a-map": "- 1\n",
+    "unclosed-flow": "a: [\n",
+    "alias": "a: &x 1\nb: *x\n",
+    "duplicate-key": "a: 1\na: 2\n",
+    "non-string-key": "1: a\n",
+    "not-utf8": b"a: \xff\n",
+    "no-fields": "user: x\n",
+    "fields-not-a-list": "figure description:\n  fields: 1\n",
+    "field-without-name": "figure description:\n  fields:\n    - unit: s\n",
+    "field-unknown-column": "figure description:\n  fields:\n"
+                            "    - name: X\n",
+    "unit-not-text": sidecar("1"),
+    "unit-exponent-100": sidecar("km^100"),
+    "unit-exponent-5000-digits": sidecar(HUGE_EXPONENT),
+    "nested-deeply": DEEP,
+    "long-int": f"n: {LONG_INT}\n",
+}
+
+
+@pytest.mark.parametrize("name", sorted(SIDECARS))
+def test_hostile_sidecar(tmp_path, monkeypatch, name):
+    run(tmp_path, monkeypatch,
+        {"data.csv": DEMO_CSV, "data.csv.meta.yaml": SIDECARS[name]},
+        ["pack", "data.csv", "--outdir", "out"])
+
+
+LOADER_SPECS = {
+    "not-a-map": "- 1\n",
+    "unknown-key": "sheet: 1\n",
+    "delimiter-not-text": "delimiter: 5\n",
+    "header-row-beyond-file": "header_row: 99\n",
+    "header-row-long-int": f"header_row: {LONG_INT}\n",
+    "rename-source-missing": "rename: {X: Y}\n",
+}
+
+
+@pytest.mark.parametrize("name", sorted(LOADER_SPECS))
+def test_hostile_loader_spec(tmp_path, monkeypatch, name):
+    run(tmp_path, monkeypatch,
+        {"data.csv": DEMO_CSV, "data.csv.meta.yaml": DEMO_META,
+         "loader.yaml": LOADER_SPECS[name]},
+        ["pack", "data.csv", "--loader", "loader.yaml", "--outdir", "out"])
+
+
+PROFILES = {
+    "not-a-map": "- 1\n",
+    "describe-not-a-list": "describe: 1\n",
+    "item-without-path": "describe:\n  - label: x\n",
+    "nested-deeply": DEEP,
+}
+
+
+@pytest.mark.parametrize("name", sorted(PROFILES))
+def test_hostile_profile(tmp_path, monkeypatch, name):
+    run(tmp_path, monkeypatch,
+        {"coll/data.json": descriptor(), "coll/data.csv": DEMO_CSV,
+         "profile.yaml": PROFILES[name]},
+        ["describe", "coll", "--profile", "profile.yaml"])
+
+
+UNITS = ["", "*m", "m*", "m**2", "m* *s", "m^", "m^1.5", "km^100",
+         "m^99*m", "m^-99/m", HUGE_EXPONENT, "µV", "ΩA", "1", "V/0"]
+
+
+@pytest.mark.parametrize("unit", UNITS, ids=lambda unit: unit[:12])
+def test_hostile_target_unit(tmp_path, monkeypatch, unit):
+    run(tmp_path, monkeypatch,
+        {"coll/data.json": descriptor(), "coll/data.csv": DEMO_CSV},
+        ["rescale", "coll", "data", "--field", "U", "--unit", unit,
+         "--outdir", "out"])
+
+
+CLAUSES = ["user ==", "'user == x", "user ~ x", f"user == {LONG_INT}",
+           f"x.{LONG_INT} == 1", "user contains 1e999"]
+
+
+@pytest.mark.parametrize("clause", CLAUSES, ids=lambda text: text[:16])
+def test_hostile_filter(tmp_path, monkeypatch, clause):
+    run(tmp_path, monkeypatch,
+        {"coll/data.json": descriptor(), "coll/data.csv": DEMO_CSV},
+        ["ls", "coll", "--filter", clause])
+
+
+FILE_NAMES = ["bad\udcff.csv", ".csv", "x.tar.csv", "UPPER.csv",
+              "space name.csv"]
+
+
+@pytest.mark.parametrize("name", FILE_NAMES)
+@pytest.mark.parametrize("with_sidecar", [True, False])
+def test_hostile_file_name(tmp_path, monkeypatch, name, with_sidecar):
+    files = {name: DEMO_CSV}
+    if with_sidecar:
+        files[name + ".meta.yaml"] = DEMO_META
+    run(tmp_path, monkeypatch, files, ["pack", name, "--outdir", "out"])
+
+
+# Cells at the edge of the float range, rescaled: (unit, cell, target).
+RESCALES = {
+    "1e305-km-to-mm": ("km", "1e305", "mm"),
+    "max-float-m-to-mm": ("m", "1.7976931348623157e308", "mm"),
+    "subnormal-mV-to-V": ("mV", "5e-324", "V"),
+    "long-int-mm-to-m": ("mm", "1" + "0" * 399 + "1", "m"),
+    "max-exponent-ym-to-Ym": ("ym^99", "1e-300", "Ym^99"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(RESCALES))
+def test_rescale_at_the_float_edge(tmp_path, monkeypatch, name):
+    unit, cell, target = RESCALES[name]
+    run(tmp_path, monkeypatch,
+        {"coll/data.json": descriptor(u_unit=unit),
+         "coll/data.csv": f"t,U,T\n0,{cell},275\n"},
+        ["rescale", "coll", "data", "--field", "U", "--unit", target,
+         "--outdir", "out"])
+
+
+@pytest.mark.parametrize("argv", [["rescale", "coll", "data"],
+                                  ["ls"], ["frobnicate"],
+                                  ["watch", "--dir", "coll",
+                                   "--template", "missing.yaml",
+                                   "--quiescence-ms", "x"]],
+                         ids=" ".join)
+def test_usage_errors_exit_2(tmp_path, monkeypatch, argv):
+    assert run(tmp_path, monkeypatch, {}, argv)[0] == 2
+
+
+# --- one test per fixed input ------------------------------------------------
+
+def test_skip_errors_skips_a_5000_digit_exponent(tmp_path, monkeypatch,
+                                                  caplog):
+    with caplog.at_level("WARNING", logger="unitpack.collection"):
+        code, out, err = run(
+            tmp_path, monkeypatch,
+            {"coll/data.json": descriptor(u_unit=HUGE_EXPONENT),
+             "coll/data.csv": DEMO_CSV},
+            ["ls", "coll", "--skip-errors"])
+    assert (code, out) == (0, "")
+    assert "skipping coll/data.json: INVALID_UNIT: " in caplog.text
+
+
+def test_pack_of_a_non_utf8_name_is_invalid_identifier(tmp_path,
+                                                       monkeypatch):
+    name = "bad\udcff.csv"  # the file name b"bad\xff.csv"
+    code, out, err = run(tmp_path, monkeypatch,
+                         {name: DEMO_CSV, name + ".meta.yaml": DEMO_META},
+                         ["pack", name, "--outdir", "out"])
+    assert (code, out) == (1, "")
+    assert err.startswith("INVALID_IDENTIFIER: ")
+    assert len(err.splitlines()) == 1
+    assert not (tmp_path / "out").exists()
+
+
+def test_rescale_beyond_the_float_range_is_out_of_range(tmp_path,
+                                                        monkeypatch):
+    code, out, err = run(tmp_path, monkeypatch,
+                         {"coll/data.json": descriptor(u_unit="km"),
+                          "coll/data.csv": "t,U,T\n0,1e305,275\n"},
+                         ["rescale", "coll", "data", "--field", "U",
+                          "--unit", "mm", "--outdir", "out"])
+    assert (code, out) == (1, "")
+    assert err.startswith("OUT_OF_RANGE: ")
+    assert len(err.splitlines()) == 1
+    assert not (tmp_path / "out").exists()

@@ -333,3 +333,23 @@ def test_json_roundtrip(tree):
     doc = metadata.MetadataDoc(root=tree)
     again = metadata.parse_json(doc.to_json())
     assert again == tree
+
+
+def test_scan_failures_name_their_code(tmp_path):
+    (tmp_path / "dup.csv.meta.yaml").write_text("a: 1\na: 2\n",
+                                                encoding="utf-8")
+    (tmp_path / "deep.csv.meta.yaml").write_text("[" * 100_000,
+                                                 encoding="utf-8")
+    result = metadata.scan_metadata_directory(tmp_path)
+    assert [(path.name, message.split(":")[0])
+            for path, message in result.failures] == \
+        [("deep.csv.meta.yaml", "PARSE_ERROR"),
+         ("dup.csv.meta.yaml", "DUPLICATE_KEY")]
+
+
+@pytest.mark.parametrize("text", ["[" * 100_000, "1" * 5000],
+                         ids=["nested-deeply", "long-int"])
+@pytest.mark.parametrize("parse", [metadata.parse_yaml, metadata.parse_json])
+def test_deep_or_long_number_documents_are_parse_errors(parse, text):
+    with pytest.raises(MetadataParseError):
+        parse(text)

@@ -479,6 +479,12 @@ def test_column_typing_equals_cell_typing(cells, separator):
      [i + 0.5 for i in range(299)] + ["1."]),
     (["1"] * 200 + ["1\n2"] + ["3"] * 50, ".",
      [1] * 200 + ["1\n2"] + [3] * 50),
+    # a number that does not fit stays its text
+    (["1e999", "1.5"], ".", ["1e999", 1.5]),
+    (["-1e400", "2.5e3"], ".", ["-1e400", 2500.0]),
+    (["1,5e999", "1,5"], ",", ["1,5e999", 1.5]),
+    (["1" * 5000, "2"], ".", ["1" * 5000, 2]),
+    (["9" * 400 + ".5", "1e308"], ".", ["9" * 400 + ".5", 1e308]),
 ])
 def test_column_typing_edges(cells, separator, expected):
     got = tabular._typed_column(cells, separator)

@@ -10,6 +10,7 @@ from unitpack.errors import (
     DimensionMismatch,
     DivisionByZero,
     EmptyExpression,
+    OutOfRange,
     UnitSyntaxError,
     UnknownUnit,
 )
@@ -292,3 +293,62 @@ def test_div_then_mul_restores_magnitude(mag_a, mag_b, text_a, text_b):
     restored = units.quantity_mul(units.quantity_div(a, b), b)
     assert math.isclose(restored.magnitude, a.magnitude, rel_tol=1e-12)
     assert restored.unit.dims == a.unit.dims
+
+
+@pytest.mark.parametrize("bad", ["m**2", "*m", "m*", "m* *s"])
+def test_a_missing_factor_is_an_empty_factor(bad):
+    with pytest.raises(UnitSyntaxError, match="empty factor") as info:
+        units.parse_unit(bad)
+    assert info.value.code == "UNIT_SYNTAX"
+
+
+@pytest.mark.parametrize("bad", ["km^100", "m^-100", "m^0100", "m^99*m",
+                                 "s^-99/s", "m^" + "9" * 5000],
+                         ids=lambda text: text[:12])
+def test_an_exponent_beyond_99_is_a_syntax_error(bad):
+    with pytest.raises(UnitSyntaxError, match="exponent out of range"):
+        units.parse_unit(bad)
+
+
+@pytest.mark.parametrize("text", ["km^99", "m^-99", "m^0099", "m^99*m/m",
+                                  "m^99*m^99/m^99"])
+def test_an_exponent_up_to_99_parses(text):
+    parsed = units.parse_unit(text)
+    assert units.parse_unit(parsed.canonical_text) == parsed
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.tuples(st.sampled_from(_PREFIXES),
+                          st.sampled_from(_SYMBOLS),
+                          st.integers(min_value=-150, max_value=150)),
+                min_size=1, max_size=4),
+       st.lists(st.sampled_from("*/"), min_size=3, max_size=3))
+def test_a_parsed_unit_always_parses_again(factors, operators):
+    try:
+        parsed = units.parse_unit(_compose(factors, operators))
+    except UnitSyntaxError as exc:
+        assert "exponent out of range" in str(exc)
+        return
+    assert units.parse_unit(parsed.canonical_text) == parsed
+
+
+def test_a_conversion_beyond_the_float_range_is_out_of_range():
+    with pytest.raises(OutOfRange) as info:
+        units.convert_to(units.parse_quantity("1e308 km"), "mm")
+    assert info.value.code == "OUT_OF_RANGE"
+
+
+@pytest.mark.parametrize("value, factor", [
+    (1e305, Fraction(10**6)),
+    (10**400 + 1, Fraction(1, 1000)),
+    (1.0, Fraction(10**400)),
+], ids=["float", "int", "factor"])
+def test_apply_factor_beyond_the_float_range_is_out_of_range(value, factor):
+    with pytest.raises(OutOfRange):
+        units.apply_factor(value, factor)
+
+
+def test_apply_factor_keeps_infinite_and_nan_values():
+    assert units.apply_factor(math.inf, Fraction(10**400)) == math.inf
+    assert units.apply_factor(-math.inf, Fraction(1, 3)) == -math.inf
+    assert math.isnan(units.apply_factor(math.nan, Fraction(7, 3)))
