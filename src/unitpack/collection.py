@@ -129,7 +129,7 @@ def from_archive(source: str | Path, skip_errors: bool = False) -> Collection:
     """
     def load_with_rows(json_path: Path) -> Entry:
         entry = load_entry(json_path)
-        entry.table.rows  # noqa: B018 - parse the rows while they exist
+        entry.table.row_count  # noqa: B018 - parse the cells while they exist
         return entry
 
     with tempfile.TemporaryDirectory(prefix="unitpack-archive-") as tmp:

@@ -370,18 +370,27 @@ def rescale(entry: Entry, targets: dict[str, str]) -> Entry:
         factors[index] = units.conversion_factor(old_unit, new_unit)
         new_fields[index] = replace(entry.fields[index], unit=unit_text)
 
-    columns = list(zip(*entry.table.rows)) or [()] * len(new_fields)
+    columns = list(map(entry.table.column_values, entry.table.columns))
     for index, factor in factors.items():
         cells = _numeric_column(new_fields[index].name, columns[index])
-        columns[index] = [None if cell is None
-                          else units.apply_factor(cell, factor)
-                          for cell in cells]
-    new_table = Table(columns=entry.table.columns, rows=tuple(zip(*columns)))
+        columns[index] = tuple(None if cell is None
+                               else units.apply_factor(cell, factor)
+                               for cell in cells)
+    new_table = Table(entry.table.columns, _cells=tuple(columns))
     return Entry(identifier=entry.identifier, fields=tuple(new_fields),
                  table=new_table, metadata=entry.metadata)
 
 
-_AGGREGATES = {"mean": statistics.fmean, "min": min, "max": max,
+def _mean(values) -> float:
+    """`statistics.fmean`, or the exact `statistics.mean` where fmean's
+    float sum overflows, such as two cells of 1e308."""
+    try:
+        return statistics.fmean(values)
+    except OverflowError:
+        return statistics.mean(values)
+
+
+_AGGREGATES = {"mean": _mean, "min": min, "max": max,
                "first": itemgetter(0)}
 AGGREGATES = tuple(_AGGREGATES)
 

@@ -24,8 +24,9 @@ from urllib.parse import quote
 from .collection import Collection
 from .datapackage import Entry
 from .errors import NonNumericCell, TooFewPoints, UnitpackError
-from .metadata import ABSENT, _walk, canonical_scalar, find_path, is_scalar
-from .tabular import _is_number, _plain_numbers, render_cell
+from .metadata import (ABSENT, _temp_path, _walk, canonical_scalar,
+                       find_path, is_scalar)
+from .tabular import Table, _is_number, _plain_numbers, render_cell
 
 MISSING = "—"
 
@@ -302,11 +303,12 @@ def render_entry_page(entry: Entry, cfg: ReportConfig, has_plot: bool,
                                 entry.identifier))
     else:
         blocks.append(fmt.note("no plot available"))
+    preview = Table(entry.table.columns, _cells=tuple(
+        entry.table.column_values(name)[:10] for name in entry.table.columns))
     blocks += [
         fmt.heading("Data preview", 2),
         fmt.table([_axis_label(entry, f.name) for f in entry.fields],
-                  [[render_cell(cell) for cell in row]
-                   for row in entry.table.rows[:10]]),
+                  [map(render_cell, row) for row in preview.rows]),
         fmt.paragraph(f"{entry.table.row_count} row(s) total; full data in "
                       f"the package CSV."),
         fmt.heading("Metadata", 2),
@@ -386,6 +388,9 @@ def render_index(c: Collection, cfg: ReportConfig) -> dict[str, str]:
 def write_report(c: Collection, cfg: ReportConfig) -> list[Path]:
     """Render and write the full page tree under cfg.out_dir.
 
+    Each page is written to a temporary file beside it and moved into
+    place with `os.replace`, so a page name holds either its old bytes or
+    the complete new page; the page set as a whole is not swapped at once.
     Afterwards the files under ``entries/``, ``plots/`` and ``groups/``,
     and the root index, are exactly the page set: pages an earlier run
     left there (a removed entry, the other format) are deleted.  Other
@@ -396,7 +401,12 @@ def write_report(c: Collection, cfg: ReportConfig) -> list[Path]:
     for rel_path in sorted(pages):
         target = cfg.out_dir / rel_path
         target.parent.mkdir(parents=True, exist_ok=True)
-        target.write_text(pages[rel_path], encoding="utf-8")
+        temp = _temp_path(target)
+        try:
+            temp.write_text(pages[rel_path], encoding="utf-8")
+            os.replace(temp, target)
+        finally:
+            temp.unlink(missing_ok=True)
         written.append(target)
     out = str(cfg.out_dir)
     indexes = {f"index.{fmt.ext}" for fmt in _FORMATS.values()}

@@ -20,7 +20,6 @@ import math
 import re
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from operator import itemgetter
 from pathlib import Path
 
 from .errors import (
@@ -55,18 +54,18 @@ _CHUNK_CELLS = 128
 class Table:
     """Immutable column-named table. All rows have one cell per column.
 
-    A table from `open_table` knows its columns at once and has its rows
-    parsed by `read_table` the first time they are used.  Either way,
-    tables with the same columns and cells compare equal.
+    Cells are kept a column at a time; `rows` is rebuilt from them on each
+    use, so a table with no columns has no rows.  A table from `open_table`
+    knows its columns at once and reads its cells on first use.  Tables
+    with the same columns and cells compare equal.
     """
 
     columns: tuple[str, ...]
-    _rows: tuple[tuple[Cell, ...], ...] | None
-    _path: Path | None = field(default=None, repr=False)
+    _cells: tuple[tuple[Cell, ...], ...] | Path
 
     def __init__(self, columns: tuple[str, ...],
-                 rows: tuple[tuple[Cell, ...], ...] | None,
-                 _path: Path | None = None):
+                 rows: tuple[tuple[Cell, ...], ...] = (),
+                 _cells: tuple[tuple[Cell, ...], ...] | Path = ()):
         seen = set()
         for name in columns:
             if name in seen:
@@ -74,39 +73,41 @@ class Table:
                     f"duplicate column name {name!r}: fields can not be "
                     f"unambiguously addressed")
             seen.add(name)
-        if rows and set(map(len, rows)) != {len(columns)}:
-            for index, row in enumerate(rows):
-                if len(row) != len(columns):
-                    raise RaggedRow(
-                        f"row {index} has {len(row)} cells, expected "
-                        f"{len(columns)}", row_index=index)
+        for index, row in enumerate(rows):
+            if len(row) != len(columns):
+                raise RaggedRow(f"row {index} has {len(row)} cells, expected "
+                                f"{len(columns)}", row_index=index)
         object.__setattr__(self, "columns", columns)
-        object.__setattr__(self, "_rows", rows)
-        object.__setattr__(self, "_path", _path)
+        object.__setattr__(self, "_cells", _cells or tuple(zip(*rows))
+                           or ((),) * len(columns))
+
+    def _body(self) -> tuple[tuple[Cell, ...], ...]:
+        """The cells, one tuple per column; a lazy table reads them now."""
+        if isinstance(self._cells, Path):
+            body = read_table(self._cells)
+            if body.columns != self.columns:
+                raise SchemaTableMismatch(
+                    f"{self._cells}: header changed since it was read: "
+                    f"{list(self.columns)} is now {list(body.columns)}")
+            object.__setattr__(self, "_cells", body._cells)
+        return self._cells
 
     @property
     def rows(self) -> tuple[tuple[Cell, ...], ...]:
-        if self._rows is None:
-            body = read_table(self._path)
-            if body.columns != self.columns:
-                raise SchemaTableMismatch(
-                    f"{self._path}: header changed since it was read: "
-                    f"{list(self.columns)} is now {list(body.columns)}")
-            object.__setattr__(self, "_rows", body.rows)
-            object.__setattr__(self, "_path", None)
-        return self._rows
+        return tuple(zip(*self._body()))
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Table):
             return NotImplemented
-        return self.columns == other.columns and self.rows == other.rows
+        return self.columns == other.columns and self._body() == other._body()
 
     def __hash__(self) -> int:
-        return hash((self.columns, self.rows))
+        return hash((self.columns, self._body()))
 
     @property
     def row_count(self) -> int:
-        return len(self.rows)
+        cells = self._body()
+        return len(cells[0]) if cells else 0
 
     def column_index(self, name: str) -> int:
         try:
@@ -115,7 +116,7 @@ class Table:
             raise KeyError(name) from None
 
     def column_values(self, name: str) -> tuple[Cell, ...]:
-        return tuple(map(itemgetter(self.column_index(name)), self.rows))
+        return self._body()[self.column_index(name)]
 
 
 def _typed_cell(text: str, decimal_separator: str = ".") -> Cell:
@@ -136,7 +137,7 @@ def _typed_cell(text: str, decimal_separator: str = ".") -> Cell:
     return number if math.isfinite(number) else text
 
 
-def _typed_column(cells, decimal_separator: str = ".") -> list[Cell]:
+def _typed_column(cells, decimal_separator: str = ".") -> tuple[Cell, ...]:
     """`_typed_cell` of each cell, in one step for a column of all ints or
     all floats.  A cell holding a newline or an empty cell sends the
     column cell by cell, which keeps the edges of `_CELL_RE` (its `$`
@@ -150,7 +151,7 @@ def _typed_column(cells, decimal_separator: str = ".") -> list[Cell]:
     if sum(chunk.count("\n") for chunk in chunks) == \
             len(cells) - len(chunks):  # no cell holds a newline
         if all(map(_FLOAT_COLUMN_RE.fullmatch, chunks)):
-            floats = list(map(float, numbers))
+            floats = tuple(map(float, numbers))
             # A finite sum means no cell overflowed; any other sum (an
             # overflow, or finite cells summing past the float range)
             # leaves it to the per-cell rule.
@@ -158,10 +159,10 @@ def _typed_column(cells, decimal_separator: str = ".") -> list[Cell]:
                 return floats
         elif all(map(_INT_COLUMN_RE.fullmatch, chunks)):
             try:
-                return list(map(int, numbers))
+                return tuple(map(int, numbers))
             except ValueError:  # a cell has more digits than `int` reads
                 pass
-    return [_typed_cell(cell, decimal_separator) for cell in cells]
+    return tuple(_typed_cell(cell, decimal_separator) for cell in cells)
 
 
 def _is_number(cell) -> bool:
@@ -216,9 +217,8 @@ def _table_from_csv_rows(raw_rows, decimal_separator: str = ".") -> Table:
                 f"row {index} has {len(raw)} cells, expected {len(header)}",
                 row_index=index)
         rows.append(raw)
-    columns = [_typed_column(cells, decimal_separator)
-               for cells in zip(*rows)]
-    return Table(columns=tuple(header), rows=tuple(zip(*columns)))
+    return Table(tuple(header), _cells=tuple(
+        _typed_column(cells, decimal_separator) for cells in zip(*rows)))
 
 
 @contextmanager
@@ -251,19 +251,19 @@ def open_table(path: str | Path) -> Table:
     when they are first used, so errors in them surface then."""
     with _csv_source(path) as handle:
         columns = tuple(_header(csv.reader(handle)))
-    return Table(columns=columns, rows=None, _path=Path(path))
+    return Table(columns, _cells=Path(path))
 
 
 def write_table(table: Table, path: str | Path) -> None:
     """Emit header + rows; fields are quoted only when needed.  `csv`
     renders each cell as `render_cell` does: null as empty, a float in
     its shortest round-trip form."""
-    rows = table.rows  # before opening: a lazy table may read from `path`
+    cells = table._body()  # before opening: it may read `path`
     with open(path, "w", encoding="utf-8", newline="") as handle:
         writer = csv.writer(handle, lineterminator="\n",
                             quoting=csv.QUOTE_MINIMAL)
         writer.writerow(table.columns)
-        writer.writerows(rows)
+        writer.writerows(zip(*cells))
 
 
 # Each loader spec key and the type of its value.  Only
@@ -362,12 +362,10 @@ def apply_loader(path: str | Path, spec: LoaderSpec) -> Table:
         raw_rows = csv.reader(lines[spec.header_row:],
                               delimiter=spec.delimiter)
         table = _table_from_csv_rows(raw_rows, spec.decimal_separator)
-    if not spec.rename:
-        return table
     missing = [k for k in spec.rename if k not in table.columns]
     if missing:
         raise RenameSourceMissing(
             f"rename source column(s) not present: "
             f"{', '.join(map(repr, missing))}")
     renamed = tuple(spec.rename.get(c, c) for c in table.columns)
-    return Table(columns=renamed, rows=table.rows)
+    return Table(renamed, _cells=table._cells)

@@ -268,15 +268,26 @@ def conversion_factor(from_unit: UnitExpr, to_unit: UnitExpr) -> Fraction:
     return from_unit.scale / to_unit.scale
 
 
+def _bounded_factors(factors) -> tuple[tuple[str, int], ...]:
+    """`_merge_factors`, where a merged exponent beyond `MAX_EXPONENT` is
+    an `OutOfRange`, so the product's canonical text parses again."""
+    merged = _merge_factors(factors)
+    for sym, exp in merged:
+        if abs(exp) > MAX_EXPONENT:
+            raise OutOfRange(f"exponent {exp} of {sym!r} is beyond "
+                             f"{MAX_EXPONENT} in magnitude")
+    return merged
+
+
 def unit_mul(a: UnitExpr, b: UnitExpr) -> UnitExpr:
     return UnitExpr(scale=a.scale * b.scale, dims=a.dims + b.dims,
-                    factors=_merge_factors(a.factors + b.factors))
+                    factors=_bounded_factors(a.factors + b.factors))
 
 
 def unit_div(a: UnitExpr, b: UnitExpr) -> UnitExpr:
     inverted = tuple((sym, -exp) for sym, exp in b.factors)
     return UnitExpr(scale=a.scale / b.scale, dims=a.dims - b.dims,
-                    factors=_merge_factors(a.factors + inverted))
+                    factors=_bounded_factors(a.factors + inverted))
 
 
 @dataclass(frozen=True)

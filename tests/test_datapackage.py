@@ -1,6 +1,8 @@
 import json
 import math
 import os
+import statistics
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -426,6 +428,19 @@ def test_rescale_header_only_entry():
     assert rescaled.field("U").unit == "V"
 
 
+def test_rescale_of_a_loaded_header_only_entry(demo_entry, tmp_path):
+    header_only = Entry(identifier="demo", fields=demo_entry.fields,
+                        table=Table(columns=demo_entry.table.columns,
+                                    rows=()),
+                        metadata=demo_entry.metadata)
+    json_path, _ = save_entry(header_only, tmp_path / "out")
+    rescaled = rescale(load_entry(json_path), {"U": "V"})
+    assert rescaled.table == header_only.table
+    assert rescaled.table.rows == ()
+    assert rescaled.table.column_values("U") == ()
+    assert rescaled.field("U").unit == "V"
+
+
 def test_rescale_invertible(demo_entry):
     back = rescale(rescale(demo_entry, {"U": "V"}), {"U": "mV"})
     for got, want in zip(back.table.column_values("U"),
@@ -472,6 +487,26 @@ def test_aggregates(demo_entry):
     assert field_quantity(demo_entry, "U", "first").magnitude == 1.01
     assert math.isclose(field_quantity(demo_entry, "U", "mean").magnitude,
                         (1.01 + 1.02 + 1.05) / 3, rel_tol=1e-12)
+
+
+@pytest.mark.parametrize("cells, mean", [
+    ((1e308, 1e308), 1e308),
+    ((-1e308, -1e308, -1e308), -1e308),
+    ((1.7976931348623157e308, 1.7976931348623157e308, 0.0),
+     float(Fraction(1.7976931348623157e308) * 2 / 3)),
+])
+def test_mean_beyond_the_float_sum_is_exact(cells, mean):
+    entry = _voltage_entry(tuple((cell,) for cell in cells))
+    assert field_quantity(entry, "U", "mean").magnitude == mean
+
+
+def test_mean_keeps_fmean_where_it_does_not_overflow():
+    # fmean rounds the sum, then the quotient: 0.27777777777777773,
+    # where the exact mean rounds to 0.2777777777777778.
+    cells = (0.3, 0.2, 1 / 3)
+    entry = _voltage_entry(tuple((cell,) for cell in cells))
+    assert field_quantity(entry, "U", "mean").magnitude == \
+        statistics.fmean(cells)
 
 
 def test_string_field_rejected(tmp_path):

@@ -8,12 +8,17 @@ command over it.  Whatever the input, the command ends with exit 0, 1 or
 of `cli.main`.
 """
 
+import csv
 import io
 import json
 import re
 import sys
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from unitpack import cli
 
@@ -315,3 +320,66 @@ def test_rescale_beyond_the_float_range_is_out_of_range(tmp_path,
     assert err.startswith("OUT_OF_RANGE: ")
     assert len(err.splitlines()) == 1
     assert not (tmp_path / "out").exists()
+
+
+# Generated inputs: unit strings and CSV cells drawn by hypothesis, each
+# run through the same promise in a fresh directory.
+
+_UNIT_PIECES = ["m", "k", "M", "u", "µ", "V", "s", "A", "K", "Ohm", "Ω",
+                "g", "1", "0", "^", "-", "+", "2", "9", "99", "100", "*",
+                "/", " ", ".", "%", "e"]
+unit_texts = st.one_of(st.lists(st.sampled_from(_UNIT_PIECES), max_size=8)
+                       .map("".join), st.text(max_size=8))
+cell_texts = st.one_of(st.floats().map(repr),
+                       st.integers(-10**30, 10**30).map(str),
+                       st.sampled_from(["", "1e999", "-1e400", "5e-324",
+                                        "1,5", "NaN", "9" * 400, " 1",
+                                        "1_0", "١٢"]),
+                       st.text(max_size=6))
+csv_texts = st.lists(st.lists(cell_texts, min_size=2, max_size=4),
+                     max_size=5).map(
+    lambda rows: "t,U,T\n" + "".join(_csv_line(row) for row in rows))
+generated = settings(max_examples=40, deadline=None,
+                     suppress_health_check=[HealthCheck.too_slow])
+
+
+def _csv_line(cells) -> str:
+    line = io.StringIO()
+    csv.writer(line, lineterminator="\n").writerow(cells)
+    return line.getvalue()
+
+
+def run_fresh(files, argv):
+    """`run` in a fresh directory with its own monkeypatch, as hypothesis
+    reruns a test body many times within one test."""
+    with tempfile.TemporaryDirectory() as tmp, \
+            pytest.MonkeyPatch.context() as monkeypatch:
+        return run(Path(tmp), monkeypatch, files, argv)
+
+
+@generated
+@given(unit_texts)
+def test_generated_target_unit(unit):
+    run_fresh({"coll/data.json": descriptor(), "coll/data.csv": DEMO_CSV},
+              ["rescale", "coll", "data", "--field", "U", "--unit", unit,
+               "--outdir", "out"])
+
+
+@generated
+@given(unit_texts, unit_texts)
+def test_generated_descriptor_unit(field_unit, target):
+    files = {"coll/data.json": descriptor(u_unit=field_unit),
+             "coll/data.csv": DEMO_CSV}
+    run_fresh(files, ["ls", "coll"])
+    run_fresh(files, ["rescale", "coll", "data", "--field", "U", "--unit",
+                      target, "--outdir", "out"])
+
+
+@generated
+@given(csv_texts)
+def test_generated_csv_cells(text):
+    run_fresh({"data.csv": text, "data.csv.meta.yaml": DEMO_META},
+              ["pack", "data.csv", "--outdir", "out"])
+    run_fresh({"coll/data.json": descriptor(), "coll/data.csv": text},
+              ["rescale", "coll", "data", "--field", "U", "--unit", "V",
+               "--outdir", "out"])

@@ -1,3 +1,4 @@
+import pathlib
 import posixpath
 import re
 from urllib.parse import unquote
@@ -307,6 +308,40 @@ def test_write_report_prunes_stale_pages(material_collection, tmp_path):
     assert not [p for p in on_disk if p.endswith(".md")]
     assert on_disk == set(render_index(fewer, html_cfg)) | {"notes.txt"}
     assert (out_dir / "notes.txt").read_text(encoding="utf-8") == "keep me"
+
+
+@pytest.mark.parametrize("failing_write", [1, 4, -1],
+                         ids=["first", "fourth", "last"])
+def test_a_failed_page_write_leaves_old_or_whole_pages(
+        material_collection, tmp_path, monkeypatch, failing_write):
+    old_cfg = _cfg(tmp_path)
+    new_cfg = _cfg(tmp_path, descriptor_columns=(("who", "user"),))
+    old_pages = render_index(material_collection, old_cfg)
+    new_pages = render_index(material_collection, new_cfg)
+    assert old_pages.keys() == new_pages.keys() and old_pages != new_pages
+    write_report(material_collection, old_cfg)
+    failing_write %= len(new_pages) + 1
+    calls = []
+    real_write_text = pathlib.Path.write_text
+
+    def half_then_fail(path, text, *args, **kwargs):
+        calls.append(path)
+        if len(calls) == failing_write:
+            real_write_text(path, text[:len(text) // 2], *args, **kwargs)
+            raise OSError(28, "No space left on device")
+        return real_write_text(path, text, *args, **kwargs)
+
+    monkeypatch.setattr(pathlib.Path, "write_text", half_then_fail)
+    with pytest.raises(OSError):
+        write_report(material_collection, new_cfg)
+    out_dir = old_cfg.out_dir
+    on_disk = {p.relative_to(out_dir).as_posix():
+               p.read_text(encoding="utf-8")
+               for p in out_dir.rglob("*") if p.is_file()}
+    assert set(on_disk) == set(old_pages)
+    for name, text in on_disk.items():
+        assert text in (old_pages[name], new_pages[name]), name
+    assert len(calls) == failing_write
 
 
 def test_config_validation(tmp_path):

@@ -491,3 +491,55 @@ def test_column_typing_edges(cells, separator, expected):
     assert _typed(got) == _typed(expected)
     assert _typed(got) == _typed(
         [tabular._typed_cell(cell, separator) for cell in cells])
+
+
+# -------------------------------
+# the table's views: rows, columns, counts, equality
+# -------------------------------
+
+@st.composite
+def columns_and_rows(draw):
+    columns = tuple(draw(st.lists(_names, min_size=1, max_size=5,
+                                  unique=True)))
+    n_rows = draw(st.integers(min_value=0, max_value=8))
+    rows = tuple(tuple(draw(_cells) for _ in columns) for _ in range(n_rows))
+    return columns, rows
+
+
+@settings(max_examples=150, deadline=None)
+@given(columns_and_rows())
+def test_views_agree_built_opened_and_read(tmp_path_factory, drawn):
+    columns, rows = drawn
+    built = Table(columns=columns, rows=rows)
+    path = tmp_path_factory.mktemp("views") / "t.csv"
+    tabular.write_table(built, path)
+    tables = [built, tabular.open_table(path), tabular.read_table(path)]
+    for table in tables:
+        assert table.columns == columns
+        assert table.rows == rows
+        for index, name in enumerate(columns):
+            assert table.column_values(name) == \
+                tuple(row[index] for row in rows)
+        assert table.row_count == len(rows)
+    assert tables[0] == tables[1] == tables[2]
+    assert len(set(map(hash, tables))) == 1
+
+
+def test_rename_of_a_header_only_file(tmp_path):
+    path = tmp_path / "wild.csv"
+    path.write_text("Time;Voltage\n", encoding="utf-8")
+    spec = LoaderSpec(delimiter=";", rename={"Voltage": "U"})
+    table = tabular.apply_loader(path, spec)
+    assert table == Table(columns=("Time", "U"), rows=())
+    assert table.rows == ()
+    assert table.column_values("U") == ()
+    assert table.row_count == 0
+
+
+def test_a_table_with_no_columns_has_no_rows(tmp_path):
+    table = Table((), ((),) * 3)
+    assert table.row_count == 0
+    assert table.rows == ()
+    path = tmp_path / "t.csv"
+    tabular.write_table(table, path)
+    assert tabular.read_table(path) == table

@@ -352,3 +352,46 @@ def test_apply_factor_keeps_infinite_and_nan_values():
     assert units.apply_factor(math.inf, Fraction(10**400)) == math.inf
     assert units.apply_factor(-math.inf, Fraction(1, 3)) == -math.inf
     assert math.isnan(units.apply_factor(math.nan, Fraction(7, 3)))
+
+
+@pytest.mark.parametrize("op, a, b", [
+    (units.unit_mul, "m^99", "m"),
+    (units.unit_mul, "s^-60", "s^-40"),
+    (units.unit_div, "m^99", "m^-1"),
+    (units.unit_div, "A^-50", "A^50"),
+], ids=["mul", "mul-negative", "div", "div-negative"])
+def test_a_merged_exponent_beyond_99_is_out_of_range(op, a, b):
+    with pytest.raises(OutOfRange) as info:
+        op(units.parse_unit(a), units.parse_unit(b))
+    assert info.value.code == "OUT_OF_RANGE"
+
+
+def test_quantity_products_keep_the_exponent_bound():
+    a = units.Quantity(2.0, units.parse_unit("m^60"))
+    with pytest.raises(OutOfRange):
+        a * a
+    with pytest.raises(OutOfRange):
+        a / units.Quantity(2.0, units.parse_unit("m^-60"))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.tuples(st.sampled_from(_PREFIXES),
+                          st.sampled_from(_SYMBOLS),
+                          st.integers(min_value=-99, max_value=99)),
+                min_size=1, max_size=3),
+       st.lists(st.tuples(st.sampled_from(_PREFIXES),
+                          st.sampled_from(_SYMBOLS),
+                          st.integers(min_value=-99, max_value=99)),
+                min_size=1, max_size=3),
+       st.sampled_from([units.unit_mul, units.unit_div]))
+def test_a_product_or_quotient_always_parses_again(left, right, op):
+    try:
+        a = units.parse_unit(_compose(left, "**"))
+        b = units.parse_unit(_compose(right, "**"))
+    except UnitSyntaxError:
+        return
+    try:
+        combined = op(a, b)
+    except OutOfRange:
+        return
+    assert units.parse_unit(combined.canonical_text) == combined
