@@ -127,7 +127,7 @@ def from_archive(source: str | Path, skip_errors: bool = False) -> Collection:
     retries.  Every table is read before the extracted files are
     removed, so an error in a CSV body is a load error of its entry.
     """
-    def load_with_rows(json_path: Path) -> Entry:
+    def load_with_rows(json_path: str) -> Entry:
         entry = load_entry(json_path)
         entry.table.row_count  # noqa: B018 - parse the cells while they exist
         return entry

@@ -35,6 +35,7 @@ from .errors import (
     InvalidUnit,
     MissingCsv,
     NonNumericCell,
+    OutOfRange,
     RefusedOverwrite,
     SchemaTableMismatch,
     UnitpackError,
@@ -116,8 +117,7 @@ def _stays_inside(rel_path: str) -> bool:
     """Whether `rel_path` names a place inside the directory it is taken
     relative to: it is not absolute and has no ".." segment, the Data
     Resource rule for a package's paths."""
-    path = Path(rel_path)
-    return not (path.is_absolute() or ".." in path.parts)
+    return not (rel_path.startswith("/") or ".." in rel_path.split("/"))
 
 
 def identifier_from_path(path: str | Path) -> str:
@@ -287,13 +287,13 @@ def load_entry(json_path: str | Path) -> Entry:
     duplicate columns or a schema/column mismatch fail now, while errors
     in the rows surface when the table's rows are first used.
     """
-    json_path = Path(json_path)
-    if not json_path.is_file():
+    if not os.path.isfile(json_path):
         raise DescriptorParseError(f"no such descriptor: {json_path}")
     # A decoding error or an int of over 4300 digits is a `ValueError`,
     # and a deep nesting a `RecursionError`.
     try:
-        descriptor = json.loads(json_path.read_text(encoding="utf-8-sig"))
+        with open(json_path, encoding="utf-8-sig") as handle:
+            descriptor = json.load(handle)
     except (ValueError, RecursionError) as exc:
         raise DescriptorParseError(
             f"bad JSON in {json_path}: {exc}") from exc
@@ -325,8 +325,10 @@ def load_entry(json_path: str | Path) -> Entry:
         raise DescriptorParseError(
             f"{json_path}: resource path must be a relative path inside "
             f"the package, got {rel_path!r}")
-    csv_path = json_path.parent / rel_path
-    if not csv_path.is_file():
+    # Spelled as pathlib spells it; checked first as `open` blocks on a FIFO.
+    parts = [part for part in rel_path.split("/") if part not in ("", ".")]
+    csv_path = os.path.join(os.path.dirname(json_path), *parts) or os.curdir
+    if not os.path.isfile(csv_path):
         raise MissingCsv(f"{json_path}: resource CSV not found: {csv_path}")
     table = open_table(csv_path)
 
@@ -397,7 +399,8 @@ AGGREGATES = tuple(_AGGREGATES)
 
 def field_quantity(entry: Entry, field_name: str,
                    aggregate: str = "mean") -> units.Quantity:
-    """Aggregate a unit-carrying column into a Quantity."""
+    """Aggregate a unit-carrying column into a Quantity; an aggregate
+    beyond the float range (an int cell of 10**400) is an `OutOfRange`."""
     if aggregate not in _AGGREGATES:
         raise ValueError(f"unknown aggregate {aggregate!r} "
                          f"(expected one of {', '.join(AGGREGATES)})")
@@ -407,4 +410,9 @@ def field_quantity(entry: Entry, field_name: str,
         if cell is not None]
     if not values:
         raise NonNumericCell(f"field {field_name!r} has no numeric cells")
-    return units.Quantity(float(_AGGREGATES[aggregate](values)), unit)
+    try:
+        magnitude = float(_AGGREGATES[aggregate](values))
+    except OverflowError:
+        raise OutOfRange(f"the {aggregate} of field {field_name!r} is beyond "
+                         f"the float range") from None
+    return units.Quantity(magnitude, unit)

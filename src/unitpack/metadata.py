@@ -395,12 +395,11 @@ def _load_each(directory: str | Path, suffix: str, load
     `suffix`, in path order, as ``(path, loaded)`` pairs, and each file
     whose `load` raised a `UnitpackError` as a ``(path, "CODE: message")``
     pair."""
-    directory = Path(directory)
-    if not directory.is_dir():
+    directory = str(Path(directory))
+    if not os.path.isdir(directory):
         raise DirectoryNotFound(f"not a directory: {directory}")
     loaded, failures = [], []
-    for path in sorted(_walk(str(directory),
-                             lambda path: path.endswith(suffix))):
+    for path in sorted(_walk(directory, lambda path: path.endswith(suffix))):
         try:
             loaded.append((path, load(path)))
         except UnitpackError as exc:

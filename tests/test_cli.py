@@ -361,6 +361,27 @@ def test_backfill_goes_on_past_a_name_that_is_not_utf8(tmp_path):
     assert '\n  file: "bad\\uDCFF.csv"\n' in sidecar
 
 
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="no os.mkfifo")
+def test_ls_of_a_fifo_csv_is_missing_csv_at_once(tmp_path, capsys):
+    # Opening a FIFO for reading blocks until a writer comes, so the CLI
+    # runs in a child with a timeout: a regression fails, not hangs.  A
+    # FIFO with a descriptor's name is not a descriptor.
+    outdir = _packed(tmp_path, capsys)
+    csv_path = outdir / "data.csv"
+    csv_path.unlink()
+    os.mkfifo(csv_path)
+    os.mkfifo(outdir / "fifo.json")
+    process = subprocess.run(
+        [sys.executable, "-m", "unitpack.cli", "ls", str(outdir)],
+        capture_output=True, text=True, timeout=30)
+    json_path = outdir / "data.json"
+    assert process.returncode == 1
+    assert process.stderr == (
+        f"COLLECTION_LOAD_ERROR: 1 descriptor(s) failed to load: "
+        f"{json_path}: MISSING_CSV: {json_path}: resource CSV not found: "
+        f"{csv_path}\n")
+
+
 def test_watch_setup_error_exits_1(tmp_path, capsys):
     template = tmp_path / "template.yaml"
     template.write_text("user: x\n", encoding="utf-8")

@@ -3,9 +3,11 @@ import math
 import os
 import statistics
 from fractions import Fraction
-from pathlib import Path
+from pathlib import Path, PurePosixPath
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from unitpack import datapackage, tabular, units
 from unitpack.datapackage import (
@@ -30,6 +32,7 @@ from unitpack.errors import (
     InvalidUnit,
     MissingCsv,
     NonNumericCell,
+    OutOfRange,
     RefusedOverwrite,
     SchemaTableMismatch,
     UnitpackError,
@@ -190,6 +193,74 @@ def test_load_missing_csv(demo_entry, tmp_path):
     csv_path.unlink()
     with pytest.raises(MissingCsv):
         load_entry(json_path)
+
+
+def _point_at(json_path: Path, rel_path: str) -> None:
+    descriptor = json.loads(json_path.read_text(encoding="utf-8"))
+    descriptor["resources"][0]["path"] = rel_path
+    json_path.write_text(json.dumps(descriptor), encoding="utf-8")
+
+
+# Each resource path and the CSV path the message names, relative to the
+# package directory, spelled as pathlib spells the joined path.
+@pytest.mark.parametrize("rel_path, shown", [
+    ("data.csv", "data.csv"),
+    ("./data.csv", "data.csv"),
+    ("sub//data.csv", "sub/data.csv"),
+    ("sub/./data.csv", "sub/data.csv"),
+    ("", ""),
+    ("sub/", "sub"),
+])
+@pytest.mark.parametrize("spell", [Path, str])
+def test_missing_csv_message_names_the_joined_path(demo_entry, tmp_path,
+                                                   rel_path, shown, spell):
+    json_path, csv_path = save_entry(demo_entry, tmp_path / "pkg")
+    csv_path.unlink()
+    (tmp_path / "pkg" / "sub").mkdir()
+    _point_at(json_path, rel_path)
+    with pytest.raises(MissingCsv) as excinfo:
+        load_entry(spell(json_path))
+    assert str(excinfo.value) == \
+        f"{json_path}: resource CSV not found: {json_path.parent / shown}"
+
+
+@pytest.mark.parametrize("spell", [Path, str])
+def test_missing_csv_message_of_a_descriptor_in_the_working_directory(
+        demo_entry, tmp_path, monkeypatch, spell):
+    json_path, csv_path = save_entry(demo_entry, tmp_path / "pkg")
+    csv_path.unlink()
+    monkeypatch.chdir(json_path.parent)
+    for rel_path, shown in (("data.csv", "data.csv"), ("", ".")):
+        _point_at(json_path, rel_path)
+        with pytest.raises(MissingCsv) as excinfo:
+            load_entry(spell("data.json"))
+        assert str(excinfo.value) == \
+            f"data.json: resource CSV not found: {shown}"
+
+
+@pytest.mark.parametrize("spell", [Path, str])
+def test_a_directory_is_neither_descriptor_nor_csv(demo_entry, tmp_path,
+                                                   spell):
+    json_path, csv_path = save_entry(demo_entry, tmp_path / "pkg")
+    csv_path.unlink()
+    csv_path.mkdir()
+    with pytest.raises(MissingCsv) as excinfo:
+        load_entry(spell(json_path))
+    assert str(excinfo.value) == \
+        f"{json_path}: resource CSV not found: {csv_path}"
+    for descriptor in (tmp_path / "absent.json", csv_path):
+        with pytest.raises(DescriptorParseError) as excinfo:
+            load_entry(spell(descriptor))
+        assert str(excinfo.value) == f"no such descriptor: {descriptor}"
+
+
+# The package-path rule as pathlib states it: not absolute, no ".." part.
+@settings(max_examples=300)
+@given(st.text(alphabet="/.a\\", max_size=12))
+def test_stays_inside_agrees_with_pure_posix_path(rel_path):
+    path = PurePosixPath(rel_path)
+    assert datapackage._stays_inside(rel_path) == \
+        (not (path.is_absolute() or ".." in path.parts))
 
 
 @pytest.mark.parametrize("csv_text, code", [
@@ -498,6 +569,15 @@ def test_aggregates(demo_entry):
 def test_mean_beyond_the_float_sum_is_exact(cells, mean):
     entry = _voltage_entry(tuple((cell,) for cell in cells))
     assert field_quantity(entry, "U", "mean").magnitude == mean
+
+
+@pytest.mark.parametrize("aggregate", ["mean", "max", "first"])
+def test_aggregate_of_an_int_beyond_the_float_range(aggregate):
+    entry = _voltage_entry(((10**400,), (1,)))
+    with pytest.raises(OutOfRange) as excinfo:
+        field_quantity(entry, "U", aggregate)
+    assert excinfo.value.code == "OUT_OF_RANGE"
+    assert field_quantity(entry, "U", "min").magnitude == 1.0
 
 
 def test_mean_keeps_fmean_where_it_does_not_overflow():
