@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import html as html_lib
 import json
+import math
 import os
 import re
 from dataclasses import dataclass
@@ -23,7 +24,7 @@ from urllib.parse import quote
 
 from .collection import Collection
 from .datapackage import Entry
-from .errors import NonNumericCell, TooFewPoints, UnitpackError
+from .errors import NonNumericCell, OutOfRange, TooFewPoints, UnitpackError
 from .metadata import (ABSENT, _temp_path, _walk, canonical_scalar,
                        find_path, is_scalar)
 from .tabular import Table, _is_number, _plain_numbers, render_cell
@@ -68,35 +69,45 @@ def render_plot(entry: Entry, x: str, y: str) -> str:
     """
     x_cells = entry.table.column_values(entry.field(x).name)
     y_cells = entry.table.column_values(entry.field(y).name)
-    if _plain_numbers(x_cells) and _plain_numbers(y_cells):
-        xs, ys = list(map(float, x_cells)), list(map(float, y_cells))
-    else:
-        xs, ys = [], []
-        for xc, yc in zip(x_cells, y_cells):
-            if xc is None or yc is None:
-                continue
-            for cell, name in ((xc, x), (yc, y)):
-                if not _is_number(cell):
-                    raise NonNumericCell(
-                        f"field {name!r} holds non-numeric cell {cell!r}")
-            xs.append(float(xc))
-            ys.append(float(yc))
+    try:
+        if _plain_numbers(x_cells) and _plain_numbers(y_cells):
+            xs, ys = list(map(float, x_cells)), list(map(float, y_cells))
+        else:
+            xs, ys = [], []
+            for xc, yc in zip(x_cells, y_cells):
+                if xc is None or yc is None:
+                    continue
+                for cell, name in ((xc, x), (yc, y)):
+                    if not _is_number(cell):
+                        raise NonNumericCell(
+                            f"field {name!r} holds non-numeric cell {cell!r}")
+                xs.append(float(xc))
+                ys.append(float(yc))
+    except OverflowError:  # an int cell beyond the float range
+        raise OutOfRange(f"field {x!r} or {y!r} holds a cell beyond the "
+                         f"float range") from None
     if len(xs) < 2:
         raise TooFewPoints(
             f"need at least 2 numeric rows to plot, found {len(xs)}")
 
     x_min, x_max = min(xs), max(xs)
     y_min, y_max = min(ys), max(ys)
-    x_flat, x_range = x_max == x_min, x_max - x_min
-    y_flat, y_range = y_max == y_min, y_max - y_min
+    x_range, y_range = x_max - x_min, y_max - y_min
+    for name, span in ((x, x_range), (y, y_range)):
+        if not math.isfinite(span):
+            raise OutOfRange(f"the span of field {name!r} is beyond the "
+                             f"float range")
     plot_w = _VIEW_W - 2 * _MARGIN_X
     plot_h = _VIEW_H - 2 * _MARGIN_Y
     left, bottom = _MARGIN_X, _VIEW_H - _MARGIN_Y
     mid_x, mid_y = _VIEW_W / 2, _VIEW_H / 2
-    coords = " ".join([
-        f"{mid_x if x_flat else left + (px - x_min) / x_range * plot_w:.2f},"
-        f"{mid_y if y_flat else bottom - (py - y_min) / y_range * plot_h:.2f}"
-        for px, py in zip(xs, ys)])
+    points = [mid_x, mid_y] * len(xs)  # a flat axis stays on its midline
+    if x_max != x_min:
+        points[0::2] = [left + (px - x_min) / x_range * plot_w for px in xs]
+    if y_max != y_min:
+        points[1::2] = [bottom - (py - y_min) / y_range * plot_h for py in ys]
+    # "%.2f" writes what f"{v:.2f}" writes, in one call for the line.
+    coords = ("%.2f,%.2f " * len(xs) % tuple(points))[:-1]
     x_label = html_lib.escape(_axis_label(entry, x), quote=False)
     y_label = html_lib.escape(_axis_label(entry, y), quote=False)
     return (

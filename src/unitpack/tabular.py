@@ -10,7 +10,9 @@ digits, which ``int`` refuses to read from text.  Empty cells become
 null.  Typing goes a column at a time: a column whose cells are all
 ints, or all floats, is recognised and converted in one step, and any
 other column is typed cell by cell; either way each cell gets the type
-the per-cell rule gives it.
+the per-cell rule gives it.  The rule says only "a digit", never which,
+so a column is recognised by its cells' distinct shapes (each ASCII
+digit written as 0), and a long column of alike numbers has few.
 """
 
 from __future__ import annotations
@@ -42,12 +44,10 @@ Cell = None | int | float | str
 # One cell under `.match`; the int group picks `int`.  `$` also matches
 # before a trailing newline, so "1\n" is the int 1.
 _CELL_RE = re.compile(rf"(?:({_INT})|{_FLOAT})$")
-# A column's cells joined by "\n", all floats or all ints.
-_FLOAT_COLUMN_RE = re.compile(rf"{_FLOAT}(?:\n{_FLOAT})*")
-_INT_COLUMN_RE = re.compile(rf"{_INT}(?:\n{_INT})*")
-# Cells per column match: the regex engine keeps backtracking state for
-# every repetition, about 0.6 KB a cell, so long columns go in chunks.
-_CHUNK_CELLS = 128
+# A cell's shape under `fullmatch`: the grammar only says `\d`, so which
+# ASCII digits a cell holds never changes whether it matches.
+_FLOAT_RE, _INT_RE = re.compile(_FLOAT), re.compile(_INT)
+_TO_SHAPE = str.maketrans("123456789", "0" * 9)
 
 
 @dataclass(frozen=True, eq=False, init=False)
@@ -139,25 +139,26 @@ def _typed_cell(text: str, decimal_separator: str = ".") -> Cell:
 
 def _typed_column(cells, decimal_separator: str = ".") -> tuple[Cell, ...]:
     """`_typed_cell` of each cell, in one step for a column of all ints or
-    all floats.  A cell holding a newline or an empty cell sends the
-    column cell by cell, which keeps the edges of `_CELL_RE` (its `$`
-    also matches before a trailing newline), and so does a cell whose
-    number does not fit."""
+    all floats.  Every ASCII digit becomes "0" and each distinct shape
+    is matched once; any other digit stays as it is, for the pattern to
+    judge.  A cell holding a newline or an empty cell sends the column
+    cell by cell, which keeps the edges of `_CELL_RE` (its `$` also
+    matches before a trailing newline), and so does a cell whose number
+    does not fit."""
     numbers = cells
     if decimal_separator != ".":
         numbers = [cell.replace(decimal_separator, ".") for cell in cells]
-    chunks = ["\n".join(numbers[i:i + _CHUNK_CELLS])
-              for i in range(0, len(numbers), _CHUNK_CELLS)]
-    if sum(chunk.count("\n") for chunk in chunks) == \
-            len(cells) - len(chunks):  # no cell holds a newline
-        if all(map(_FLOAT_COLUMN_RE.fullmatch, chunks)):
+    shapes = "\n".join(numbers).translate(_TO_SHAPE).split("\n")
+    if len(shapes) == len(cells):  # no cell holds a newline
+        distinct = set(shapes)
+        if all(map(_FLOAT_RE.fullmatch, distinct)):
             floats = tuple(map(float, numbers))
             # A finite sum means no cell overflowed; any other sum (an
             # overflow, or finite cells summing past the float range)
             # leaves it to the per-cell rule.
             if math.isfinite(sum(floats)):
                 return floats
-        elif all(map(_INT_COLUMN_RE.fullmatch, chunks)):
+        elif all(map(_INT_RE.fullmatch, distinct)):
             try:
                 return tuple(map(int, numbers))
             except ValueError:  # a cell has more digits than `int` reads

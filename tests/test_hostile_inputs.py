@@ -135,6 +135,9 @@ CSVS = {
     "field-over-csv-limit": "t,U,T\n0," + "x" * 200_000 + ",275\n",
     "float-overflow": "t,U,T\n0,1e999,275\n1,-1e400,275\n",
     "long-int": f"t,U,T\n0,{LONG_INT},275\n",
+    # an int past the float range; a span past it
+    "int-beyond-float": f"t,U,T\n0,{'1' + '0' * 399},275\n1,2,275\n",
+    "span-beyond-float": "t,U,T\n0,-1e308,275\n1,1e308,275\n2,0.0,275\n",
     "subnormal": "t,U,T\n0,5e-324,275\n",
     "column-without-spec": "t,U,T,X\n0,1,275,1\n",
 }
@@ -153,6 +156,28 @@ def test_hostile_csv_in_rescale(tmp_path, monkeypatch, name):
         {"coll/data.json": descriptor(), "coll/data.csv": CSVS[name]},
         ["rescale", "coll", "data", "--field", "U", "--unit", "V",
          "--outdir", "out"])
+
+
+REPORT = ["report", "coll", "--out", "out", "--x", "t", "--y", "U"]
+
+
+@pytest.mark.parametrize("name", sorted(CSVS))
+def test_hostile_csv_in_report(tmp_path, monkeypatch, name):
+    run(tmp_path, monkeypatch,
+        {"coll/data.json": descriptor(), "coll/data.csv": CSVS[name]},
+        REPORT)
+
+
+@pytest.mark.parametrize("name", ["int-beyond-float", "span-beyond-float"])
+def test_report_of_a_plot_beyond_the_float_range_has_no_plot(
+        tmp_path, monkeypatch, name):
+    code, out, err = run(tmp_path, monkeypatch,
+                         {"coll/data.json": descriptor(),
+                          "coll/data.csv": CSVS[name]}, REPORT)
+    assert (code, out) == (0, "")
+    assert not (tmp_path / "out" / "plots").exists()
+    page = (tmp_path / "out" / "entries" / "data.md").read_text("utf-8")
+    assert "no plot available" in page
 
 
 SIDECARS = {
@@ -383,3 +408,5 @@ def test_generated_csv_cells(text):
     run_fresh({"coll/data.json": descriptor(), "coll/data.csv": text},
               ["rescale", "coll", "data", "--field", "U", "--unit", "V",
                "--outdir", "out"])
+    run_fresh({"coll/data.json": descriptor(), "coll/data.csv": text},
+              REPORT)

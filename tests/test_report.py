@@ -4,11 +4,14 @@ import re
 from urllib.parse import unquote
 
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
 from unitpack import report
 from unitpack.collection import Collection
 from unitpack.datapackage import Entry, FieldSpec
-from unitpack.errors import NonNumericCell, TooFewPoints, UnknownField
+from unitpack.errors import (NonNumericCell, OutOfRange, TooFewPoints,
+                             UnknownField)
 from unitpack.metadata import MetadataDoc, find_path
 from unitpack.report import (
     ReportConfig,
@@ -83,6 +86,71 @@ def test_plot_error_cases(demo_entry):
 def test_plot_deterministic(demo_entry):
     assert render_plot(demo_entry, "t", "U") == \
         render_plot(demo_entry, "t", "U")
+
+
+def _points_oracle(xs, ys):
+    """The polyline as one f-string per point: rows with a null skipped,
+    each axis mapped into the 360 x 270 plot area at (20, 15), or to the
+    midline (200, 150) if the axis is flat."""
+    kept = [(float(x), float(y)) for x, y in zip(xs, ys)
+            if x is not None and y is not None]
+    xs, ys = [x for x, _ in kept], [y for _, y in kept]
+    x_min, x_max, y_min, y_max = min(xs), max(xs), min(ys), max(ys)
+    x_flat, x_range = x_max == x_min, x_max - x_min
+    y_flat, y_range = y_max == y_min, y_max - y_min
+    return " ".join([
+        f"{200.0 if x_flat else 20 + (px - x_min) / x_range * 360:.2f},"
+        f"{150.0 if y_flat else 285 - (py - y_min) / y_range * 270:.2f}"
+        for px, py in kept])
+
+
+_plot_cells = st.one_of(
+    st.integers(-10**300, 10**300),
+    st.floats(-1e300, 1e300),
+    st.sampled_from([0, 0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308,
+                     1e300, -1e300, None]))
+
+
+@st.composite
+def _plot_columns(draw):
+    """Two equally long columns, each either drawn cell by cell or one
+    cell repeated (a flat axis)."""
+    n = draw(st.integers(min_value=2, max_value=30))
+
+    def column():
+        if draw(st.booleans()):
+            return [draw(_plot_cells)] * n
+        return draw(st.lists(_plot_cells, min_size=n, max_size=n))
+    return column(), column()
+
+
+@settings(max_examples=300, deadline=None)
+@given(_plot_columns())
+@example(([0, 1], [0.0, -0.0]))
+@example(([-0.0, 5e-324], [1e300, -1e300]))
+@example(([5e-324, -5e-324], [2, 2]))
+@example(([3, 3], [1.5, 2.5]))
+# x = 130.805 plots as 130.81; rounding x * 100 to an int gives 130.80
+@example(([0, 360, 110.805], [1, 1, 1]))
+def test_polyline_equals_per_point_formula(columns):
+    xs, ys = columns
+    assume(sum(x is not None and y is not None for x, y in zip(xs, ys)) >= 2)
+    svg = render_plot(material_entry("p", "Pt", rows=tuple(zip(xs, ys))),
+                      "t", "U")
+    assert re.search(r'points="([^"]*)"', svg).group(1) == \
+        _points_oracle(xs, ys)
+
+
+@pytest.mark.parametrize("rows", [
+    ((0, 10**400), (1, 2.0)),
+    ((0, 1.0), (None, 2.0), (10**400, 3.0)),
+    ((0, -1e308), (1, 1e308), (2, 0.0)),
+    ((-1e308, 0), (1e308, 1)),
+], ids=["int-cell", "int-cell-after-null", "y-span", "x-span"])
+def test_plot_beyond_the_float_range_is_out_of_range(rows):
+    with pytest.raises(OutOfRange) as info:
+        render_plot(material_entry("far", "Pt", rows=rows), "t", "U")
+    assert info.value.code == "OUT_OF_RANGE"
 
 
 # -------------------------------

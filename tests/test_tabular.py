@@ -433,8 +433,8 @@ def _typed(cells):
 # pieces on every edge of the number rule: signs, separators, exponents,
 # line breaks, spaces, underscores, non-ASCII digits and sentinels
 _number_like = st.lists(st.sampled_from(
-    ["1", "23", "0", "١٢", "+", "-", ".", ",", "e", "E", "\n", " ", "_",
-     "nan"]), max_size=5).map("".join)
+    ["1", "23", "0", "١٢", "１", "+", "-", ".", ",", "e", "E", "\n", " ",
+     "_", "nan"]), max_size=5).map("".join)
 _numbers = st.one_of(st.integers().map(str),
                      st.floats(allow_nan=False).map(repr),
                      st.floats(allow_nan=False).map(repr).map(
@@ -464,17 +464,28 @@ def test_column_typing_equals_cell_typing(cells, separator):
     (["1\n", "2"], ".", [1, 2]),
     (["2.5\n", "1.5"], ".", [2.5, 1.5]),
     (["1\n2", "3"], ".", ["1\n2", 3]),
+    (["1.5\n2.5", "3.5"], ".", ["1.5\n2.5", 3.5]),
     (["1."], ".", ["1."]),
     (["١٢", "3"], ".", [12, 3]),
     (["0", "0.5"], ".", [0, 0.5]),
     (["", "1", ""], ".", [None, 1, None]),
     (["nan", "1.5"], ".", ["nan", 1.5]),
     (["1_0", "2"], ".", ["1_0", 2]),
+    # digits beyond ASCII keep their shape; `\d` still judges them
+    (["١.٥", "1.5"], ".", [1.5, 1.5]),
+    (["１２", "3"], ".", [12, 3]),
+    (["１.５", "2.5e1"], ".", [1.5, 25.0]),
+    # a sign, point or exponent mark alone is text
+    (["."], ".", ["."]),
+    (["e", "1e5"], ".", ["e", 1e5]),
+    (["-", "-1"], ".", ["-", -1]),
     (["1,5", "-2e3"], ",", [1.5, -2000.0]),
     (["1.5", "2"], ",", [1.5, 2]),
     ([], ".", []),
-    # longer than one chunk of the column match
+    # long columns, all alike or with one odd cell
     ([str(i) for i in range(300)], ".", list(range(300))),
+    ([f"{i % 10}.5" for i in range(1000)] + ["1."], ".",
+     [i % 10 + 0.5 for i in range(1000)] + ["1."]),
     ([f"{i}.5" for i in range(299)] + ["1."], ".",
      [i + 0.5 for i in range(299)] + ["1."]),
     (["1"] * 200 + ["1\n2"] + ["3"] * 50, ".",
