@@ -190,11 +190,9 @@ def _cmd_ls(args) -> int:
 
 def _cmd_show(args) -> int:
     entry = collection.get(_load_collection(args), args.id)
-    if args.path is None:
-        print(entry.metadata.to_json(indent=2))
-    else:
-        node = metadata.get_path(entry.metadata, args.path)
-        print(json.dumps(node, indent=2, ensure_ascii=False))
+    node = entry.metadata.root if args.path is None \
+        else metadata.get_path(entry.metadata, args.path)
+    print(json.dumps(node, indent=2, ensure_ascii=False))
     return 0
 
 

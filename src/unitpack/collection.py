@@ -23,7 +23,7 @@ from .errors import (
 )
 from .metadata import (_load_each, _read_text, canonical_scalar,
                        find_path, is_scalar, parse_yaml)
-from .tabular import _is_number
+from .tabular import _is_number, _typed_cell
 
 log = logging.getLogger("unitpack.collection")
 
@@ -103,8 +103,7 @@ def _load_directory(directory: Path, skip_errors: bool, load) -> Collection:
 
 
 def _fetch_to_file(url: str, target: Path) -> None:
-    import urllib.error  # imported here: no other command pays for it
-    import urllib.request
+    import urllib.request  # imported here: no other command pays for it
 
     size = 0
     try:
@@ -116,7 +115,7 @@ def _fetch_to_file(url: str, target: Path) -> None:
                     raise FetchError(f"cannot fetch {url}: larger than "
                                      f"{MAX_DOWNLOAD_BYTES} bytes")
                 out.write(chunk)
-    except (urllib.error.URLError, TimeoutError, OSError) as exc:
+    except OSError as exc:  # `URLError` and `TimeoutError` are OSErrors
         raise FetchError(f"cannot fetch {url}: {exc}") from exc
 
 
@@ -198,20 +197,15 @@ class Clause:
                 f"(expected one of {', '.join(OPERATORS)})")
 
 
+_WORDS = {"true": True, "false": False, "null": None}
+
+
 def _parse_literal(token: str):
-    try:
-        return int(token)
-    except ValueError:
-        pass
-    try:
-        return float(token)
-    except ValueError:
-        pass
-    if token in ("true", "false"):
-        return token == "true"
-    if token == "null":
-        return None
-    return token
+    """A JSON word, or a number exactly where a CSV cell with the same
+    text is one; the empty token stays text."""
+    if token in _WORDS:
+        return _WORDS[token]
+    return _typed_cell(token) if token else token
 
 
 def parse_clause(text: str) -> Clause:

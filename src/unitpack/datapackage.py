@@ -85,6 +85,12 @@ class FieldSpec:
             raise InvalidUnit(
                 f"field {self.name!r}: bad unit {self.unit!r}: {exc}") from exc
 
+    @classmethod
+    def from_descriptor(cls, item: dict) -> "FieldSpec":
+        """Inverse of `to_descriptor`; a field with no type is a number."""
+        return cls(name=item["name"], type=item.get("type", "number"),
+                   unit=item.get("unit"), description=item.get("description"))
+
     def to_descriptor(self) -> dict:
         out: dict = {"name": self.name, "type": self.type}
         if self.unit is not None:
@@ -202,12 +208,8 @@ def build_entry_from_table(identifier: str, table: Table,
                 declared_type = "number"
             except NonNumericCell:
                 declared_type = "string"
-        fields.append(FieldSpec(
-            name=column,
-            type=declared_type,
-            unit=item.get("unit"),
-            description=item.get("description"),
-        ))
+        fields.append(FieldSpec.from_descriptor(
+            {**item, "name": column, "type": declared_type}))
     return Entry(identifier=identifier, fields=tuple(fields), table=table,
                  metadata=metadata)
 
@@ -337,12 +339,7 @@ def load_entry(json_path: str | Path) -> Entry:
         if not isinstance(item, dict) or not isinstance(item.get("name"), str):
             raise DescriptorParseError(
                 f"{json_path}: each schema field must be a map with a name")
-        fields.append(FieldSpec(
-            name=item["name"],
-            type=item.get("type", "number"),
-            unit=item.get("unit"),
-            description=item.get("description"),
-        ))
+        fields.append(FieldSpec.from_descriptor(item))
     return Entry(identifier=identifier, fields=tuple(fields), table=table,
                  metadata=MetadataDoc(root=resource["metadata"]))
 
@@ -359,18 +356,15 @@ def rescale(entry: Entry, targets: dict[str, str]) -> Entry:
     factors = {}
     new_fields = list(entry.fields)
     for name, unit_text in targets.items():
-        try:
-            index = entry.table.column_index(name)
-        except KeyError:
-            raise UnknownField(
-                f"no field {name!r} in entry {entry.identifier!r}") from None
-        old_unit = entry.fields[index].parsed_unit()
+        spec = entry.field(name)
+        index = entry.fields.index(spec)
+        old_unit = spec.parsed_unit()
         try:
             new_unit = units.parse_unit(unit_text)
         except UnitpackError as exc:
             raise InvalidUnit(f"bad target unit {unit_text!r}: {exc}") from exc
         factors[index] = units.conversion_factor(old_unit, new_unit)
-        new_fields[index] = replace(entry.fields[index], unit=unit_text)
+        new_fields[index] = replace(spec, unit=unit_text)
 
     columns = list(map(entry.table.column_values, entry.table.columns))
     for index, factor in factors.items():

@@ -21,7 +21,7 @@ from __future__ import annotations
 import functools
 import math
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from decimal import Decimal
 from fractions import Fraction
 
@@ -116,7 +116,6 @@ _PREFIXES: dict[str, Fraction] = {
 # Longest prefixes first so "da" is tried before "d".
 _PREFIXES_BY_LENGTH = sorted(_PREFIXES, key=len, reverse=True)
 
-_EXPONENT_RE = re.compile(r"^[+-]?\d+$")
 # The largest magnitude of an exponent, written or merged: `m^99` parses
 # and `m^100` or `m^99*m` does not, so every canonical text parses again.
 MAX_EXPONENT = 99
@@ -134,7 +133,7 @@ class UnitExpr:
 
     scale: Fraction
     dims: Dimension
-    factors: tuple[tuple[str, int], ...]
+    factors: tuple[tuple[str, int], ...] = field(compare=False)
 
     def __post_init__(self):
         if self.scale <= 0:
@@ -146,14 +145,6 @@ class UnitExpr:
             return "1"
         return "*".join(sym if exp == 1 else f"{sym}^{exp}"
                         for sym, exp in self.factors)
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, UnitExpr):
-            return NotImplemented
-        return self.scale == other.scale and self.dims == other.dims
-
-    def __hash__(self) -> int:
-        return hash((self.scale, self.dims))
 
     def __str__(self) -> str:
         return self.canonical_text
@@ -249,7 +240,7 @@ def _split_factor(piece: str, source: str) -> tuple[str, int]:
         symbol, _, exp_text = piece.partition("^")
         symbol = symbol.strip()
         exp_text = exp_text.strip()
-        if not symbol or not _EXPONENT_RE.match(exp_text):
+        if not symbol or not re.fullmatch(_INT, exp_text):
             raise UnitSyntaxError(f"malformed factor {piece!r} in {source!r}")
         # More significant digits than 99 has is exactly |n| > 99, and
         # counting them keeps `int` (which refuses 4300) off a long text.

@@ -254,6 +254,35 @@ def test_template_must_parse(tmp_path):
         load_template(path)
 
 
+@pytest.mark.parametrize("text, kept", [
+    ("", ""), ("# only a comment", "# only a comment\n"),
+    ("user: x", "user: x\n"), ("user: x\n", "user: x\n"),
+])
+def test_template_text_ends_with_one_newline(tmp_path, text, kept):
+    path = tmp_path / "t.yaml"
+    path.write_text(text, encoding="utf-8")
+    assert load_template(path).text == kept
+
+
+@pytest.mark.parametrize("text", ["- a\n- b\n", "just text\n", "5\n"])
+def test_template_must_be_a_map(tmp_path, text):
+    path = tmp_path / "t.yaml"
+    path.write_text(text, encoding="utf-8")
+    with pytest.raises(TemplateParseError, match="must be a YAML map"):
+        load_template(path)
+
+
+def test_split_meta_without_a_block():
+    assert split_meta("user: x\n") == ("user: x\n", None)
+    assert split_meta("") == ("", None)
+
+
+def test_negative_quiescence_is_a_setup_error(tmp_path):
+    with pytest.raises(WatchSetupError, match="quiescence_ms must be >= 0"):
+        WatchConfig(watch_dir=tmp_path, template_path=tmp_path / "t.yaml",
+                    quiescence_ms=-1)
+
+
 def test_undecodable_template_is_template_parse_error(tmp_path):
     path = tmp_path / "t.yaml"
     path.write_bytes(b"user: \xff\n")

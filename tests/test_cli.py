@@ -9,8 +9,10 @@ import time
 import pytest
 
 from unitpack import cli
+from unitpack.datapackage import Entry, save_entry
+from unitpack.metadata import MetadataDoc
 
-from conftest import write_demo_fixture
+from conftest import material_entry, write_demo_fixture
 
 SCHEMA = """{
   "type": "object",
@@ -148,6 +150,17 @@ def test_pack_mistyped_loader_spec(tmp_path, capsys):
     assert err.startswith("LOADER_SPEC_INVALID:")
 
 
+def test_pack_into_an_existing_file_is_one_io_error_line(tmp_path, capsys):
+    csv_path, _ = write_demo_fixture(tmp_path)
+    taken = tmp_path / "taken"
+    taken.write_text("not a directory\n", encoding="utf-8")
+    code, out, err = run(capsys, "pack", str(csv_path), "--outdir",
+                         str(taken))
+    assert (code, out) == (1, "")
+    assert err.startswith("IO_ERROR: ") and err.count("\n") == 1
+    assert taken.read_text(encoding="utf-8") == "not a directory\n"
+
+
 # -------------------------------
 # validate
 # -------------------------------
@@ -201,6 +214,27 @@ def test_ls_with_filter(tmp_path, capsys):
     code, out, _ = run(capsys, "ls", str(outdir),
                        "--filter", 'user == "Nobody"')
     assert (code, out) == (0, "")
+
+
+# `true`, `false` and `null` are the JSON words; a path that is absent
+# never matches, not even `!= null`.
+@pytest.mark.parametrize("clause, listed", [
+    ("k == true", "yes\n"),
+    ("k == false", "no\n"),
+    ("k == null", "nil\n"),
+    ("k != null", "no\none\nyes\n"),
+    ("k != true", "nil\nno\none\n"),
+])
+def test_ls_filter_by_word_literals(tmp_path, capsys, clause, listed):
+    base = material_entry("x", "Pt")
+    values = {"yes": {"k": True}, "no": {"k": False}, "nil": {"k": None},
+              "one": {"k": 1}, "absent": {}}
+    for identifier, root in values.items():
+        save_entry(Entry(identifier=identifier, fields=base.fields,
+                         table=base.table, metadata=MetadataDoc(root=root)),
+                   tmp_path)
+    code, out, _ = run(capsys, "ls", str(tmp_path), "--filter", clause)
+    assert (code, out) == (0, listed)
 
 
 def test_show_full_metadata_is_json(tmp_path, capsys):

@@ -20,7 +20,7 @@ from unitpack.collection import (
     load_profile,
     parse_clause,
 )
-from unitpack.datapackage import save_entry
+from unitpack.datapackage import Entry, save_entry
 from unitpack.errors import (
     BadArchive,
     CollectionLoadError,
@@ -32,6 +32,7 @@ from unitpack.errors import (
     PredicateParseError,
     UnitpackError,
 )
+from unitpack.metadata import MetadataDoc
 
 from conftest import forbid_csv_body, material_entry
 
@@ -356,6 +357,57 @@ def test_parse_clause_errors():
         parse_clause("path ~= value")
     clause = parse_clause('a.b >= 2.5')
     assert clause == Clause(path="a.b", op=">=", value=2.5)
+
+
+# Each literal and the value it stands for, type included: a token is a
+# number exactly where a CSV cell with the same text is one.
+@pytest.mark.parametrize("token, expected", [
+    ("5", 5), ("-3", -3), ("+4", 4), ("007", 7), ("2.5", 2.5),
+    ("-0.25", -0.25), ("1e3", 1000.0), ("-1.5E-2", -0.015), (".5", 0.5),
+    ("٢", 2), ("١.٥", 1.5), ("true", True), ("false", False),
+    ("null", None), ('""', ""), ('"Max Doe"', "Max Doe"), ("Pt", "Pt"),
+    ("True", "True"), ("NULL", "NULL"), ('"5 mA"', "5 mA"),
+])
+def test_parse_clause_literals(token, expected):
+    value = parse_clause(f"k == {token}").value
+    assert (type(value), value) == (type(expected), expected)
+
+
+# Python's `int` and `float` read these; a CSV cell holding the same text
+# is text, and so is the literal.
+@pytest.mark.parametrize("token", [
+    "1_000", "1.", "-2.", "inf", "-Infinity", "nan", "1e400", '" 5"',
+    '"5 "', pytest.param("9" * 4301, id="4301-digits"),
+])
+def test_literals_that_are_text_in_a_cell_are_text(token):
+    text = token.strip('"')
+    assert parse_clause(f"k == {token}").value == text
+
+
+# `canonical_scalar` writes an infinite or NaN float as the text literal
+# reads, so `==` matches them.
+@pytest.mark.parametrize("path, op, token, kept", [
+    ("hot", "==", "inf", True), ("cold", "==", "-inf", True),
+    ("odd", "==", "nan", True), ("hot", "!=", "inf", False),
+    ("hot", "==", "1e400", False),
+])
+def test_text_literal_matches_infinite_and_nan_metadata(path, op, token,
+                                                        kept):
+    entry = material_entry("x", "Pt")
+    db = Collection(entries=(Entry(
+        identifier="x", fields=entry.fields, table=entry.table,
+        metadata=MetadataDoc(root={"hot": float("inf"),
+                                   "cold": float("-inf"),
+                                   "odd": float("nan")})),))
+    clause = parse_clause(f"{path} {op} {token}")
+    assert bool(collection.filter(db, clause)) is kept
+
+
+def test_direct_collection_rejects_repeated_identifier():
+    with pytest.raises(DuplicateIdentifier) as excinfo:
+        Collection(entries=(material_entry("a", "Pt"),
+                            material_entry("a", "Au")))
+    assert excinfo.value.code == "DUPLICATE_IDENTIFIER"
 
 
 # -------------------------------

@@ -642,3 +642,58 @@ def test_overflowing_cells_stay_text_through_pack_and_load(tmp_path):
     assert load_entry(json_path).table == entry.table
     with pytest.raises(NonNumericCell, match="'1e999'"):
         field_quantity(entry, "U")
+
+
+@pytest.mark.parametrize("identifier", ["a/b", "a\\b"])
+def test_identifier_with_a_path_separator_is_invalid(identifier):
+    with pytest.raises(InvalidIdentifier, match="path separators") as excinfo:
+        datapackage.validate_identifier(identifier)
+    assert excinfo.value.code == "INVALID_IDENTIFIER"
+
+
+def test_field_list_naming_a_column_twice_is_invalid():
+    metadata = MetadataDoc(root={"fields": [{"name": "c"},
+                                            {"name": "c", "unit": "s"}]})
+    with pytest.raises(UnitpackError,
+                       match="duplicate field spec for column 'c'") as excinfo:
+        datapackage.build_entry_from_table(
+            "data", Table(columns=("c",), rows=((1,),)), metadata,
+            fields_path="fields")
+    assert excinfo.value.code == "FIELD_SPEC_INVALID"
+
+
+def test_field_quantity_unknown_aggregate_and_all_null_column():
+    entry = _voltage_entry(((None,), (None,)))
+    with pytest.raises(ValueError, match="unknown aggregate 'median'"):
+        field_quantity(entry, "U", "median")
+    with pytest.raises(NonNumericCell,
+                       match="field 'U' has no numeric cells") as excinfo:
+        field_quantity(entry, "U", "mean")
+    assert excinfo.value.code == "NON_NUMERIC_CELL"
+
+
+def test_rescale_unknown_field_lists_the_fields(demo_entry):
+    with pytest.raises(UnknownField) as excinfo:
+        rescale(demo_entry, {"X": "V"})
+    assert str(excinfo.value) == \
+        "no field 'X' in entry 'data' (fields: t, U, T)"
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.builds(
+    FieldSpec, name=st.text(max_size=8),
+    type=st.sampled_from(datapackage.FIELD_TYPES),
+    unit=st.none() | st.sampled_from(["s", "mV", "1", "m^-2",
+                                      "kg*m^2/s^3/A", " Ω "]),
+    description=st.none() | st.text(max_size=8)))
+def test_field_descriptor_round_trip(spec):
+    descriptor = json.loads(json.dumps(spec.to_descriptor()))
+    assert FieldSpec.from_descriptor(descriptor) == spec
+
+
+def test_field_descriptor_without_a_type_is_a_number():
+    assert FieldSpec.from_descriptor({"name": "t", "unit": "s"}) == \
+        FieldSpec(name="t", type="number", unit="s")
+    with pytest.raises(UnitpackError, match="bad type None") as excinfo:
+        FieldSpec.from_descriptor({"name": "t", "type": None})
+    assert excinfo.value.code == "FIELD_SPEC_INVALID"

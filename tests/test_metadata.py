@@ -59,6 +59,13 @@ def test_parse_error_carries_position(tmp_path):
     assert "line" in str(excinfo.value)
 
 
+def test_json_parse_error_position():
+    with pytest.raises(MetadataParseError) as excinfo:
+        metadata.parse_json("{")
+    assert (excinfo.value.line, excinfo.value.column) == (1, 2)
+    assert str(excinfo.value).endswith("(line 1, column 2)")
+
+
 @pytest.mark.parametrize("name", ["meta.yaml", "meta.json"])
 def test_undecodable_document_is_parse_error(tmp_path, name):
     path = tmp_path / name
@@ -153,6 +160,24 @@ def test_case_insensitive_property(demo_doc):
         metadata.get_path(demo_doc, "user")
 
 
+@pytest.mark.parametrize("path, message", [
+    ("", "empty path"),
+    (" ", "empty path"),
+    ("figure_description.fields.5",
+     "index 5 out of range after 'figure_description.fields'"),
+    ("figure_description.fields.x",
+     "segment 'x' is not a sequence index after "
+     "'figure_description.fields'"),
+    ("user.first", "cannot descend into scalar at 'user' looking for "
+                   "'first'"),
+])
+def test_get_path_misses(demo_doc, path, message):
+    with pytest.raises(PathNotFound) as excinfo:
+        metadata.get_path(demo_doc, path)
+    assert str(excinfo.value) == message
+    assert excinfo.value.code == "PATH_NOT_FOUND"
+
+
 # -------------------------------
 # validate
 # -------------------------------
@@ -213,6 +238,31 @@ def test_validate_required_monotone():
         {(v.path, v.reason) for v in extra}
 
 
+@pytest.mark.parametrize("value, expected, reason", [
+    (None, "string", "expected string, found null"),
+    (1.5, "string", "expected string, found number"),
+    (1.5, "integer", "expected integer, found number"),
+    ([], "object", "expected object, found array"),
+    ({}, "array", "expected array, found object"),
+])
+def test_validate_names_the_found_type(value, expected, reason):
+    schema = _schema({"type": "object",
+                      "properties": {"v": {"type": expected}}})
+    violations = metadata.validate(metadata.MetadataDoc(root={"v": value}),
+                                   schema)
+    assert [(v.path, v.reason) for v in violations] == [("v", reason)]
+
+
+@pytest.mark.parametrize("value, allowed", [
+    (1, True), (1.0, True), (True, False), (False, False), ("1", False),
+])
+def test_enum_keeps_bools_apart_from_numbers(value, allowed):
+    schema = _schema({"properties": {"v": {"enum": [1]}}})
+    violations = metadata.validate(metadata.MetadataDoc(root={"v": value}),
+                                   schema)
+    assert (violations == []) is allowed
+
+
 def test_bool_is_not_integer():
     schema = _schema({"type": "object",
                       "properties": {"n": {"type": "integer"}}})
@@ -238,6 +288,30 @@ def test_malformed_schema_rejected(tmp_path):
     path.write_text("type: 5\n", encoding="utf-8")
     with pytest.raises(SchemaMalformed):
         metadata.load_schema(path)
+
+
+# One schema per `SCHEMA_MALFORMED` check, each reached at its own path.
+@pytest.mark.parametrize("tree, message", [
+    ([], "schema at <root> must be a map"),
+    ({"type": "float"}, "bad type 'float' at <root>"),
+    ({"required": "a"}, "'required' must be a list of strings at <root>"),
+    ({"required": [1]}, "'required' must be a list of strings at <root>"),
+    ({"enum": "a"}, "'enum' must be a list at <root>"),
+    ({"additionalProperties": {}},
+     "'additionalProperties' must be a boolean at <root>"),
+    ({"properties": []}, "'properties' must be a map at <root>"),
+    ({"properties": {"a": 1}}, "schema at a must be a map"),
+    ({"properties": {"a": {"properties": {"b": {"type": 1}}}}},
+     "bad type 1 at a.b"),
+    ({"items": "x"}, "schema at [] must be a map"),
+    ({"properties": {"a": {"items": {"enum": 1}}}},
+     "'enum' must be a list at a[]"),
+])
+def test_each_malformed_schema_check(tree, message):
+    with pytest.raises(SchemaMalformed) as excinfo:
+        metadata._check_schema_node(tree, "")
+    assert str(excinfo.value) == message
+    assert excinfo.value.code == "SCHEMA_MALFORMED"
 
 
 # -------------------------------

@@ -249,6 +249,30 @@ def test_ungrouped_index_lists_all(material_collection, tmp_path):
         < index.find("cv-pt-2")
 
 
+def test_group_values_with_one_slug_get_distinct_pages(tmp_path):
+    db = Collection(entries=(material_entry("a", "Pt"),
+                             material_entry("b", "pt")))
+    pages = render_index(db, _cfg(tmp_path))
+    assert sorted(p for p in pages if p.startswith("groups/")) == \
+        ["groups/pt-2.md", "groups/pt.md"]
+    index = pages["index.md"]
+    assert index.count("(groups/pt.md)") == 1
+    assert index.count("(groups/pt-2.md)") == 1
+    assert "[Pt](groups/pt.md)" in index and "[pt](groups/pt-2.md)" in index
+    assert "(../entries/a.md)" in pages["groups/pt.md"]
+    assert "(../entries/b.md)" in pages["groups/pt-2.md"]
+
+
+def test_entry_page_preview_shows_null_as_an_empty_cell(tmp_path):
+    entry = material_entry("gap", "Pt", rows=((0, 1.0), (1, None),
+                                              (2, 3.0)))
+    page = _entry_page(entry, _cfg(tmp_path, descriptor_columns=()))
+    assert "| 1 |  |" in page
+    html = _entry_page(entry, _cfg(tmp_path, format="html",
+                                   descriptor_columns=()))
+    assert "<td>1</td><td></td>" in html
+
+
 def test_empty_collection_index(tmp_path):
     pages = render_index(Collection(entries=()), _cfg(tmp_path,
                                                       group_by=None))

@@ -372,6 +372,28 @@ def test_load_loader_spec_null_means_default(tmp_path):
     assert tabular.load_loader_spec(path) == LoaderSpec()
 
 
+@pytest.mark.parametrize("body, message", [
+    ('decimal_separator: ";"',
+     "decimal_separator must be '.' or ',', got ';'"),
+    ("header_row: -1", "header_row must be >= 0"),
+    ('comment_prefix: ""', "comment_prefix must be non-empty if set"),
+])
+def test_load_loader_spec_checks_values(tmp_path, body, message):
+    path = tmp_path / "loader.yaml"
+    path.write_text(body + "\n", encoding="utf-8")
+    with pytest.raises(LoaderSpecError) as excinfo:
+        tabular.load_loader_spec(path)
+    assert str(excinfo.value) == message
+    assert excinfo.value.code == "LOADER_SPEC_INVALID"
+
+
+@pytest.mark.parametrize("text", ["", "\n", "# nothing set\n"])
+def test_empty_loader_spec_file_is_the_default(tmp_path, text):
+    path = tmp_path / "loader.yaml"
+    path.write_text(text, encoding="utf-8")
+    assert tabular.load_loader_spec(path) == LoaderSpec()
+
+
 def test_loader_ragged_row_names_the_file(tmp_path):
     path = tmp_path / "ragged.txt"
     path.write_text("t,U\n0,1\n2\n", encoding="utf-8")

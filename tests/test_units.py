@@ -81,6 +81,31 @@ def test_syntax_errors(bad):
         units.parse_unit(bad)
 
 
+# An exponent is an int of the one number grammar: a sign, leading zeros
+# and any decimal digit are allowed.
+@pytest.mark.parametrize("text, expected", [
+    ("m^2", "m^2"), ("m^+2", "m^2"), ("m^02", "m^2"), ("m^٢", "m^2"),
+    ("m^ 2", "m^2"), ("m^-2", "1/m^2"), ("s/m^-2", "s*m^2"),
+    ("m^-0", "1"),
+])
+def test_exponent_forms(text, expected):
+    unit = units.parse_unit(text)
+    assert unit == units.parse_unit(expected)
+    assert unit.canonical_text == units.parse_unit(expected).canonical_text
+
+
+def test_unit_equality_is_scale_and_dims():
+    volt, compound = units.parse_unit("V"), units.parse_unit("kg*m^2/s^3/A")
+    assert volt == compound
+    assert hash(volt) == hash(compound)
+    assert volt.factors != compound.factors
+    assert units.parse_unit("m") != "m"
+    assert "m" != units.parse_unit("m")
+    assert units.parse_unit("mV") != units.parse_unit("V")
+    assert units.parse_unit("Hz") != units.parse_unit("s")
+    assert len({volt, compound, units.parse_unit("W/A")}) == 1
+
+
 @pytest.mark.parametrize("empty", ["", "   ", "\t", None])
 def test_empty_expression(empty):
     with pytest.raises(EmptyExpression):
