@@ -418,7 +418,8 @@ class _Poller:
 
 def watch(cfg: WatchConfig, event_sink=None,
           stop_event: threading.Event | None = None) -> None:
-    """Run the tagging loop until `stop_event` is set (or Ctrl-C).
+    """Run the tagging loop until `stop_event` is set, which it checks
+    between polls, so a stop never cuts a tag short.
 
     Each file-creation is tagged with the template current at tag time
     once its size has been stable for the quiescence interval.  Template
@@ -433,9 +434,6 @@ def watch(cfg: WatchConfig, event_sink=None,
     if stop_event is None:
         stop_event = threading.Event()
     poll_s = min(max(cfg.quiescence_ms / 4000.0, 0.02), 0.25)
-    try:
-        while not stop_event.is_set():
-            poller.poll(time.time())
-            stop_event.wait(poll_s)
-    except KeyboardInterrupt:
-        pass
+    while not stop_event.is_set():
+        poller.poll(time.time())
+        stop_event.wait(poll_s)

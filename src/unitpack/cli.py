@@ -12,7 +12,9 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import signal
 import sys
+import threading
 from pathlib import Path
 
 from . import autotag, collection, datapackage, metadata, report, tabular
@@ -137,7 +139,20 @@ def _cmd_watch(args) -> int:
         events = autotag.backfill(cfg, event_sink=sink)
         print(f"backfilled {len(events)} file(s)", file=sys.stderr)
         return 0
-    autotag.watch(cfg, event_sink=sink)
+    stop = threading.Event()
+
+    def request_stop(signum, frame) -> None:
+        # Not `stop.set()` here: it takes a lock that the `stop.wait` this
+        # handler may have interrupted still holds.
+        threading.Thread(target=stop.set, daemon=True).start()
+
+    previous = {signum: signal.signal(signum, request_stop)
+                for signum in (signal.SIGINT, signal.SIGTERM)}
+    try:
+        autotag.watch(cfg, event_sink=sink, stop_event=stop)
+    finally:
+        for signum, handler in previous.items():
+            signal.signal(signum, handler)
     return 0
 
 

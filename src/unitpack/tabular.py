@@ -13,15 +13,22 @@ other column is typed cell by cell; either way each cell gets the type
 the per-cell rule gives it.  The rule says only "a digit", never which,
 so a column is recognised by its cells' distinct shapes (each ASCII
 digit written as 0), and a long column of alike numbers has few.
+
+`read_table` splits text that `csv` would split only at "\\n" and ","
+with `str.split`, to the table `csv` gives (its docstring says which
+text that is); other text, `open_table` and `apply_loader` use `csv`.
 """
 
 from __future__ import annotations
 
 import csv
+import io
 import math
+import os
 import re
 from contextlib import contextmanager
 from dataclasses import dataclass, field
+from itertools import repeat
 from pathlib import Path
 
 from .errors import (
@@ -61,11 +68,11 @@ class Table:
     """
 
     columns: tuple[str, ...]
-    _cells: tuple[tuple[Cell, ...], ...] | Path
+    _cells: tuple[tuple[Cell, ...], ...] | str
 
     def __init__(self, columns: tuple[str, ...],
                  rows: tuple[tuple[Cell, ...], ...] = (),
-                 _cells: tuple[tuple[Cell, ...], ...] | Path = ()):
+                 _cells: tuple[tuple[Cell, ...], ...] | str = ()):
         seen = set()
         for name in columns:
             if name in seen:
@@ -83,7 +90,7 @@ class Table:
 
     def _body(self) -> tuple[tuple[Cell, ...], ...]:
         """The cells, one tuple per column; a lazy table reads them now."""
-        if isinstance(self._cells, Path):
+        if isinstance(self._cells, str):  # the CSV's path
             body = read_table(self._cells)
             if body.columns != self.columns:
                 raise SchemaTableMismatch(
@@ -242,9 +249,33 @@ def _csv_source(path: str | Path):
 
 
 def read_table(path: str | Path) -> Table:
-    """Parse an RFC-4180 CSV whose first line is the header."""
+    """Parse an RFC-4180 CSV whose first line is the header.
+
+    Text with no `"`, "\\r", NUL, blank line or line longer than
+    `csv.field_size_limit()`, and with the header's comma count on every
+    line, is split with `str.split`: `csv` would split it only at "\\n"
+    and ",", so the table is the one `csv` gives.  Any other text, and so
+    every parse error, goes through `csv`."""
     with _csv_source(path) as handle:
-        return _table_from_csv_rows(csv.reader(handle))
+        try:
+            text = handle.read()
+        except UnicodeDecodeError:
+            if not handle.seekable():
+                raise
+            handle.seek(0)  # so an error in a row before the byte wins
+            return _table_from_csv_rows(csv.reader(handle))
+        # Not `splitlines()`: it also splits at "\x0c", "\x85" and others.
+        lines = text.removesuffix("\n").split("\n")
+        limit = csv.field_size_limit()
+        if ("" not in lines and '"' not in text and "\r" not in text
+                and "\0" not in text
+                and (len(text) <= limit or max(map(len, lines)) <= limit)
+                and len(set(map(str.count, lines, repeat(",")))) == 1):
+            width = lines[0].count(",") + 1
+            flat = ",".join(lines[1:]).split(",") if len(lines) > 1 else []
+            return Table(tuple(lines[0].split(",")), _cells=tuple(
+                _typed_column(flat[i::width]) for i in range(width)))
+        return _table_from_csv_rows(csv.reader(io.StringIO(text, newline="")))
 
 
 def open_table(path: str | Path) -> Table:
@@ -252,7 +283,7 @@ def open_table(path: str | Path) -> Table:
     when they are first used, so errors in them surface then."""
     with _csv_source(path) as handle:
         columns = tuple(_header(csv.reader(handle)))
-    return Table(columns, _cells=Path(path))
+    return Table(columns, _cells=os.fspath(path))
 
 
 def write_table(table: Table, path: str | Path) -> None:
@@ -350,7 +381,7 @@ def apply_loader(path: str | Path, spec: LoaderSpec) -> Table:
     altered, only renamed and retyped.
     """
     with _csv_source(path) as handle:
-        lines = list(handle)  # split where csv splits, as in read_table
+        lines = list(handle)  # ends at "\n", "\r" or "\r\n", as csv records do
         if spec.comment_prefix is not None:
             lines = [l for l in lines
                      if not l.startswith(spec.comment_prefix)]

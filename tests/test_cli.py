@@ -4,6 +4,7 @@ import shutil
 import signal
 import subprocess
 import sys
+import threading
 import time
 
 import pytest
@@ -379,8 +380,9 @@ def test_backfill_goes_on_past_a_name_that_is_not_utf8(tmp_path):
     template = tmp_path / "template.yaml"
     template.write_text("user: Max Doe\n", encoding="utf-8")
     process = subprocess.run(
-        [sys.executable, "-m", "unitpack.cli", "watch", "--dir",
-         str(watch_dir), "--template", str(template), "--backfill"],
+        [sys.executable, "-X", "faulthandler", "-m", "unitpack.cli",
+         "watch", "--dir", str(watch_dir), "--template", str(template),
+         "--backfill"],
         capture_output=True, timeout=60)
     assert process.returncode == 0, process.stderr
     assert b"backfilled 3 file(s)" in process.stderr
@@ -431,15 +433,20 @@ def test_watch_setup_error_exits_1(tmp_path, capsys):
         assert err.startswith("WATCH_SETUP_ERROR: template not found")
 
 
-def test_watch_daemon_tags_then_exits_zero_on_interrupt(tmp_path):
+def _watch_tag_then_signal(tmp_path, signum):
+    """Run `unitpack watch` in a child until it has tagged one new file,
+    then send it `signum`; return the watched directory, the child's exit
+    code and its stderr.  A child that outlives the signal is sent
+    SIGABRT, so that faulthandler writes its stack to the stderr that
+    the failure shows."""
     watch_dir = tmp_path / "incoming"
     watch_dir.mkdir()
     template = tmp_path / "template.yaml"
     template.write_text("user: Max Doe\n", encoding="utf-8")
 
     with subprocess.Popen(
-            [sys.executable, "-m", "unitpack.cli", "watch",
-             "--dir", str(watch_dir), "--template", str(template),
+            [sys.executable, "-X", "faulthandler", "-m", "unitpack.cli",
+             "watch", "--dir", str(watch_dir), "--template", str(template),
              "--quiescence-ms", "60"],
             stdout=subprocess.PIPE, stderr=subprocess.PIPE) as process:
         try:
@@ -450,14 +457,53 @@ def test_watch_daemon_tags_then_exits_zero_on_interrupt(tmp_path):
             while time.monotonic() < deadline and not meta.exists():
                 time.sleep(0.05)
             assert meta.exists()
-            process.send_signal(signal.SIGINT)
-            process.wait(timeout=5)
+            process.send_signal(signum)
+            try:
+                _, stderr = process.communicate(timeout=5)
+            except subprocess.TimeoutExpired:
+                process.send_signal(signal.SIGABRT)
+                _, stderr = process.communicate(timeout=10)
+                pytest.fail(f"the watcher outlived signal {signum!r}:\n"
+                            f"{stderr.decode('utf-8', 'replace')}")
         finally:
             if process.poll() is None:
                 process.kill()
                 process.wait()
-    assert process.returncode == 0
+    return watch_dir, process.returncode, stderr.decode("utf-8", "replace")
+
+
+def test_watch_daemon_tags_then_exits_zero_on_interrupt(tmp_path):
+    watch_dir, code, stderr = _watch_tag_then_signal(tmp_path, signal.SIGINT)
+    assert code == 0, stderr
     assert (watch_dir / "autotag.log.jsonl").is_file()
+
+
+def test_watch_daemon_stops_cleanly_on_sigterm(tmp_path):
+    watch_dir, code, stderr = _watch_tag_then_signal(tmp_path,
+                                                     signal.SIGTERM)
+    assert code == 0, stderr
+    log = (watch_dir / "autotag.log.jsonl").read_text(encoding="utf-8")
+    records = [json.loads(line) for line in log.splitlines()]
+    assert [r["event"] for r in records] == ["tagged"]
+    assert list(watch_dir.rglob(".*.meta.yaml.*.tmp")) == []
+
+
+def test_watch_in_process_keeps_the_callers_signal_handlers(tmp_path,
+                                                            capsys):
+    template = tmp_path / "template.yaml"
+    template.write_text("user: Max Doe\n", encoding="utf-8")
+    signals = (signal.SIGINT, signal.SIGTERM)
+    before = [signal.getsignal(signum) for signum in signals]
+    interrupt = threading.Timer(0.3, os.kill, (os.getpid(), signal.SIGINT))
+    interrupt.start()
+    try:
+        code, _, err = run(capsys, "watch", "--dir", str(tmp_path),
+                           "--template", str(template))
+    finally:
+        interrupt.cancel()
+        interrupt.join()
+    assert (code, err) == (0, "")
+    assert [signal.getsignal(signum) for signum in signals] == before
 
 
 # -------------------------------

@@ -298,7 +298,30 @@ def test_loaded_entry_reads_rows_lazily_and_equals_saved(demo_entry,
     loaded = load_entry(json_path)
     assert calls == []
     assert loaded == demo_entry and demo_entry == loaded
-    assert calls == [csv_path]
+    assert calls == [str(csv_path)]
+
+
+@pytest.mark.parametrize("directory, resource_path, spelled", [
+    ("out", "data.csv", "out/data.csv"),
+    ("./out/", "./sub//data.csv", "out/sub/data.csv"),
+    (None, "sub/./data.csv", "{tmp}/out/sub/data.csv"),
+])
+def test_header_changed_after_a_collection_load_names_the_csv(
+        demo_entry, tmp_path, monkeypatch, directory, resource_path,
+        spelled):
+    monkeypatch.chdir(tmp_path)
+    json_path, csv_path = save_entry(demo_entry, tmp_path / "out")
+    _point_at(json_path, resource_path)
+    target = tmp_path / "out" / resource_path
+    target.parent.mkdir(exist_ok=True)
+    csv_path.rename(target)
+    (entry,) = from_directory(directory or str(tmp_path / "out")).entries
+    target.write_text("t,V,T\n0,1,2\n", encoding="utf-8")
+    with pytest.raises(SchemaTableMismatch) as excinfo:
+        entry.table.rows
+    assert str(excinfo.value) == (
+        f"{spelled.format(tmp=tmp_path)}: header changed since it was read: "
+        f"['t', 'U', 'T'] is now ['t', 'V', 'T']")
 
 
 def test_save_loaded_entry_over_its_own_files(demo_entry, tmp_path):

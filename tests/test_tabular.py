@@ -1,3 +1,6 @@
+import csv
+import io
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -12,6 +15,7 @@ from unitpack.errors import (
     RaggedRow,
     RenameSourceMissing,
     SchemaTableMismatch,
+    UnitpackError,
 )
 from unitpack.tabular import LoaderSpec, Table
 
@@ -73,7 +77,7 @@ def test_open_table_parses_rows_once_on_first_use(demo_paths, monkeypatch):
     assert table == eager and eager == table
     assert hash(table) == hash(eager)
     assert table.row_count == 3
-    assert calls == [demo_paths[0]]
+    assert calls == [str(demo_paths[0])]
 
 
 def test_open_table_raises_body_errors_on_each_use(tmp_path):
@@ -193,6 +197,110 @@ def test_undecodable_loader_spec_is_parse_error(tmp_path):
     with pytest.raises(MetadataParseError, match="not UTF-8") as excinfo:
         tabular.load_loader_spec(path)
     assert str(path) in str(excinfo.value)
+
+
+# -------------------------------
+# read_table splits plain text itself; it must agree with csv
+# -------------------------------
+
+def _outcome(read, path):
+    """What `read(path)` gives: its columns and typed cells, or its
+    error's type, code, message and row index."""
+    try:
+        table = read(path)
+    except UnitpackError as exc:
+        return (type(exc), exc.code, str(exc),
+                getattr(exc, "row_index", None))
+    return table.columns, tuple(_typed(column) for column in table._body())
+
+
+def _csv_read(path):
+    """`read_table` as `csv` alone reads the file."""
+    with tabular._csv_source(path) as handle:
+        text = handle.read()
+        return tabular._table_from_csv_rows(
+            csv.reader(io.StringIO(text, newline="")))
+
+
+def _both_reads(tmp_path, text, bom=False):
+    path = tmp_path / "t.csv"
+    path.write_bytes(("\ufeff" * bom + text).encode("utf-8"))
+    return _outcome(tabular.read_table, path), _outcome(_csv_read, path)
+
+
+# cell text, the characters csv treats specially, and line breaks that
+# `str.splitlines` would split at but csv does not
+_plain_chars = "0123456789-.e aZ"
+_odd_chars = ',\n\r"\0\x0b\x0c\x1c\x85\u2028'
+
+
+@st.composite
+def _csv_texts(draw):
+    if draw(st.booleans()):
+        return draw(st.text(alphabet=_plain_chars + _odd_chars, max_size=30))
+    width = draw(st.integers(min_value=1, max_value=4))
+    cell = st.text(alphabet=_plain_chars, max_size=4) | st.text(
+        alphabet=_plain_chars + _odd_chars, min_size=1, max_size=2)
+    lines = draw(st.lists(st.integers(min_value=width - 1,
+                                      max_value=width + 1).flatmap(
+        lambda n: st.lists(cell, min_size=n, max_size=n).map(",".join)),
+        min_size=1, max_size=6))
+    return "\n".join(lines) + draw(st.sampled_from(["", "\n", "\n\n"]))
+
+
+@settings(max_examples=400, deadline=None)
+@given(_csv_texts(), st.booleans())
+def test_read_table_equals_csv_on_generated_text(tmp_path_factory, text,
+                                                  bom):
+    direct, via_csv = _both_reads(tmp_path_factory.mktemp("split"), text,
+                                  bom)
+    assert direct == via_csv
+
+
+@pytest.mark.parametrize("text", [
+    "t,U\n", "t,U",  # header only, with and without a final newline
+    "t,U\n0,1\n2,3",  # no final newline
+    "a\n1\n\n2\n\n",  # one column with blank lines
+    "a\n1\x0c2\n3\x852\n4\u20285\n",  # line breaks csv does not split at
+    "a\n" + "7" * 131_072 + "\n",  # a field of the largest size
+], ids=["header-only", "header-only-unterminated", "unterminated",
+        "one-column-blank-lines", "unicode-breaks", "field-at-limit"])
+def test_read_table_equals_csv_at_the_edges(tmp_path, text):
+    direct, via_csv = _both_reads(tmp_path, text)
+    assert direct == via_csv
+    assert isinstance(direct[0], tuple)  # a table, not an error
+
+
+def test_plain_text_is_read_without_csv(tmp_path, monkeypatch):
+    path = tmp_path / "t.csv"
+    path.write_text("t,U\n0,1.5\n1,x\n", encoding="utf-8")
+    monkeypatch.setattr(tabular.csv, "reader", None)
+    assert tabular.read_table(path) == Table(("t", "U"),
+                                             ((0, 1.5), (1, "x")))
+
+
+def test_ragged_row_after_blank_lines_counts_them(tmp_path):
+    direct, via_csv = _both_reads(tmp_path, "a,b\n1,2\n\n\n3\n")
+    assert direct == via_csv
+    assert direct[1:] == ("RAGGED_ROW", direct[2], 3)
+    assert direct[2].endswith(": row 3 has 1 cells, expected 2")
+
+
+def test_line_past_the_field_limit_is_csv_parse_error(tmp_path):
+    direct, via_csv = _both_reads(tmp_path, "a\n" + "7" * 131_073 + "\n")
+    assert direct == via_csv
+    assert direct[1] == "CSV_PARSE_ERROR"
+    assert "field larger than field limit (131072)" in direct[2]
+
+
+def test_ragged_row_before_an_undecodable_byte_is_reported_first(tmp_path):
+    # csv reads the file as it decodes it, so an error in an early row
+    # comes before a bad byte a few decoding chunks on.
+    path = tmp_path / "bad.csv"
+    path.write_bytes(b"t,U\n0,1\n2\n" + b"0,1\n" * 20_000 + b"1,\xff\n")
+    with pytest.raises(RaggedRow) as excinfo:
+        tabular.read_table(path)
+    assert excinfo.value.row_index == 1
 
 
 # -------------------------------
