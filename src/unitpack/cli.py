@@ -146,8 +146,11 @@ def _cmd_watch(args) -> int:
         # handler may have interrupted still holds.
         threading.Thread(target=stop.set, daemon=True).start()
 
+    # A signal the caller ignores (as a shell does SIGINT for a job it
+    # starts in the background) stays ignored.
     previous = {signum: signal.signal(signum, request_stop)
-                for signum in (signal.SIGINT, signal.SIGTERM)}
+                for signum in (signal.SIGINT, signal.SIGTERM)
+                if signal.getsignal(signum) != signal.SIG_IGN}
     try:
         autotag.watch(cfg, event_sink=sink, stop_event=stop)
     finally:

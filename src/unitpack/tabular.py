@@ -14,19 +14,19 @@ the per-cell rule gives it.  The rule says only "a digit", never which,
 so a column is recognised by its cells' distinct shapes (each ASCII
 digit written as 0), and a long column of alike numbers has few.
 
-`read_table` splits text that `csv` would split only at "\\n" and ","
-with `str.split`, to the table `csv` gives (its docstring says which
-text that is); other text, `open_table` and `apply_loader` use `csv`.
+`read_table` splits a file whose text `csv` would split only at "\\n"
+and "," with `str.split`, to the table `csv` gives (`_split_table` says
+which text that is); other files, pipes, `open_table` and `apply_loader`
+use `csv`.
 """
 
 from __future__ import annotations
 
 import csv
-import io
 import math
 import os
 import re
-from contextlib import contextmanager
+from contextlib import contextmanager, suppress
 from dataclasses import dataclass, field
 from itertools import repeat
 from pathlib import Path
@@ -248,34 +248,40 @@ def _csv_source(path: str | Path):
         raise RaggedRow(f"{path}: {exc}", row_index=exc.row_index) from exc
 
 
+def _split_table(handle) -> Table | None:
+    """The table in `handle`'s text, split with `str.split`, if that text
+    has no `"`, "\\r", NUL, blank line or line longer than
+    `csv.field_size_limit()`, and the header's comma count on every line:
+    `csv` would split it only at "\\n" and ",", to the same table.  Else
+    None."""
+    text = handle.read()
+    if '"' in text or "\r" in text or "\0" in text:
+        return None
+    # Not `splitlines()`: it also splits at "\x0c", "\x85" and others.
+    lines = text.removesuffix("\n").split("\n")
+    del text
+    if ("" in lines or max(map(len, lines)) > csv.field_size_limit()
+            or len(set(map(str.count, lines, repeat(",")))) != 1):
+        return None
+    width = lines[0].count(",") + 1
+    flat = ",".join(lines).split(",")
+    return Table(tuple(flat[:width]), _cells=tuple(
+        _typed_column(flat[width + i::width]) for i in range(width)))
+
+
 def read_table(path: str | Path) -> Table:
     """Parse an RFC-4180 CSV whose first line is the header.
 
-    Text with no `"`, "\\r", NUL, blank line or line longer than
-    `csv.field_size_limit()`, and with the header's comma count on every
-    line, is split with `str.split`: `csv` would split it only at "\\n"
-    and ",", so the table is the one `csv` gives.  Any other text, and so
-    every parse error, goes through `csv`."""
+    A file that `_split_table` can split is read so.  `csv` reads any
+    other file again from its start, and a pipe, as it streams, so every
+    parse error and its row index are the ones `csv` gives."""
     with _csv_source(path) as handle:
-        try:
-            text = handle.read()
-        except UnicodeDecodeError:
-            if not handle.seekable():
-                raise
-            handle.seek(0)  # so an error in a row before the byte wins
-            return _table_from_csv_rows(csv.reader(handle))
-        # Not `splitlines()`: it also splits at "\x0c", "\x85" and others.
-        lines = text.removesuffix("\n").split("\n")
-        limit = csv.field_size_limit()
-        if ("" not in lines and '"' not in text and "\r" not in text
-                and "\0" not in text
-                and (len(text) <= limit or max(map(len, lines)) <= limit)
-                and len(set(map(str.count, lines, repeat(",")))) == 1):
-            width = lines[0].count(",") + 1
-            flat = ",".join(lines[1:]).split(",") if len(lines) > 1 else []
-            return Table(tuple(lines[0].split(",")), _cells=tuple(
-                _typed_column(flat[i::width]) for i in range(width)))
-        return _table_from_csv_rows(csv.reader(io.StringIO(text, newline="")))
+        if handle.seekable():
+            with suppress(UnicodeDecodeError):  # an earlier row's error wins
+                if (table := _split_table(handle)) is not None:
+                    return table
+            handle.seek(0)
+        return _table_from_csv_rows(csv.reader(handle))
 
 
 def open_table(path: str | Path) -> Table:

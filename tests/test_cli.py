@@ -433,12 +433,19 @@ def test_watch_setup_error_exits_1(tmp_path, capsys):
         assert err.startswith("WATCH_SETUP_ERROR: template not found")
 
 
-def _watch_tag_then_signal(tmp_path, signum):
+def _watch_tag_then_signal(tmp_path, signum, ignored=()):
     """Run `unitpack watch` in a child until it has tagged one new file,
     then send it `signum`; return the watched directory, the child's exit
     code and its stderr.  A child that outlives the signal is sent
     SIGABRT, so that faulthandler writes its stack to the stderr that
-    the failure shows."""
+    the failure shows.  The child starts with the `ignored` signals
+    ignored, as a shell starts a background job, and is sent each of
+    them first; it must still be running after them."""
+
+    def ignore():
+        for other in ignored:
+            signal.signal(other, signal.SIG_IGN)
+
     watch_dir = tmp_path / "incoming"
     watch_dir.mkdir()
     template = tmp_path / "template.yaml"
@@ -448,7 +455,8 @@ def _watch_tag_then_signal(tmp_path, signum):
             [sys.executable, "-X", "faulthandler", "-m", "unitpack.cli",
              "watch", "--dir", str(watch_dir), "--template", str(template),
              "--quiescence-ms", "60"],
-            stdout=subprocess.PIPE, stderr=subprocess.PIPE) as process:
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+            preexec_fn=ignore) as process:
         try:
             time.sleep(0.5)
             (watch_dir / "data.csv").write_text("t\n0\n", encoding="utf-8")
@@ -457,6 +465,11 @@ def _watch_tag_then_signal(tmp_path, signum):
             while time.monotonic() < deadline and not meta.exists():
                 time.sleep(0.05)
             assert meta.exists()
+            if ignored:
+                for other in ignored:
+                    process.send_signal(other)
+                time.sleep(0.5)
+                assert process.poll() is None, "an ignored signal stopped it"
             process.send_signal(signum)
             try:
                 _, stderr = process.communicate(timeout=5)
@@ -486,6 +499,14 @@ def test_watch_daemon_stops_cleanly_on_sigterm(tmp_path):
     records = [json.loads(line) for line in log.splitlines()]
     assert [r["event"] for r in records] == ["tagged"]
     assert list(watch_dir.rglob(".*.meta.yaml.*.tmp")) == []
+
+
+def test_watch_daemon_started_with_sigint_ignored_keeps_ignoring_it(
+        tmp_path):
+    watch_dir, code, stderr = _watch_tag_then_signal(
+        tmp_path, signal.SIGTERM, ignored=(signal.SIGINT,))
+    assert code == 0, stderr
+    assert (watch_dir / "autotag.log.jsonl").is_file()
 
 
 def test_watch_in_process_keeps_the_callers_signal_handlers(tmp_path,

@@ -1,5 +1,6 @@
 import csv
-import io
+import os
+import threading
 
 import pytest
 from hypothesis import given, settings
@@ -217,9 +218,7 @@ def _outcome(read, path):
 def _csv_read(path):
     """`read_table` as `csv` alone reads the file."""
     with tabular._csv_source(path) as handle:
-        text = handle.read()
-        return tabular._table_from_csv_rows(
-            csv.reader(io.StringIO(text, newline="")))
+        return tabular._table_from_csv_rows(csv.reader(handle))
 
 
 def _both_reads(tmp_path, text, bom=False):
@@ -301,6 +300,42 @@ def test_ragged_row_before_an_undecodable_byte_is_reported_first(tmp_path):
     with pytest.raises(RaggedRow) as excinfo:
         tabular.read_table(path)
     assert excinfo.value.row_index == 1
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs a FIFO")
+@pytest.mark.parametrize("body, error", [
+    (b"t,U\n0,1.5\n1,x\n", None),
+    # a pipe is read once, by csv as it decodes, so here too the ragged
+    # row comes before the bad byte a few decoding chunks on
+    (b"t,U\n0,1\n2\n" + b"0,1\n" * 20_000 + b"1,\xff\n",
+     ("RAGGED_ROW", 1)),
+], ids=["plain", "ragged-before-bad-byte"])
+def test_read_table_from_a_pipe_equals_from_a_file(tmp_path, body, error):
+    path, fifo = tmp_path / "t.csv", tmp_path / "pipe.csv"
+    path.write_bytes(body)
+    os.mkfifo(fifo)
+
+    def feed():
+        try:
+            with open(fifo, "wb") as pipe:
+                pipe.write(body)
+        except BrokenPipeError:  # the reader stopped at its error
+            pass
+
+    feeder = threading.Thread(target=feed, daemon=True)
+    feeder.start()
+    try:
+        from_pipe = _outcome(tabular.read_table, fifo)
+    finally:
+        feeder.join(timeout=10)
+    assert not feeder.is_alive()
+    from_file = _outcome(tabular.read_table, path)
+    assert (repr(from_pipe).replace(str(fifo), "CSV")
+            == repr(from_file).replace(str(path), "CSV"))
+    if error is None:
+        assert from_pipe[0] == ("t", "U")
+    else:
+        assert from_pipe[1::2] == error  # its code and row index
 
 
 # -------------------------------
