@@ -40,6 +40,7 @@ from .errors import (
 from .metadata import (
     META_SUFFIX,
     _list_dir,
+    _read_document,
     _temp_path,
     _walk,
     parse_yaml,
@@ -117,8 +118,8 @@ class TagEvent:
 
 @dataclass(frozen=True)
 class TemplateSnapshot:
-    """A validated template: verbatim text (normalized to end with a
-    newline) and its content hash."""
+    """A validated template: its text (without a leading BOM, normalized
+    to end with a newline) and its content hash."""
 
     text: str
     version: str
@@ -142,14 +143,12 @@ def _utc_now() -> str:
 
 
 def load_template(path: str | Path) -> TemplateSnapshot:
-    path = Path(path)
+    """The template at `path`, a leading BOM dropped; one that cannot be
+    read or is not a YAML map is a `TemplateParseError`."""
     try:
-        text = path.read_text(encoding="utf-8")
-    except (OSError, UnicodeDecodeError) as exc:
-        raise TemplateParseError(f"cannot read template {path}: {exc}") from exc
-    try:
-        root = parse_yaml(text)
-    except UnitpackError as exc:
+        text, root = _read_document(
+            path, lambda text: (text, parse_yaml(text)))
+    except (OSError, UnitpackError) as exc:
         raise TemplateParseError(f"template {path}: {exc}") from exc
     if root is None:
         root = {}

@@ -21,7 +21,7 @@ from .errors import (
     PredicateParseError,
     UnitpackError,
 )
-from .metadata import (_load_each, _read_text, canonical_scalar,
+from .metadata import (_load_each, _read_document, canonical_scalar,
                        find_path, is_scalar, parse_yaml)
 from .tabular import _is_number, _typed_cell
 
@@ -277,7 +277,7 @@ DEFAULT_PROFILE = Profile(
 
 def load_profile(path: str | Path) -> Profile:
     """Read a profile from its YAML file format."""
-    raw = parse_yaml(_read_text(path))
+    raw = _read_document(path, parse_yaml)
     if not isinstance(raw, dict):
         raise UnitpackError(f"profile {path} must be a map",
                             code="PROFILE_INVALID")

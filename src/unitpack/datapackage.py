@@ -41,7 +41,8 @@ from .errors import (
     UnitpackError,
     UnknownField,
 )
-from .metadata import MetadataDoc, _temp_path, get_path
+from .metadata import (MetadataDoc, _read_document, _temp_path, get_path,
+                       parse_json)
 from .tabular import (
     Table,
     _numeric_column,
@@ -285,18 +286,16 @@ def save_entry(entry: Entry, outdir: str | Path,
 def load_entry(json_path: str | Path) -> Entry:
     """Inverse of save_entry; re-parses unit strings.
 
-    Only the CSV's header is read here, so a missing CSV, an empty one,
-    duplicate columns or a schema/column mismatch fail now, while errors
-    in the rows surface when the table's rows are first used.
+    A descriptor that does not decode or parse, or repeats a map key, is
+    a `DescriptorParseError`.  Only the CSV's header is read here, so a
+    missing CSV, an empty one, duplicate columns or a schema/column
+    mismatch fail now, and errors in the rows on first use of the rows.
     """
     if not os.path.isfile(json_path):
         raise DescriptorParseError(f"no such descriptor: {json_path}")
-    # A decoding error or an int of over 4300 digits is a `ValueError`,
-    # and a deep nesting a `RecursionError`.
     try:
-        with open(json_path, encoding="utf-8-sig") as handle:
-            descriptor = json.load(handle)
-    except (ValueError, RecursionError) as exc:
+        descriptor = _read_document(json_path, parse_json)
+    except UnitpackError as exc:
         raise DescriptorParseError(
             f"bad JSON in {json_path}: {exc}") from exc
 

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import json
 import os
+import stat
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -113,9 +114,13 @@ def parse_yaml(text: str) -> Node:
         raise MetadataParseError(str(exc)) from exc
 
 
+# `json.loads` with a hook builds a new decoder on every call.
+_JSON_DECODER = json.JSONDecoder(object_pairs_hook=_json_pairs_hook)
+
+
 def parse_json(text: str) -> Node:
     try:
-        return json.loads(text, object_pairs_hook=_json_pairs_hook)
+        return _JSON_DECODER.decode(text)
     except json.JSONDecodeError as exc:
         raise MetadataParseError(exc.msg, line=exc.lineno,
                                  column=exc.colno) from exc
@@ -123,14 +128,19 @@ def parse_json(text: str) -> Node:
         raise MetadataParseError(str(exc)) from exc
 
 
-def _read_text(path: str | Path) -> str:
-    """The text of a YAML or JSON file: UTF-8, a BOM allowed.  Bytes that
-    do not decode are a `MetadataParseError`."""
+def _read_document(path: str | Path, parse) -> Node:
+    """`parse` of the UTF-8 text of the file at `path`, a leading BOM
+    dropped.  A path that is neither a regular file nor a directory is
+    refused before it is opened, since `open` blocks on a FIFO; it and
+    bytes that do not decode are a `MetadataParseError`."""
+    if not stat.S_ISREG(os.stat(path).st_mode) and not os.path.isdir(path):
+        raise MetadataParseError(f"{path} is not a regular file")
     try:
-        return Path(path).read_text(encoding="utf-8-sig")
+        with open(path, "rb") as handle:
+            text = handle.read().decode("utf-8-sig")
     except UnicodeDecodeError as exc:
-        raise MetadataParseError(f"{path} is not UTF-8 text: {exc}") \
-            from exc
+        raise MetadataParseError(f"{path} is not UTF-8 text: {exc}") from exc
+    return parse(text)
 
 
 def load_document(path: str | Path) -> MetadataDoc:
@@ -141,9 +151,8 @@ def load_document(path: str | Path) -> MetadataDoc:
         raise UnsupportedExtension(
             f"unsupported metadata extension {path.suffix!r} "
             f"(expected .yaml, .yml, or .json): {path}")
-    text = _read_text(path)
-    root = parse_json(text) if suffix == ".json" else parse_yaml(text)
-    return MetadataDoc(root=root)
+    return MetadataDoc(root=_read_document(
+        path, parse_json if suffix == ".json" else parse_yaml))
 
 
 def normalize_key(key: str) -> str:

@@ -43,7 +43,7 @@ from .errors import (
     SchemaTableMismatch,
     UnitpackError,
 )
-from .metadata import _read_text, parse_yaml
+from .metadata import _read_document, parse_yaml
 from .units import _FLOAT, _INT
 
 Cell = None | int | float | str
@@ -359,9 +359,8 @@ class LoaderSpec:
 
 def load_loader_spec(path: str | Path) -> LoaderSpec:
     """Read a LoaderSpec from its YAML file format."""
-    text = _read_text(path)  # its error names the path already
     try:
-        raw = parse_yaml(text)
+        raw = _read_document(path, parse_yaml)
     except MetadataParseError as exc:
         raise MetadataParseError(f"bad loader spec {path}: {exc}") from exc
     if raw is None:

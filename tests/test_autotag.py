@@ -1,4 +1,5 @@
 import fnmatch
+import hashlib
 import json
 import os
 import pathlib
@@ -270,6 +271,18 @@ def test_template_must_be_a_map(tmp_path, text):
     path.write_text(text, encoding="utf-8")
     with pytest.raises(TemplateParseError, match="must be a YAML map"):
         load_template(path)
+
+
+def test_a_templates_bom_is_not_copied_into_its_sidecars(tmp_path):
+    path = tmp_path / "t.yaml"
+    path.write_text("\ufeffuser: Max Doe\n", encoding="utf-8")
+    source = tmp_path / "data.csv"
+    source.write_text("x", encoding="utf-8")
+    tag_file(source, load_template(path), WatchConfig(tmp_path, path))
+    sidecar = (tmp_path / "data.csv.meta.yaml").read_text(encoding="utf-8")
+    assert sidecar.startswith("user: Max Doe\nautotag:\n")
+    assert parse_yaml(sidecar)["autotag"]["template_hash"] == \
+        hashlib.sha256(b"user: Max Doe\n").hexdigest()
 
 
 def test_split_meta_without_a_block():

@@ -162,6 +162,22 @@ def test_pack_into_an_existing_file_is_one_io_error_line(tmp_path, capsys):
     assert taken.read_text(encoding="utf-8") == "not a directory\n"
 
 
+@pytest.mark.parametrize("argv", [
+    ["validate", "missing.yaml", "--schema", "schema.json"],
+    ["validate", "data.csv.meta.yaml", "--schema", "missing.yaml"],
+    ["describe", "generated", "--profile", "missing.yaml"],
+    ["pack", "data.csv", "--loader", "missing.yaml", "--outdir", "out"],
+], ids=" ".join)
+def test_a_missing_document_is_one_io_error_line(tmp_path, capsys,
+                                                 monkeypatch, argv):
+    _packed(tmp_path, capsys)
+    (tmp_path / "schema.json").write_text(SCHEMA, encoding="utf-8")
+    monkeypatch.chdir(tmp_path)
+    assert run(capsys, *argv) == (
+        1, "", "IO_ERROR: [Errno 2] No such file or directory: "
+               "'missing.yaml'\n")
+
+
 # -------------------------------
 # validate
 # -------------------------------
@@ -507,6 +523,61 @@ def test_watch_daemon_started_with_sigint_ignored_keeps_ignoring_it(
         tmp_path, signal.SIGTERM, ignored=(signal.SIGINT,))
     assert code == 0, stderr
     assert (watch_dir / "autotag.log.jsonl").is_file()
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="no os.mkfifo")
+def test_watch_keeps_its_last_template_when_a_fifo_replaces_it(tmp_path):
+    # Opening the FIFO would block the watcher's loop for good, so it runs
+    # in a child that gets SIGABRT (and writes its stack) if it hangs.
+    watch_dir = tmp_path / "incoming"
+    watch_dir.mkdir()
+    template = tmp_path / "template.yaml"
+    template.write_text("user: Max Doe\n", encoding="utf-8")
+    log = watch_dir / "autotag.log.jsonl"
+
+    def wait_for(predicate):
+        deadline = time.monotonic() + 8
+        while time.monotonic() < deadline:
+            records = [json.loads(line) for line in log.read_text(
+                encoding="utf-8").splitlines()] if log.exists() else []
+            if predicate(records):
+                return records
+            time.sleep(0.05)
+        raise AssertionError(f"log never matched: {records}")
+
+    with subprocess.Popen(
+            [sys.executable, "-X", "faulthandler", "-m", "unitpack.cli",
+             "watch", "--dir", str(watch_dir), "--template", str(template),
+             "--quiescence-ms", "60"],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE) as process:
+        try:
+            time.sleep(0.5)
+            (watch_dir / "one.csv").write_text("t\n0\n", encoding="utf-8")
+            [first] = wait_for(lambda records: len(records) == 1)
+            os.mkfifo(tmp_path / "fifo")
+            os.replace(tmp_path / "fifo", template)
+            try:
+                wait_for(lambda records: len(records) == 2)
+                (watch_dir / "two.csv").write_text("t\n0\n",
+                                                   encoding="utf-8")
+                records = wait_for(lambda records: len(records) == 3)
+                process.send_signal(signal.SIGTERM)
+                _, stderr = process.communicate(timeout=5)
+            except (AssertionError, subprocess.TimeoutExpired):
+                process.send_signal(signal.SIGABRT)
+                _, stderr = process.communicate(timeout=10)
+                pytest.fail("the watcher hung on the FIFO:\n"
+                            + stderr.decode("utf-8", "replace"))
+        finally:
+            if process.poll() is None:
+                process.kill()
+                process.wait()
+    assert process.returncode == 0, stderr
+    assert [(r["event"], r.get("code")) for r in records] == [
+        ("tagged", None), ("error", "TEMPLATE_PARSE_ERROR"), ("tagged", None)]
+    assert records[2]["template_version"] == first["template_version"]
+    assert (watch_dir / "two.csv.meta.yaml").read_text(
+        encoding="utf-8").startswith("user: Max Doe\nautotag:\n")
 
 
 def test_watch_in_process_keeps_the_callers_signal_handlers(tmp_path,

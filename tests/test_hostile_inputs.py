@@ -78,6 +78,11 @@ def run(tmp_path, monkeypatch, files, argv):
     return code, stdout, stderr
 
 
+# A descriptor whose metadata map holds "user" twice.
+REPEATED_USER = descriptor().replace('"user": "Max Doe"',
+                                     '"user": "Max", "user": "Max Doe"')
+
+
 DESCRIPTORS = {
     "empty": "",
     "truncated": '{"resources": [',
@@ -110,6 +115,7 @@ DESCRIPTORS = {
         '"metadata": 0', f'"metadata": {DEEP}'),
     "metadata-long-int": descriptor(metadata=0).replace(
         '"metadata": 0', f'"metadata": {LONG_INT}'),
+    "metadata-repeated-key": REPEATED_USER,
 }
 
 
@@ -320,6 +326,24 @@ def test_skip_errors_skips_a_5000_digit_exponent(tmp_path, monkeypatch,
             ["ls", "coll", "--skip-errors"])
     assert (code, out) == (0, "")
     assert "skipping coll/data.json: INVALID_UNIT: " in caplog.text
+
+
+def test_skip_errors_skips_a_descriptor_with_a_repeated_key(
+        tmp_path, monkeypatch, caplog):
+    files = {"coll/data.json": REPEATED_USER, "coll/data.csv": DEMO_CSV}
+    with caplog.at_level("WARNING", logger="unitpack.collection"):
+        code, out, err = run(tmp_path, monkeypatch, files,
+                             ["ls", "coll", "--skip-errors"])
+    assert (code, out) == (0, "")
+    assert "skipping coll/data.json: DESCRIPTOR_PARSE_ERROR: " \
+        "bad JSON in coll/data.json: duplicate key 'user' in one map" \
+        in caplog.text
+    code, out, err = run(tmp_path, monkeypatch, files,
+                         ["show", "coll", "data", "--path", "user"])
+    assert (code, out) == (1, "")
+    assert err.startswith("COLLECTION_LOAD_ERROR: ")
+    assert "DESCRIPTOR_PARSE_ERROR: bad JSON in coll/data.json: " \
+        "duplicate key 'user'" in err
 
 
 def test_pack_of_a_non_utf8_name_is_invalid_identifier(tmp_path,
