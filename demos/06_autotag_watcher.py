@@ -46,8 +46,9 @@ time.sleep(0.3)
 (incoming / "run1.csv").write_text("t,U\n0,1.01\n", encoding="utf-8")
 time.sleep(0.6)
 
-template.write_text(template.read_text().replace("5 mA", "7 mA"),
-                    encoding="utf-8")
+template.write_text(
+    template.read_text(encoding="utf-8").replace("5 mA", "7 mA"),
+    encoding="utf-8")
 time.sleep(0.3)
 
 (incoming / "run2.csv").write_text("t,U\n0,1.02\n", encoding="utf-8")

@@ -36,6 +36,7 @@ from .errors import (
     TemplateParseError,
     UnitpackError,
     WatchSetupError,
+    error_code,
 )
 from .metadata import (
     META_SUFFIX,
@@ -149,7 +150,7 @@ def load_template(path: str | Path) -> TemplateSnapshot:
         text, root = _read_document(
             path, lambda text: (text, parse_yaml(text)))
     except (OSError, UnitpackError) as exc:
-        raise TemplateParseError(f"template {path}: {exc}") from exc
+        raise TemplateParseError(str(exc)) from exc
     if root is None:
         root = {}
     if not isinstance(root, dict):
@@ -262,9 +263,7 @@ def _tag_and_log(path: str, template: TemplateSnapshot, cfg: WatchConfig,
     try:
         event = tag_file(path, template, cfg)
     except (AlreadyTagged, OSError) as exc:
-        logger.emit({"event": "error",
-                     "code": AlreadyTagged.code
-                     if isinstance(exc, AlreadyTagged) else "IO_ERROR",
+        logger.emit({"event": "error", "code": error_code(exc),
                      "message": str(exc), "source_path": str(path),
                      "timestamp": _utc_now()})
         return None

@@ -1,10 +1,10 @@
 """``unitpack`` command line: pack, validate, explore, rescale, report,
 and watch: the whole pipeline over plain files.
 
-Exit codes: 0 success, 1 domain error, 2 usage error.  Domain errors
-print one line ``CODE: message`` to stderr.  Standard-output payloads of
-``show`` and ``describe`` are JSON.  Set ``UNITPACK_NO_COLOR`` to
-disable the little styling ``--pretty`` adds.
+Exit codes: 0 success, 1 domain or I/O error (one ``CODE: message``
+line on stderr), 2 usage error; an interrupt ends the process as SIGINT
+does.  ``show`` and ``describe`` print JSON.  Set ``UNITPACK_NO_COLOR``
+to disable the little styling ``--pretty`` adds.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ import threading
 from pathlib import Path
 
 from . import autotag, collection, datapackage, metadata, report, tabular
-from .errors import UnitpackError
+from .errors import UnitpackError, error_code
 
 
 def _styled(text: str) -> str:
@@ -273,13 +273,9 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return _COMMANDS[args.command](args)
-    except UnitpackError as exc:
-        code, message = exc.code, str(exc)
-    except OSError as exc:
-        code, message = "IO_ERROR", str(exc)
-    except KeyboardInterrupt:
-        return 0
-    print(f"{code}: {' '.join(message.split())}", file=sys.stderr)
+    except (UnitpackError, OSError) as exc:
+        print(f"{error_code(exc)}: {' '.join(str(exc).split())}",
+              file=sys.stderr)
     return 1
 
 

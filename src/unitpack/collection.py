@@ -82,7 +82,7 @@ def from_directory(directory: str | Path, skip_errors: bool = False
 
 def _load_directory(directory: Path, skip_errors: bool, load) -> Collection:
     """`from_directory`, with `load` turning each descriptor path into an
-    entry; its `UnitpackError`s are per-file load errors."""
+    entry; its `UnitpackError`s and `OSError`s are per-file load errors."""
     loaded, failures = _load_each(directory, ".json", load)
     sources: dict[str, str] = {}
     for json_path, entry in loaded:

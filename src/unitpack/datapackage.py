@@ -291,13 +291,13 @@ def load_entry(json_path: str | Path) -> Entry:
     missing CSV, an empty one, duplicate columns or a schema/column
     mismatch fail now, and errors in the rows on first use of the rows.
     """
-    if not os.path.isfile(json_path):
-        raise DescriptorParseError(f"no such descriptor: {json_path}")
     try:
         descriptor = _read_document(json_path, parse_json)
-    except UnitpackError as exc:
+    except (FileNotFoundError, IsADirectoryError, NotADirectoryError):
         raise DescriptorParseError(
-            f"bad JSON in {json_path}: {exc}") from exc
+            f"no such descriptor: {json_path}") from None
+    except UnitpackError as exc:
+        raise DescriptorParseError(f"bad JSON in {exc}") from exc
 
     resources = descriptor.get("resources") if isinstance(descriptor, dict) \
         else None

@@ -18,6 +18,11 @@ class UnitpackError(Exception):
             self.code = code
 
 
+def error_code(exc: UnitpackError | OSError) -> str:
+    """The code printed for `exc`; an `OSError` is `IO_ERROR`."""
+    return "IO_ERROR" if isinstance(exc, OSError) else exc.code
+
+
 # --- units ---------------------------------------------------------------
 
 class UnknownUnit(UnitpackError):

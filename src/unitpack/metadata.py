@@ -28,6 +28,7 @@ from .errors import (
     SchemaUnsupportedKeyword,
     UnitpackError,
     UnsupportedExtension,
+    error_code,
 )
 
 Node = None | bool | int | float | str | list | dict
@@ -130,17 +131,20 @@ def parse_json(text: str) -> Node:
 
 def _read_document(path: str | Path, parse) -> Node:
     """`parse` of the UTF-8 text of the file at `path`, a leading BOM
-    dropped.  A path that is neither a regular file nor a directory is
-    refused before it is opened, since `open` blocks on a FIFO; it and
-    bytes that do not decode are a `MetadataParseError`."""
-    if not stat.S_ISREG(os.stat(path).st_mode) and not os.path.isdir(path):
-        raise MetadataParseError(f"{path} is not a regular file")
+    dropped.  `open` blocks on a FIFO, so a path that is neither a regular
+    file nor a directory is refused first.  A `UnitpackError` raised here
+    or by `parse` starts with ``"<path>: "``; an `OSError` passes as is."""
+    if stat.S_IFMT(os.stat(path).st_mode) not in (stat.S_IFREG, stat.S_IFDIR):
+        raise MetadataParseError(f"{path}: not a regular file")
     try:
         with open(path, "rb") as handle:
             text = handle.read().decode("utf-8-sig")
+        return parse(text)
     except UnicodeDecodeError as exc:
-        raise MetadataParseError(f"{path} is not UTF-8 text: {exc}") from exc
-    return parse(text)
+        raise MetadataParseError(f"{path}: not UTF-8 text: {exc}") from exc
+    except UnitpackError as exc:
+        exc.args = (f"{path}: {exc}",)
+        raise
 
 
 def load_document(path: str | Path) -> MetadataDoc:
@@ -402,8 +406,8 @@ def _load_each(directory: str | Path, suffix: str, load
                ) -> tuple[list[tuple[str, object]], list[tuple[str, str]]]:
     """`load` of each regular file below `directory` whose name ends in
     `suffix`, in path order, as ``(path, loaded)`` pairs, and each file
-    whose `load` raised a `UnitpackError` as a ``(path, "CODE: message")``
-    pair."""
+    whose `load` raised a `UnitpackError` or an `OSError` as its
+    ``(path, "CODE: message")`` pair."""
     directory = str(Path(directory))
     if not os.path.isdir(directory):
         raise DirectoryNotFound(f"not a directory: {directory}")
@@ -411,8 +415,8 @@ def _load_each(directory: str | Path, suffix: str, load
     for path in sorted(_walk(directory, lambda path: path.endswith(suffix))):
         try:
             loaded.append((path, load(path)))
-        except UnitpackError as exc:
-            failures.append((path, f"{exc.code}: {exc}"))
+        except (UnitpackError, OSError) as exc:
+            failures.append((path, f"{error_code(exc)}: {exc}"))
     return loaded, failures
 
 

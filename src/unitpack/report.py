@@ -27,7 +27,7 @@ from .datapackage import Entry
 from .errors import NonNumericCell, OutOfRange, TooFewPoints, UnitpackError
 from .metadata import (ABSENT, _temp_path, _walk, canonical_scalar,
                        find_path, is_scalar)
-from .tabular import Table, _is_number, _plain_numbers, render_cell
+from .tabular import _is_number, _plain_numbers, render_cell
 
 MISSING = "—"
 
@@ -314,12 +314,12 @@ def render_entry_page(entry: Entry, cfg: ReportConfig, has_plot: bool,
                                 entry.identifier))
     else:
         blocks.append(fmt.note("no plot available"))
-    preview = Table(entry.table.columns, _cells=tuple(
-        entry.table.column_values(name)[:10] for name in entry.table.columns))
+    preview = zip(*(entry.table.column_values(name)[:10]
+                    for name in entry.table.columns))
     blocks += [
         fmt.heading("Data preview", 2),
         fmt.table([_axis_label(entry, f.name) for f in entry.fields],
-                  [map(render_cell, row) for row in preview.rows]),
+                  [map(render_cell, row) for row in preview]),
         fmt.paragraph(f"{entry.table.row_count} row(s) total; full data in "
                       f"the package CSV."),
         fmt.heading("Metadata", 2),

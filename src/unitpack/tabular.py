@@ -36,7 +36,6 @@ from .errors import (
     DuplicateColumnName,
     HeaderRowOutOfRange,
     LoaderSpecError,
-    MetadataParseError,
     NonNumericCell,
     RaggedRow,
     RenameSourceMissing,
@@ -359,10 +358,7 @@ class LoaderSpec:
 
 def load_loader_spec(path: str | Path) -> LoaderSpec:
     """Read a LoaderSpec from its YAML file format."""
-    try:
-        raw = _read_document(path, parse_yaml)
-    except MetadataParseError as exc:
-        raise MetadataParseError(f"bad loader spec {path}: {exc}") from exc
+    raw = _read_document(path, parse_yaml)
     if raw is None:
         raw = {}
     if not isinstance(raw, dict):

@@ -9,7 +9,7 @@ import time
 
 import pytest
 
-from unitpack import cli
+from unitpack import cli, metadata
 from unitpack.datapackage import Entry, save_entry
 from unitpack.metadata import MetadataDoc
 
@@ -212,6 +212,21 @@ def test_validate_unsupported_keyword(tmp_path, capsys):
     assert err.startswith("SCHEMA_UNSUPPORTED:")
 
 
+@pytest.mark.parametrize("broken", ["doc", "schema"])
+def test_validate_names_the_file_that_does_not_parse(tmp_path, capsys,
+                                                     broken):
+    paths = {"doc": tmp_path / "ok.yaml", "schema": tmp_path / "ok.json"}
+    paths["doc"].write_text("user: Max Doe\n", encoding="utf-8")
+    paths["schema"].write_text(SCHEMA, encoding="utf-8")
+    paths[broken] = tmp_path / "bad.yaml"
+    paths[broken].write_text("user: [\n", encoding="utf-8")
+    code, out, err = run(capsys, "validate", str(paths["doc"]), "--schema",
+                         str(paths["schema"]))
+    assert (code, out) == (1, "")
+    assert err.startswith(f"PARSE_ERROR: {paths[broken]}: ")
+    assert err.count("\n") == 1
+
+
 # -------------------------------
 # ls / show / rescale / describe / report
 # -------------------------------
@@ -365,6 +380,32 @@ def test_ls_skips_undecodable_descriptor(tmp_path, capsys):
     assert err.startswith("COLLECTION_LOAD_ERROR:") and "decode" in err
     code, out, err = run(capsys, "ls", str(bad), "--skip-errors")
     assert (code, out) == (0, "")
+
+
+def test_ls_skips_an_unreadable_descriptor_as_io_error(tmp_path, capsys,
+                                                      monkeypatch, caplog):
+    # Tests may run as root, whom `chmod 000` does not stop, so the one
+    # descriptor's `open` is made to fail instead.
+    for identifier in ("a", "b"):
+        save_entry(material_entry(identifier, "Pt"), tmp_path / "coll")
+    denied = str(tmp_path / "coll" / "a.json")
+
+    def open_(path, *args, **kwargs):
+        if str(path) == denied:
+            raise PermissionError(13, "Permission denied", str(path))
+        return open(path, *args, **kwargs)
+
+    monkeypatch.setattr(metadata, "open", open_, raising=False)
+    code, out, err = run(capsys, "ls", str(tmp_path / "coll"))
+    assert (code, out) == (1, "")
+    assert err == (f"COLLECTION_LOAD_ERROR: 1 descriptor(s) failed to load: "
+                   f"{denied}: IO_ERROR: [Errno 13] Permission denied: "
+                   f"'{denied}'\n")
+    with caplog.at_level("WARNING", logger="unitpack.collection"):
+        code, out, err = run(capsys, "ls", str(tmp_path / "coll"),
+                             "--skip-errors")
+    assert (code, out, err) == (0, "b\n", "")
+    assert f"skipping {denied}: IO_ERROR: " in caplog.text
 
 
 # -------------------------------
@@ -612,3 +653,13 @@ def test_exit_code_matrix(tmp_path, capsys):
     with pytest.raises(SystemExit) as excinfo:
         cli.main(["ls"])
     assert excinfo.value.code == 2
+
+
+def test_an_interrupted_command_is_not_a_success(tmp_path, monkeypatch):
+    # An interrupt propagates, so the process ends as SIGINT ends it
+    # (status 130 in a shell), not with status 0.
+    def interrupted(*args, **kwargs):
+        raise KeyboardInterrupt
+    monkeypatch.setattr(cli.collection, "from_directory", interrupted)
+    with pytest.raises(KeyboardInterrupt):
+        cli.main(["ls", str(tmp_path)])

@@ -248,10 +248,25 @@ def test_a_directory_is_neither_descriptor_nor_csv(demo_entry, tmp_path,
         load_entry(spell(json_path))
     assert str(excinfo.value) == \
         f"{json_path}: resource CSV not found: {csv_path}"
-    for descriptor in (tmp_path / "absent.json", csv_path):
+    for descriptor in (tmp_path / "absent.json", csv_path,
+                       json_path / "data.json"):
         with pytest.raises(DescriptorParseError) as excinfo:
             load_entry(spell(descriptor))
         assert str(excinfo.value) == f"no such descriptor: {descriptor}"
+
+
+def test_load_entry_stats_the_descriptor_once(demo_entry, tmp_path,
+                                              monkeypatch):
+    json_path, _ = save_entry(demo_entry, tmp_path / "pkg")
+    real_stat, stated = os.stat, []
+
+    def counting_stat(path, *args, **kwargs):
+        stated.append(os.fspath(path))
+        return real_stat(path, *args, **kwargs)
+
+    monkeypatch.setattr(os, "stat", counting_stat)
+    load_entry(json_path)
+    assert stated.count(str(json_path)) == 1
 
 
 # The package-path rule as pathlib states it: not absolute, no ".." part.

@@ -1,8 +1,8 @@
 """The five readers of YAML and JSON documents: a metadata document (and
 through it a schema), a package descriptor, a watcher template, a loader
 spec and a profile.  Each reads its file through `metadata`'s one
-reader, so each takes the same inputs the same way, and fails with its
-own code."""
+reader, so each takes the same inputs the same way, fails with its own
+code, and names the file in the message."""
 
 import importlib
 import json
@@ -64,7 +64,7 @@ module, function, path = sys.argv[1:]
 try:
     getattr(importlib.import_module(module), function)(path)
 except Exception as exc:
-    print(getattr(exc, "code", repr(exc)))
+    print(getattr(exc, "code", repr(exc)), exc)
 """
 
 
@@ -90,6 +90,17 @@ def test_a_repeated_key_is_the_readers_code(tmp_path, name, where):
         _read(name, path)
     assert excinfo.value.code == READERS[name].repeated_key
     assert "duplicate key 'user'" in str(excinfo.value)
+    assert str(path) in str(excinfo.value)
+
+
+@pytest.mark.parametrize("name", sorted(READERS))
+def test_a_parse_error_is_the_readers_code(tmp_path, name):
+    path = _path(tmp_path, name)
+    path.write_text('{"user": [\n', encoding="utf-8")
+    with pytest.raises(UnitpackError) as excinfo:
+        _read(name, path)
+    assert excinfo.value.code == READERS[name].code
+    assert str(path) in str(excinfo.value)
 
 
 @pytest.mark.parametrize("name", sorted(READERS))
@@ -99,6 +110,7 @@ def test_a_byte_that_does_not_decode_is_the_readers_code(tmp_path, name):
     with pytest.raises(UnitpackError) as excinfo:
         _read(name, path)
     assert excinfo.value.code == READERS[name].code
+    assert str(path) in str(excinfo.value)
 
 
 @pytest.mark.parametrize("name", sorted(READERS))
@@ -121,6 +133,7 @@ def test_a_fifo_is_the_readers_code_at_once(tmp_path, name):
         [sys.executable, "-X", "faulthandler", "-c", CHILD, reader.module,
          reader.function, str(path)],
         capture_output=True, text=True, timeout=30)
-    assert (process.returncode, process.stdout) == \
-        (0, reader.code + "\n"), process.stderr
+    assert (process.returncode, process.stdout.split(" ", 1)[0]) == \
+        (0, reader.code), process.stderr
+    assert f"{path}: not a regular file" in process.stdout
 
