@@ -11,13 +11,16 @@ null.  Typing goes a column at a time: a column whose cells are all
 ints, or all floats, is recognised and converted in one step, and any
 other column is typed cell by cell; either way each cell gets the type
 the per-cell rule gives it.  The rule says only "a digit", never which,
-so a column is recognised by its cells' distinct shapes (each ASCII
-digit written as 0), and a long column of alike numbers has few.
+so a column is recognised by its cells' distinct shapes (the UTF-8
+bytes with each ASCII digit written as 0), and a long column of alike
+numbers has few.
 
-`read_table` splits a file whose text `csv` would split only at "\\n"
-and "," with `str.split`, to the table `csv` gives (`_split_table` says
-which text that is); other files, pipes, `open_table` and `apply_loader`
-use `csv`.
+`read_table` splits a file whose text `csv` would split only at line
+ends ("\\n" or "\\r\\n") and "," with `str.split`, to the table `csv`
+gives (`_split_table` says which text that is); other files, pipes,
+`open_table` and `apply_loader` use `csv`.  Its checks run once per
+distinct line shape, and where lines repeat their shapes, each column's
+shapes are cut from the distinct row shapes.
 """
 
 from __future__ import annotations
@@ -28,7 +31,7 @@ import os
 import re
 from contextlib import contextmanager, suppress
 from dataclasses import dataclass, field
-from itertools import repeat
+from itertools import islice, repeat
 from pathlib import Path
 
 from .errors import (
@@ -51,9 +54,12 @@ Cell = None | int | float | str
 # before a trailing newline, so "1\n" is the int 1.
 _CELL_RE = re.compile(rf"(?:({_INT})|{_FLOAT})$")
 # A cell's shape under `fullmatch`: the grammar only says `\d`, so which
-# ASCII digits a cell holds never changes whether it matches.
-_FLOAT_RE, _INT_RE = re.compile(_FLOAT), re.compile(_INT)
-_TO_SHAPE = str.maketrans("123456789", "0" * 9)
+# ASCII digits a cell holds never changes whether it matches.  Shapes
+# are UTF-8 bytes, which `translate` maps at C speed whatever the text
+# holds; a bytes `\d` is ASCII only, so a shape that matches is all
+# ASCII and matches the text pattern too.
+_FLOAT_RE, _INT_RE = re.compile(_FLOAT.encode()), re.compile(_INT.encode())
+_TO_SHAPE = bytes.maketrans(b"123456789", b"0" * 9)
 
 
 @dataclass(frozen=True, eq=False, init=False)
@@ -143,32 +149,35 @@ def _typed_cell(text: str, decimal_separator: str = ".") -> Cell:
     return number if math.isfinite(number) else text
 
 
-def _typed_column(cells, decimal_separator: str = ".") -> tuple[Cell, ...]:
+def _typed_column(cells, decimal_separator: str = ".",
+                  shapes=None) -> tuple[Cell, ...]:
     """`_typed_cell` of each cell, in one step for a column of all ints or
-    all floats.  Every ASCII digit becomes "0" and each distinct shape
-    is matched once; any other digit stays as it is, for the pattern to
-    judge.  A cell holding a newline or an empty cell sends the column
-    cell by cell, which keeps the edges of `_CELL_RE` (its `$` also
-    matches before a trailing newline), and so does a cell whose number
-    does not fit."""
+    all floats.  `shapes` is the set of the cells' distinct shapes, found
+    here when not given; each is matched once.  A shape holding a digit
+    beyond ASCII, an empty cell or a cell holding a newline sends the
+    column cell by cell, which keeps the edges of `_CELL_RE` (its `\\d`
+    takes any digit, and its `$` also matches before a trailing
+    newline), and so does a cell whose number does not fit."""
     numbers = cells
     if decimal_separator != ".":
         numbers = [cell.replace(decimal_separator, ".") for cell in cells]
-    shapes = "\n".join(numbers).translate(_TO_SHAPE).split("\n")
-    if len(shapes) == len(cells):  # no cell holds a newline
-        distinct = set(shapes)
-        if all(map(_FLOAT_RE.fullmatch, distinct)):
-            floats = tuple(map(float, numbers))
-            # A finite sum means no cell overflowed; any other sum (an
-            # overflow, or finite cells summing past the float range)
-            # leaves it to the per-cell rule.
-            if math.isfinite(sum(floats)):
-                return floats
-        elif all(map(_INT_RE.fullmatch, distinct)):
-            try:
-                return tuple(map(int, numbers))
-            except ValueError:  # a cell has more digits than `int` reads
-                pass
+    if shapes is None:
+        found = "\n".join(numbers).encode().translate(_TO_SHAPE).split(
+            b"\n")
+        # A cell holding a newline gets a shape no number has.
+        shapes = set(found) if len(found) == len(cells) else {b"\n"}
+    if all(map(_FLOAT_RE.fullmatch, shapes)):
+        floats = tuple(map(float, numbers))
+        # A finite sum means no cell overflowed; any other sum (an
+        # overflow, or finite cells summing past the float range)
+        # leaves it to the per-cell rule.
+        if math.isfinite(sum(floats)):
+            return floats
+    elif all(map(_INT_RE.fullmatch, shapes)):
+        try:
+            return tuple(map(int, numbers))
+        except ValueError:  # a cell has more digits than `int` reads
+            pass
     return tuple(_typed_cell(cell, decimal_separator) for cell in cells)
 
 
@@ -249,23 +258,45 @@ def _csv_source(path: str | Path):
 
 def _split_table(handle) -> Table | None:
     """The table in `handle`'s text, split with `str.split`, if that text
-    has no `"`, "\\r", NUL, blank line or line longer than
-    `csv.field_size_limit()`, and the header's comma count on every line:
-    `csv` would split it only at "\\n" and ",", to the same table.  Else
-    None."""
+    has no `"`, NUL, "\\r" but in "\\r\\n", blank line or line of more
+    UTF-8 bytes than `csv.field_size_limit()`, and the header's comma
+    count on every line: `csv` would split it only at line ends and ",",
+    to the same table.  Else None.
+
+    The text is shaped in one pass, and those checks run once per
+    distinct line shape.  When there are at most half as many distinct
+    row shapes as rows, each column's distinct shapes are cut from them;
+    otherwise `_typed_column` finds them from the column's cells."""
     text = handle.read()
-    if '"' in text or "\r" in text or "\0" in text:
+    if '"' in text or "\0" in text:
         return None
+    if "\r" in text:  # csv ends a line at "\r\n" as at "\n"
+        if text.count("\r") != text.count("\r\n"):
+            return None
+        text = text.replace("\r\n", "\n")
+    text = text.removesuffix("\n")
     # Not `splitlines()`: it also splits at "\x0c", "\x85" and others.
-    lines = text.removesuffix("\n").split("\n")
-    del text
-    if ("" in lines or max(map(len, lines)) > csv.field_size_limit()
-            or len(set(map(str.count, lines, repeat(",")))) != 1):
+    shapes = text.encode().translate(_TO_SHAPE).split(b"\n")
+    header, row_count = shapes[0], len(shapes) - 1
+    rows = set(islice(shapes, 1, None))
+    del shapes  # before the cells are split, to keep the peak low
+    distinct = rows | {header}
+    if (b"" in distinct or max(map(len, distinct)) > csv.field_size_limit()
+            or len(set(map(bytes.count, distinct, repeat(b",")))) != 1):
         return None
-    width = lines[0].count(",") + 1
-    flat = ",".join(lines).split(",")
-    return Table(tuple(flat[:width]), _cells=tuple(
-        _typed_column(flat[width + i::width]) for i in range(width)))
+    width = header.count(b",") + 1
+    if 0 < 2 * len(rows) <= row_count:
+        column_shapes = [set(column) for column in
+                         zip(*(row.split(b",") for row in rows))]
+    else:
+        column_shapes = [None] * width
+    del rows, distinct
+    text = text.replace("\n", ",")
+    cells = text.split(",")  # row after row
+    del text
+    return Table(tuple(cells[:width]), _cells=tuple(
+        _typed_column(cells[width + i::width], shapes=shapes)
+        for i, shapes in enumerate(column_shapes)))
 
 
 def read_table(path: str | Path) -> Table:

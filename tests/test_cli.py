@@ -104,7 +104,8 @@ def test_pack_with_loader(tmp_path, capsys):
     code, _, _ = run(capsys, "pack", str(wild), "--loader", str(loader),
                      "--outdir", str(outdir))
     assert code == 0
-    descriptor = json.loads((outdir / "run7.json").read_text())
+    descriptor = json.loads(
+        (outdir / "run7.json").read_text(encoding="utf-8"))
     fields = descriptor["resources"][0]["schema"]["fields"]
     assert fields[0]["name"] == "U"
     assert fields[0]["unit"] == "mV"
@@ -132,9 +133,10 @@ def test_non_string_unit_is_invalid_unit(tmp_path, capsys):
     assert code == 1 and err.startswith("INVALID_UNIT:")
     (tmp_path / "clean").mkdir()
     clean = _packed(tmp_path / "clean", capsys)
-    descriptor = json.loads((clean / "data.json").read_text())
+    descriptor = json.loads(
+        (clean / "data.json").read_text(encoding="utf-8"))
     descriptor["resources"][0]["schema"]["fields"][0]["unit"] = 5
-    (clean / "data.json").write_text(json.dumps(descriptor))
+    (clean / "data.json").write_text(json.dumps(descriptor), encoding="utf-8")
     code, _, err = run(capsys, "ls", str(clean))
     assert code == 1 and err.startswith("COLLECTION_LOAD_ERROR:")
     assert "bad unit 5" in err
@@ -299,10 +301,12 @@ def test_rescale_roundtrip_through_cli(tmp_path, capsys):
                        "--field", "U", "--unit", "V",
                        "--outdir", str(rescaled_dir))
     assert code == 0
-    descriptor = json.loads((rescaled_dir / "data.json").read_text())
+    descriptor = json.loads(
+        (rescaled_dir / "data.json").read_text(encoding="utf-8"))
     fields = descriptor["resources"][0]["schema"]["fields"]
     assert [f for f in fields if f["name"] == "U"][0]["unit"] == "V"
-    first_cell = (rescaled_dir / "data.csv").read_text().splitlines()[1]
+    first_cell = (rescaled_dir / "data.csv").read_text(
+        encoding="utf-8").splitlines()[1]
     assert first_cell.split(",")[1] == "0.00101"
 
 
@@ -466,7 +470,7 @@ def test_ls_of_a_fifo_csv_is_missing_csv_at_once(tmp_path, capsys):
     os.mkfifo(outdir / "fifo.json")
     process = subprocess.run(
         [sys.executable, "-m", "unitpack.cli", "ls", str(outdir)],
-        capture_output=True, text=True, timeout=30)
+        capture_output=True, encoding="utf-8", timeout=30)
     json_path = outdir / "data.json"
     assert process.returncode == 1
     assert process.stderr == (

@@ -145,7 +145,8 @@ def test_custom_fields_path(tmp_path):
 # -------------------------------
 
 def test_save_writes_descriptor_shape(packed_dir):
-    descriptor = json.loads((packed_dir / "data.json").read_text())
+    descriptor = json.loads(
+        (packed_dir / "data.json").read_text(encoding="utf-8"))
     assert set(descriptor) == {"resources"}
     resource = descriptor["resources"][0]
     assert resource["name"] == "data"
@@ -175,9 +176,9 @@ def test_second_save_refused_without_overwrite(demo_entry, tmp_path):
 
 def test_load_schema_table_mismatch(demo_entry, tmp_path):
     json_path, _ = save_entry(demo_entry, tmp_path / "out")
-    descriptor = json.loads(json_path.read_text())
+    descriptor = json.loads(json_path.read_text(encoding="utf-8"))
     del descriptor["resources"][0]["schema"]["fields"][2]  # drop T
-    json_path.write_text(json.dumps(descriptor))
+    json_path.write_text(json.dumps(descriptor), encoding="utf-8")
     with pytest.raises(SchemaTableMismatch):
         load_entry(json_path)
     # a collection load names the descriptor that failed

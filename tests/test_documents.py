@@ -132,7 +132,7 @@ def test_a_fifo_is_the_readers_code_at_once(tmp_path, name):
     process = subprocess.run(
         [sys.executable, "-X", "faulthandler", "-c", CHILD, reader.module,
          reader.function, str(path)],
-        capture_output=True, text=True, timeout=30)
+        capture_output=True, encoding="utf-8", timeout=30)
     assert (process.returncode, process.stdout.split(" ", 1)[0]) == \
         (0, reader.code), process.stderr
     assert f"{path}: not a regular file" in process.stdout

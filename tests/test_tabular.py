@@ -256,14 +256,40 @@ def test_read_table_equals_csv_on_generated_text(tmp_path_factory, text,
     assert direct == via_csv
 
 
+def _long_column(odd):
+    """3000 rows of an int column and a float column of alike cells, but
+    for `odd` in the float column deep down."""
+    return "t,U\n" + "".join(f"{i},{odd if i == 2718 else f'{i % 997}.25'}\n"
+                             for i in range(3000))
+
+
+# ints and floats in each column
+_MIXED_NUMBERS = "a,b\n" + "".join(
+    f"{i},{i}.5\n" if i % 3 else f"{i}.5,{i}\n" for i in range(300))
+# every line a shape of its own, and one odd cell
+_DISTINCT_LINES = "a,b\n" + "".join(
+    f"{'9' * i},{'8' * i}.5\n" if i != 30 else "x,1e999\n"
+    for i in range(1, 60))
+
+
 @pytest.mark.parametrize("text", [
     "t,U\n", "t,U",  # header only, with and without a final newline
     "t,U\n0,1\n2,3",  # no final newline
     "a\n1\n\n2\n\n",  # one column with blank lines
     "a\n1\x0c2\n3\x852\n4\u20285\n",  # line breaks csv does not split at
     "a\n" + "7" * 131_072 + "\n",  # a field of the largest size
+    "1,2\n3,4\n5,6.5\n7,8.5\n9,1.5\n",  # the header has a row's shape
+    "t,U\r\n0,1.5\r\n1,x\r\n",  # Windows line ends
+    "t,U\r\n0,1\n2,3\r\n4,5",  # both line ends, no final one
+    "a\r\n1\r2\r\n",  # a lone "\r", which csv must read
+    _long_column("1e999"), _long_column("nan"), _long_column(""),
+    _long_column("1" * 5000),
+    _MIXED_NUMBERS, _DISTINCT_LINES,
 ], ids=["header-only", "header-only-unterminated", "unterminated",
-        "one-column-blank-lines", "unicode-breaks", "field-at-limit"])
+        "one-column-blank-lines", "unicode-breaks", "field-at-limit",
+        "header-shaped-as-a-row", "crlf", "crlf-and-lf", "lone-cr",
+        "odd-overflow", "odd-nan", "odd-empty", "odd-5000-digits",
+        "mixed-numbers", "distinct-lines"])
 def test_read_table_equals_csv_at_the_edges(tmp_path, text):
     direct, via_csv = _both_reads(tmp_path, text)
     assert direct == via_csv
@@ -271,11 +297,64 @@ def test_read_table_equals_csv_at_the_edges(tmp_path, text):
 
 
 def test_plain_text_is_read_without_csv(tmp_path, monkeypatch):
-    path = tmp_path / "t.csv"
-    path.write_text("t,U\n0,1.5\n1,x\n", encoding="utf-8")
     monkeypatch.setattr(tabular.csv, "reader", None)
-    assert tabular.read_table(path) == Table(("t", "U"),
-                                             ((0, 1.5), (1, "x")))
+    for line_end in "\n", "\r\n":
+        path = tmp_path / "t.csv"
+        path.write_bytes(line_end.join(["t,U", "0,1.5", "1,x", ""]).encode())
+        assert tabular.read_table(path) == Table(("t", "U"),
+                                                 ((0, 1.5), (1, "x")))
+
+
+@pytest.mark.parametrize("text, from_row_shapes", [
+    (_long_column("nan"), True), (_MIXED_NUMBERS, True),
+    (_DISTINCT_LINES, False), ("t,U\n0,1\n", False)],
+    ids=["long-column", "mixed-numbers", "distinct-lines", "one-row"])
+def test_columns_are_typed_from_row_shapes_when_rows_repeat_them(
+        tmp_path, monkeypatch, text, from_row_shapes):
+    given_shapes = []
+    typed_column = tabular._typed_column
+
+    def spy(cells, decimal_separator=".", shapes=None):
+        given_shapes.append(shapes is not None)
+        return typed_column(cells, decimal_separator, shapes)
+
+    monkeypatch.setattr(tabular, "_typed_column", spy)
+    path = tmp_path / "t.csv"
+    path.write_text(text, encoding="utf-8")
+    tabular.read_table(path)
+    assert given_shapes == [from_row_shapes] * 2
+
+
+# cells that a long column repeats: numbers, and text on the edges of
+# the number rule
+_pool_cells = st.one_of(
+    st.integers().map(str), st.floats(allow_nan=False).map(repr),
+    st.sampled_from(["", "nan", "1e999", "x", "1.", "\u0661\u0662", "-",
+                     "1_0", " 1", "\u00b5", "\x0c", "\r"]))
+
+
+@st.composite
+def _long_csv_texts(draw):
+    """Up to 400 rows whose cells each column draws from a pool of at
+    most three, so that line shapes repeat."""
+    pools = draw(st.lists(st.lists(_pool_cells, min_size=1, max_size=3),
+                          min_size=1, max_size=3))
+    rng = draw(st.randoms(use_true_random=False))
+    lines = [",".join(rng.choice(pool) for pool in pools)
+             for _ in range(draw(st.integers(0, 400)))]
+    header = ",".join(f"c{i}" for i in range(len(pools)))
+    if draw(st.booleans()):  # a header that may share the rows' shapes
+        header = ",".join(rng.choice(pool) for pool in pools)
+    line_end = draw(st.sampled_from(["\n", "\r\n"]))
+    return line_end.join([header, *lines]) + draw(
+        st.sampled_from(["", line_end]))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_long_csv_texts())
+def test_read_table_equals_csv_on_long_tables(tmp_path_factory, text):
+    direct, via_csv = _both_reads(tmp_path_factory.mktemp("long"), text)
+    assert direct == via_csv
 
 
 def test_ragged_row_after_blank_lines_counts_them(tmp_path):
