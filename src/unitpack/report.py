@@ -27,7 +27,7 @@ from .datapackage import Entry
 from .errors import NonNumericCell, OutOfRange, TooFewPoints, UnitpackError
 from .metadata import (ABSENT, _temp_path, _walk, canonical_scalar,
                        find_path, is_scalar)
-from .tabular import _is_number, render_cell
+from .tabular import _is_number, _plain_numbers, render_cell
 
 MISSING = "—"
 
@@ -69,11 +69,8 @@ def render_plot(entry: Entry, x: str, y: str) -> str:
     """
     x_cells = entry.table.column_values(entry.field(x).name)
     y_cells = entry.table.column_values(entry.field(y).name)
-    kinds = {*map(type, x_cells), *map(type, y_cells)}
     try:
-        if kinds <= {float}:
-            xs, ys = x_cells, y_cells
-        elif kinds <= {int, float}:
+        if _plain_numbers(x_cells) and _plain_numbers(y_cells):
             xs, ys = list(map(float, x_cells)), list(map(float, y_cells))
         else:
             xs, ys = [], []

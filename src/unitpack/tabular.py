@@ -19,8 +19,8 @@ numbers has few.
 ends ("\\n" or "\\r\\n") and "," with `str.split`, to the table `csv`
 gives (`_split_table` says which text that is); other files, pipes,
 `open_table` and `apply_loader` use `csv`.  Its checks run once per
-distinct line shape, and where lines repeat their shapes, each column's
-shapes are cut from the distinct row shapes.
+distinct line shape, and each column's shapes are cut from the distinct
+row shapes.
 """
 
 from __future__ import annotations
@@ -263,34 +263,29 @@ def _split_table(handle) -> Table | None:
     count on every line: `csv` would split it only at line ends and ",",
     to the same table.  Else None.
 
-    The text is shaped in one pass, and those checks run once per
-    distinct line shape.  When there are at most half as many distinct
-    row shapes as rows, each column's distinct shapes are cut from them;
-    otherwise `_typed_column` finds them from the column's cells."""
+    The text is shaped in one pass, the line checks run once per distinct
+    line shape, and each column's distinct shapes are cut from the
+    distinct row shapes."""
     text = handle.read()
-    if '"' in text or "\0" in text:
-        return None
     if "\r" in text:  # csv ends a line at "\r\n" as at "\n"
-        if text.count("\r") != text.count("\r\n"):
-            return None
         text = text.replace("\r\n", "\n")
+    if ('"' in text or "\0" in text or "\r" in text
+            or not text or text[0] == "\n" or "\n\n" in text):  # blank line
+        return None
     text = text.removesuffix("\n")
     # Not `splitlines()`: it also splits at "\x0c", "\x85" and others.
     shapes = text.encode().translate(_TO_SHAPE).split(b"\n")
-    header, row_count = shapes[0], len(shapes) - 1
+    header = shapes[0]
     rows = set(islice(shapes, 1, None))
     del shapes  # before the cells are split, to keep the peak low
     distinct = rows | {header}
-    if (b"" in distinct or max(map(len, distinct)) > csv.field_size_limit()
+    if (max(map(len, distinct)) > csv.field_size_limit()
             or len(set(map(bytes.count, distinct, repeat(b",")))) != 1):
         return None
     width = header.count(b",") + 1
-    if 0 < 2 * len(rows) <= row_count:
-        column_shapes = [set(column) for column in
-                         zip(*(row.split(b",") for row in rows))]
-    else:
-        column_shapes = [None] * width
-    del rows, distinct
+    row_cells = b",".join(rows).split(b",")  # row shape after row shape
+    column_shapes = [set(row_cells[i::width]) for i in range(width)]
+    del rows, distinct, row_cells
     text = text.replace("\n", ",")
     cells = text.split(",")  # row after row
     del text
