@@ -40,9 +40,10 @@ from .errors import (
 )
 from .metadata import (
     META_SUFFIX,
+    _STAGED_GLOB,
     _list_dir,
     _read_document,
-    _temp_path,
+    _staged,
     _walk,
     parse_yaml,
 )
@@ -81,9 +82,9 @@ class WatchConfig:
     @cached_property
     def effective_excludes(self) -> tuple[str, ...]:
         # The meta suffix can never be removed from the exclude set; the
-        # temp names sidecars are written under, the event log and the
+        # temp names unitpack writes files under, the event log and the
         # template itself are never tagged either.
-        extra = (f"*{META_SUFFIX}", f".*{META_SUFFIX}.*.tmp", LOG_NAME)
+        extra = (f"*{META_SUFFIX}", _STAGED_GLOB, LOG_NAME)
         return tuple(self.exclude_globs) + extra
 
     @cached_property
@@ -204,15 +205,14 @@ def tag_file(path: str | Path, template: TemplateSnapshot,
         Dumper=dumper, sort_keys=False, default_flow_style=False,
         allow_unicode=True)
     content = template.text + block
-    temp = _temp_path(meta_path)
-    try:
-        with open(temp, "x", encoding="utf-8") as handle:
-            handle.write(content)
-        os.link(temp, meta_path)
-    except FileExistsError:
-        raise AlreadyTagged(f"meta file already exists: {meta_path}") from None
-    finally:
-        temp.unlink(missing_ok=True)
+    with _staged(meta_path) as temp:
+        try:
+            with open(temp, "x", encoding="utf-8") as handle:
+                handle.write(content)
+            os.link(temp, meta_path)
+        except FileExistsError:
+            raise AlreadyTagged(
+                f"meta file already exists: {meta_path}") from None
     return TagEvent(source_path=str(path), meta_path=str(meta_path),
                     template_version=template.version, timestamp=stamp)
 

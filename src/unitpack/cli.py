@@ -3,8 +3,9 @@ and watch: the whole pipeline over plain files.
 
 Exit codes: 0 success, 1 domain or I/O error (one ``CODE: message``
 line on stderr), 2 usage error; an interrupt ends the process as SIGINT
-does.  ``show`` and ``describe`` print JSON.  Set ``UNITPACK_NO_COLOR``
-to disable the little styling ``--pretty`` adds.
+does, after the one line ``interrupted`` on stderr.  ``show`` and
+``describe`` print JSON.  Set ``UNITPACK_NO_COLOR`` to disable the
+little styling ``--pretty`` adds.
 """
 
 from __future__ import annotations
@@ -159,6 +160,14 @@ def _cmd_watch(args) -> int:
     return 0
 
 
+def _save(entry: datapackage.Entry, args) -> int:
+    """Save `entry` under ``--outdir`` and print the two paths written."""
+    for path in datapackage.save_entry(entry, args.outdir,
+                                       overwrite=args.overwrite):
+        print(path)
+    return 0
+
+
 def _cmd_pack(args) -> int:
     csv_path = Path(args.csv)
     meta_path = Path(args.meta) if args.meta else \
@@ -172,14 +181,9 @@ def _cmd_pack(args) -> int:
         table = tabular.apply_loader(csv_path, spec)
     else:
         table = tabular.read_table(csv_path)
-    entry = datapackage.build_entry_from_table(
+    return _save(datapackage.build_entry_from_table(
         datapackage.identifier_from_path(csv_path), table, doc,
-        args.fields_path)
-    json_path, out_csv = datapackage.save_entry(entry, args.outdir,
-                                                overwrite=args.overwrite)
-    print(json_path)
-    print(out_csv)
-    return 0
+        args.fields_path), args)
 
 
 def _cmd_validate(args) -> int:
@@ -216,12 +220,7 @@ def _cmd_show(args) -> int:
 
 def _cmd_rescale(args) -> int:
     entry = collection.get(_load_collection(args), args.id)
-    rescaled = datapackage.rescale(entry, {args.field: args.unit})
-    json_path, csv_path = datapackage.save_entry(rescaled, args.outdir,
-                                                 overwrite=args.overwrite)
-    print(json_path)
-    print(csv_path)
-    return 0
+    return _save(datapackage.rescale(entry, {args.field: args.unit}), args)
 
 
 def _cmd_describe(args) -> int:
@@ -279,5 +278,20 @@ def main(argv=None) -> int:
     return 1
 
 
+def _excepthook(kind, value, traceback) -> None:
+    if issubclass(kind, KeyboardInterrupt):
+        print("interrupted", file=sys.stderr)
+    else:
+        sys.__excepthook__(kind, value, traceback)
+
+
+def run() -> int:
+    """`main` as a process's entry point (``python -m unitpack.cli`` and
+    the ``unitpack`` script).  An interrupt still leaves it, so Python
+    ends the process as SIGINT does, but its traceback is one line."""
+    sys.excepthook = _excepthook
+    return main()
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(run())

@@ -41,7 +41,7 @@ from .errors import (
     UnitpackError,
     UnknownField,
 )
-from .metadata import (MetadataDoc, _read_document, _temp_path, get_path,
+from .metadata import (MetadataDoc, _read_document, _staged, get_path,
                        parse_json)
 from .tabular import (
     Table,
@@ -112,6 +112,9 @@ def validate_identifier(identifier: str) -> str:
     if "/" in identifier or "\\" in identifier:
         raise InvalidIdentifier(
             f"identifier must not contain path separators: {identifier!r}")
+    if "\0" in identifier:  # no file name can hold one
+        raise InvalidIdentifier(
+            f"identifier must not contain NUL: {identifier!r}")
     try:
         identifier.encode("utf-8")
     except UnicodeEncodeError:  # a lone surrogate, as from a non-UTF-8 name
@@ -257,9 +260,8 @@ def save_entry(entry: Entry, outdir: str | Path,
             }
         ]
     }
-    csv_temp, json_temp = _temp_path(csv_path), _temp_path(json_path)
-    csv_backup = _temp_path(csv_path)
-    try:
+    with (_staged(csv_path) as csv_temp, _staged(json_path) as json_temp,
+          _staged(csv_path) as csv_backup):
         write_table(entry.table, csv_temp)
         json_temp.write_text(json.dumps(descriptor, indent=2,
                                         ensure_ascii=False) + "\n",
@@ -277,9 +279,6 @@ def save_entry(entry: Entry, outdir: str | Path,
             else:
                 csv_path.unlink()
             raise
-    finally:
-        for temp in (csv_temp, json_temp, csv_backup):
-            temp.unlink(missing_ok=True)
     return json_path, csv_path
 
 

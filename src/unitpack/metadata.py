@@ -1,11 +1,16 @@
 """Structured metadata documents: load, address, validate, scan, filter.
 
 Documents are plain trees (dicts with string keys, lists, and the scalar
-types str/int/float/bool/None) so they serialize to JSON unchanged.
+types str/int/float/bool/None) so they serialize to JSON unchanged: YAML
+builds no other node kind (a date stays a string), and a document whose
+escapes leave a lone surrogate, which no UTF-8 file holds, is refused.
 Dot-paths address nodes; a path segment matches a map key when the two
 are equal after lowercasing and replacing spaces with underscores, which
 makes ``figure_description.fields`` reach the YAML key
 ``figure description``.
+
+Package files, report pages and sidecars are written under a `_staged`
+temp name and moved or linked into place.
 """
 
 from __future__ import annotations
@@ -13,6 +18,7 @@ from __future__ import annotations
 import json
 import os
 import stat
+from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -54,9 +60,18 @@ class Violation:
 
 
 class _StrictYamlLoader(yaml.SafeLoader):
-    """SafeLoader that rejects duplicate keys and aliases and keeps dates
-    as strings.  An alias shares its anchor's node, so a few bytes of
-    nested aliases can expand into a document of any size."""
+    """SafeLoader that rejects duplicate keys and aliases and builds only
+    the node kinds JSON has; a date, implicit or tagged, stays a string,
+    and any other tag (``!!binary``, ``!!set``, ``!!omap``, ``!!pairs``)
+    is a parse error.  An alias shares its anchor's node, so a few bytes
+    of nested aliases can expand into a document of any size."""
+
+    # A table of its own: `SafeLoader`'s is shared by every PyYAML user.
+    yaml_constructors = {
+        tag: yaml.SafeLoader.yaml_constructors[tag]
+        for tag in (None, *(f"tag:yaml.org,2002:{kind}" for kind in (
+            "null", "bool", "int", "float", "str", "seq", "map")))
+    } | {"tag:yaml.org,2002:timestamp": yaml.SafeLoader.construct_yaml_str}
 
     def fetch_alias(self):
         # The scanner calls this only at a `*`, so documents without
@@ -80,14 +95,6 @@ class _StrictYamlLoader(yaml.SafeLoader):
                     f"(line {key_node.start_mark.line + 1})")
             seen.add(key)
         return super().construct_mapping(node, deep=deep)
-
-
-# Dates stay plain strings: the document model has no date scalar.
-_StrictYamlLoader.yaml_implicit_resolvers = {
-    first: [(tag, regexp) for tag, regexp in resolvers
-            if tag != "tag:yaml.org,2002:timestamp"]
-    for first, resolvers in _StrictYamlLoader.yaml_implicit_resolvers.items()
-}
 
 
 def _json_pairs_hook(pairs):
@@ -132,14 +139,27 @@ def parse_json(text: str) -> Node:
 def _read_document(path: str | Path, parse) -> Node:
     """`parse` of the UTF-8 text of the file at `path`, a leading BOM
     dropped.  `open` blocks on a FIFO, so a path that is neither a regular
-    file nor a directory is refused first.  A `UnitpackError` raised here
-    or by `parse` starts with ``"<path>: "``; an `OSError` passes as is."""
+    file nor a directory is refused first.  Strict decoding keeps lone
+    surrogates out of the text, and a document whose ``\\u`` or ``\\U``
+    escapes put one in a string is refused too: no such string encodes.
+    Only a text with a backslash is checked for that.
+    A `UnitpackError` raised here or by `parse` starts with
+    ``"<path>: "``; an `OSError` passes as is."""
     if stat.S_IFMT(os.stat(path).st_mode) not in (stat.S_IFREG, stat.S_IFDIR):
         raise MetadataParseError(f"{path}: not a regular file")
     try:
         with open(path, "rb") as handle:
             text = handle.read().decode("utf-8-sig")
-        return parse(text)
+        root = parse(text)
+        # A search for one character is many times faster than for two.
+        if "\\" in text:
+            try:
+                json.dumps(root, ensure_ascii=False).encode("utf-8")
+            except UnicodeEncodeError as exc:
+                raise MetadataParseError(
+                    f"an escape leaves the lone surrogate "
+                    f"{exc.object[exc.start]!r}") from None
+        return root
     except UnicodeDecodeError as exc:
         raise MetadataParseError(f"{path}: not UTF-8 text: {exc}") from exc
     except UnitpackError as exc:
@@ -360,9 +380,20 @@ def validate(doc: MetadataDoc, schema: SchemaDoc) -> list[Violation]:
 META_SUFFIX = ".meta.yaml"
 
 
-def _temp_path(target: Path) -> Path:
-    """A fresh hidden name beside `target` that no collection reads."""
-    return target.with_name(f".{target.name}.{os.urandom(6).hex()}.tmp")
+# The names `_staged` gives; the watcher never tags a file so named.
+_STAGED_GLOB = f".*.{'[0-9a-f]' * 12}.tmp"
+
+
+@contextmanager
+def _staged(target: Path):
+    """A fresh hidden name beside `target` that no collection reads, for
+    the block to write and move into place; whatever the name still holds
+    when the block ends is removed."""
+    temp = target.with_name(f".{target.name}.{os.urandom(6).hex()}.tmp")
+    try:
+        yield temp
+    finally:
+        temp.unlink(missing_ok=True)
 
 
 def _list_dir(directory: str, accept) -> tuple[list[str], list[str]]:

@@ -25,7 +25,7 @@ from urllib.parse import quote
 from .collection import Collection
 from .datapackage import Entry
 from .errors import NonNumericCell, OutOfRange, TooFewPoints, UnitpackError
-from .metadata import (ABSENT, _temp_path, _walk, canonical_scalar,
+from .metadata import (ABSENT, _staged, _walk, canonical_scalar,
                        find_path, is_scalar)
 from .tabular import _is_number, _plain_numbers, render_cell
 
@@ -412,12 +412,9 @@ def write_report(c: Collection, cfg: ReportConfig) -> list[Path]:
     for rel_path in sorted(pages):
         target = cfg.out_dir / rel_path
         target.parent.mkdir(parents=True, exist_ok=True)
-        temp = _temp_path(target)
-        try:
+        with _staged(target) as temp:
             temp.write_text(pages[rel_path], encoding="utf-8")
             os.replace(temp, target)
-        finally:
-            temp.unlink(missing_ok=True)
         written.append(target)
     out = str(cfg.out_dir)
     indexes = {f"index.{fmt.ext}" for fmt in _FORMATS.values()}

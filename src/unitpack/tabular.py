@@ -18,9 +18,9 @@ numbers has few.
 `read_table` splits a file whose text `csv` would split only at line
 ends ("\\n" or "\\r\\n") and "," with `str.split`, to the table `csv`
 gives (`_split_table` says which text that is); other files, pipes,
-`open_table` and `apply_loader` use `csv`.  Its checks run once per
-distinct line shape, and each column's shapes are cut from the distinct
-row shapes.
+`open_table` and `apply_loader` use `csv`.  Its checks, a blank line
+among them, run once per distinct line shape, and each column's shapes
+are cut from the distinct row shapes.
 """
 
 from __future__ import annotations
@@ -269,8 +269,7 @@ def _split_table(handle) -> Table | None:
     text = handle.read()
     if "\r" in text:  # csv ends a line at "\r\n" as at "\n"
         text = text.replace("\r\n", "\n")
-    if ('"' in text or "\0" in text or "\r" in text
-            or not text or text[0] == "\n" or "\n\n" in text):  # blank line
+    if '"' in text or "\0" in text or "\r" in text:
         return None
     text = text.removesuffix("\n")
     # Not `splitlines()`: it also splits at "\x0c", "\x85" and others.
@@ -279,7 +278,8 @@ def _split_table(handle) -> Table | None:
     rows = set(islice(shapes, 1, None))
     del shapes  # before the cells are split, to keep the peak low
     distinct = rows | {header}
-    if (max(map(len, distinct)) > csv.field_size_limit()
+    if (b"" in distinct  # a blank line
+            or max(map(len, distinct)) > csv.field_size_limit()
             or len(set(map(bytes.count, distinct, repeat(b",")))) != 1):
         return None
     width = header.count(b",") + 1

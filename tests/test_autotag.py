@@ -319,6 +319,15 @@ def test_backfill_tags_existing(watch_setup):
     assert backfill(cfg) == []
 
 
+def test_backfill_never_tags_a_temp_file_unitpack_left(watch_setup):
+    # A killed `pack`, `rescale` or `report` leaves such names behind.
+    watch_dir, _, cfg = watch_setup
+    source = _write(watch_dir / "data.csv")
+    _write(watch_dir / ".data.csv.0123456789ab.tmp")
+    _write(watch_dir / "report" / ".report.md.89abcdef0123.tmp")
+    assert [e.source_path for e in backfill(cfg)] == [str(source)]
+
+
 def test_backfill_logs_tagged_records(watch_setup):
     watch_dir, _, cfg = watch_setup
     (watch_dir / "a.csv").write_text("x", encoding="utf-8")

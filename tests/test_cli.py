@@ -479,6 +479,38 @@ def test_ls_of_a_fifo_csv_is_missing_csv_at_once(tmp_path, capsys):
         f"{csv_path}\n")
 
 
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="no os.mkfifo")
+def test_an_interrupted_process_ends_as_sigint_without_a_traceback(tmp_path):
+    # `pack` of a FIFO blocks until a writer comes, then in its read.  The
+    # writer is opened only once the child has opened the FIFO, so the
+    # interrupt arrives inside the command.
+    csv_path, _ = write_demo_fixture(tmp_path)
+    csv_path.unlink()
+    os.mkfifo(csv_path)
+    with subprocess.Popen(
+            [sys.executable, "-X", "faulthandler", "-m", "unitpack.cli",
+             "pack", str(csv_path), "--outdir", str(tmp_path / "out")],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE) as process:
+        deadline = time.monotonic() + 20
+        while True:
+            try:
+                writer = os.open(csv_path, os.O_WRONLY | os.O_NONBLOCK)
+                break
+            except OSError:  # ENXIO: no reader yet
+                if time.monotonic() > deadline or process.poll() is not None:
+                    process.kill()
+                    pytest.fail("the child never opened the FIFO: "
+                                f"{process.communicate()[1]!r}")
+                time.sleep(0.05)
+        try:
+            process.send_signal(signal.SIGINT)
+            _, stderr = process.communicate(timeout=20)
+        finally:
+            os.close(writer)
+    assert process.returncode == -signal.SIGINT, stderr
+    assert stderr == b"interrupted\n"  # no traceback
+
+
 def test_watch_setup_error_exits_1(tmp_path, capsys):
     template = tmp_path / "template.yaml"
     template.write_text("user: x\n", encoding="utf-8")

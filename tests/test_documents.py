@@ -113,6 +113,33 @@ def test_a_byte_that_does_not_decode_is_the_readers_code(tmp_path, name):
     assert str(path) in str(excinfo.value)
 
 
+# A node kind JSON has not is no JSON at all, so one text serves all five.
+@pytest.mark.parametrize("name", sorted(READERS))
+def test_a_yaml_node_kind_beyond_json_is_the_readers_code(tmp_path, name):
+    path = _path(tmp_path, name)
+    path.write_text('{"user": !!set {a: null}}', encoding="utf-8")
+    with pytest.raises(UnitpackError) as excinfo:
+        _read(name, path)
+    assert excinfo.value.code == READERS[name].code
+    assert str(path) in str(excinfo.value)
+
+
+# Each escape leaves a lone surrogate in a key or a value; JSON has no
+# `\U` escape, so that text is a JSON parse error.
+@pytest.mark.parametrize("name", sorted(READERS))
+@pytest.mark.parametrize("text", [r'{"user": "\udcff"}', r'{"k\udcff": 1}',
+                                  r'{"user": ["\ude00\ud83d"]}',
+                                  r'{"user": "\U0000dcff"}'])
+def test_an_escape_to_a_lone_surrogate_is_the_readers_code(tmp_path, name,
+                                                          text):
+    path = _path(tmp_path, name)
+    path.write_text(text, encoding="utf-8")
+    with pytest.raises(UnitpackError) as excinfo:
+        _read(name, path)
+    assert excinfo.value.code == READERS[name].code
+    assert str(path) in str(excinfo.value)
+
+
 @pytest.mark.parametrize("name", sorted(READERS))
 def test_a_leading_bom_is_dropped(tmp_path, name):
     path = _path(tmp_path, name)

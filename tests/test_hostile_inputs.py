@@ -100,6 +100,7 @@ DESCRIPTORS = {
     "name-not-text": descriptor(name=5),
     "name-uppercase": descriptor(name="Data"),
     "name-lone-surrogate": descriptor(name="bad\udcff"),
+    "name-nul": descriptor(name="a\u0000b"),
     "path-escapes": descriptor(path="../data.csv"),
     "path-absolute": descriptor(path="/data.csv"),
     "path-not-text": descriptor(path=5),
@@ -116,13 +117,24 @@ DESCRIPTORS = {
     "metadata-long-int": descriptor(metadata=0).replace(
         '"metadata": 0', f'"metadata": {LONG_INT}'),
     "metadata-repeated-key": REPEATED_USER,
+    # `json.dumps` writes each lone surrogate as a `\u` escape.
+    "metadata-lone-surrogate": descriptor(metadata={"note": "\udcff"}),
+    "field-description-lone-surrogate": descriptor(schema={"fields": [
+        {"name": "t", "unit": "s", "description": "\udcff"},
+        {"name": "U", "unit": "mV"}, {"name": "T", "unit": "K"}]}),
 }
+
+REPORT = ["report", "coll", "--out", "out", "--x", "t", "--y", "U"]
 
 
 @pytest.mark.parametrize("argv", [["ls", "coll"],
                                   ["ls", "coll", "--skip-errors"],
                                   ["show", "coll", "data"],
-                                  ["describe", "coll"]],
+                                  ["describe", "coll"],
+                                  REPORT,
+                                  REPORT + ["--format", "html"],
+                                  ["rescale", "coll", "data", "--field", "U",
+                                   "--unit", "V", "--outdir", "out"]],
                          ids=" ".join)
 @pytest.mark.parametrize("name", sorted(DESCRIPTORS))
 def test_hostile_descriptor(tmp_path, monkeypatch, name, argv):
@@ -164,9 +176,6 @@ def test_hostile_csv_in_rescale(tmp_path, monkeypatch, name):
          "--outdir", "out"])
 
 
-REPORT = ["report", "coll", "--out", "out", "--x", "t", "--y", "U"]
-
-
 @pytest.mark.parametrize("name", sorted(CSVS))
 def test_hostile_csv_in_report(tmp_path, monkeypatch, name):
     run(tmp_path, monkeypatch,
@@ -204,14 +213,35 @@ SIDECARS = {
     "unit-exponent-5000-digits": sidecar(HUGE_EXPONENT),
     "nested-deeply": DEEP,
     "long-int": f"n: {LONG_INT}\n",
+    "tag-binary": "a: !!binary aGk=\n",
+    "tag-set": "a: !!set {x: null}\n",
+    "tag-omap": "a: !!omap [x: 1]\n",
+    "lone-surrogate-escape": 'extra: "\\udcff"\n',
 }
+
+# Sidecars holding a value no JSON descriptor can: the reader refuses them.
+NOT_JSON = {"tag-binary", "tag-set", "tag-omap", "lone-surrogate-escape"}
 
 
 @pytest.mark.parametrize("name", sorted(SIDECARS))
 def test_hostile_sidecar(tmp_path, monkeypatch, name):
-    run(tmp_path, monkeypatch,
+    code, _, stderr = run(
+        tmp_path, monkeypatch,
         {"data.csv": DEMO_CSV, "data.csv.meta.yaml": SIDECARS[name]},
         ["pack", "data.csv", "--outdir", "out"])
+    if name in NOT_JSON:
+        assert (code, stderr.split(":")[0]) == (1, "PARSE_ERROR"), stderr
+
+
+def test_a_tagged_date_in_a_sidecar_packs_as_text(tmp_path, monkeypatch):
+    code, _, _ = run(
+        tmp_path, monkeypatch,
+        {"data.csv": DEMO_CSV,
+         "data.csv.meta.yaml": DEMO_META + "when: !!timestamp 2001-12-14\n"},
+        ["pack", "data.csv", "--outdir", "out"])
+    assert code == 0
+    descriptor = json.loads((tmp_path / "out" / "data.json").read_text("utf-8"))
+    assert descriptor["resources"][0]["metadata"]["when"] == "2001-12-14"
 
 
 LOADER_SPECS = {

@@ -1,6 +1,8 @@
+import datetime
 import json
 
 import pytest
+import yaml
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -106,6 +108,36 @@ def test_dates_stay_strings(tmp_path):
     path = tmp_path / "meta.yaml"
     path.write_text("when: 2022-09-02\n", encoding="utf-8")
     assert metadata.load_document(path).root["when"] == "2022-09-02"
+
+
+def test_a_tagged_date_stays_a_string(tmp_path):
+    path = tmp_path / "meta.yaml"
+    path.write_text("when: !!timestamp 2022-09-02\n", encoding="utf-8")
+    assert metadata.load_document(path).root["when"] == "2022-09-02"
+    # PyYAML's own loader still builds a date.
+    assert yaml.safe_load("when: 2022-09-02\n")["when"] == \
+        datetime.date(2022, 9, 2)
+
+
+@pytest.mark.parametrize("text", ["a: !!binary aGk=\n", "a: !!set {x: null}\n",
+                                  "a: !!omap [x: 1]\n", "a: !!pairs [x: 1]\n"])
+def test_yaml_node_kinds_beyond_json_are_refused(text):
+    with pytest.raises(MetadataParseError, match="line 1, column 4"):
+        metadata.parse_yaml(text)
+    assert yaml.safe_load(text)["a"]  # PyYAML's own loader is untouched
+
+
+def test_an_escaped_surrogate_pair_is_one_character_in_json_only(tmp_path):
+    text = json.dumps({"user": "\U0001F600"})
+    assert "\\ud83d\\ude00" in text
+    (tmp_path / "meta.json").write_text(text, encoding="utf-8")
+    assert metadata.load_document(tmp_path / "meta.json").root == \
+        {"user": "\U0001F600"}
+    # A YAML escape names one code point, as libyaml reads it.
+    (tmp_path / "meta.yaml").write_text(text, encoding="utf-8")
+    with pytest.raises(MetadataParseError,
+                       match="lone surrogate '\\\\ud83d'"):
+        metadata.load_document(tmp_path / "meta.yaml")
 
 
 def test_yaml_comments_discarded(tmp_path):
