@@ -11,7 +11,6 @@ little styling ``--pretty`` adds.
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import signal
 import sys
@@ -40,13 +39,14 @@ def build_parser() -> argparse.ArgumentParser:
                                      "from a template")
     p.add_argument("--dir", required=True, help="directory to watch")
     p.add_argument("--template", required=True, help="YAML template file")
-    p.add_argument("--quiescence-ms", type=int, default=500,
+    p.add_argument("--quiescence-ms", type=int,
+                   default=autotag.WatchConfig.quiescence_ms,
                    help="size-stability interval before tagging "
-                        "(default 500)")
-    p.add_argument("--include", action="append", default=None,
+                        "(default %(default)s)")
+    p.add_argument("--include", action="append",
                    metavar="GLOB", help="only tag matching names "
                                         "(repeatable; default *)")
-    p.add_argument("--exclude", action="append", default=None,
+    p.add_argument("--exclude", action="append",
                    metavar="GLOB", help="never tag matching names "
                                         "(repeatable; *.meta.yaml is always "
                                         "excluded)")
@@ -123,14 +123,15 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_watch(args) -> int:
+    defaults = autotag.WatchConfig
     cfg = autotag.WatchConfig(
-        watch_dir=Path(args.dir),
-        template_path=Path(args.template),
-        include_globs=tuple(args.include) if args.include else ("*",),
-        exclude_globs=tuple(args.exclude) if args.exclude else (),
+        watch_dir=args.dir,
+        template_path=args.template,
+        include_globs=tuple(args.include or defaults.include_globs),
+        exclude_globs=tuple(args.exclude or defaults.exclude_globs),
         quiescence_ms=args.quiescence_ms,
         recursive=not args.no_recursive,
-        log_path=Path(args.log) if args.log else None,
+        log_path=args.log or None,
     )
 
     def sink(record: dict) -> None:
@@ -214,7 +215,7 @@ def _cmd_show(args) -> int:
     entry = collection.get(_load_collection(args), args.id)
     node = entry.metadata.root if args.path is None \
         else metadata.get_path(entry.metadata, args.path)
-    print(json.dumps(node, indent=2, ensure_ascii=False))
+    print(metadata.dump_json(node, indent=2))
     return 0
 
 
@@ -230,11 +231,11 @@ def _cmd_describe(args) -> int:
     summary = collection.describe(coll, profile)
     if args.pretty:
         for key, value in summary.items():
-            rendered = ", ".join(map(str, value)) \
-                if isinstance(value, list) else str(value)
+            values = value if isinstance(value, list) else [value]
+            rendered = ", ".join(map(metadata.canonical_scalar, values))
             print(f"{_styled(key)}: {rendered}")
     else:
-        print(json.dumps(summary, indent=2, ensure_ascii=False))
+        print(metadata.dump_json(summary, indent=2))
     return 0
 
 

@@ -19,7 +19,6 @@ The on-disk form is a ``<identifier>.json`` descriptor next to a
 
 from __future__ import annotations
 
-import json
 import os
 import statistics
 from dataclasses import dataclass, replace
@@ -41,8 +40,8 @@ from .errors import (
     UnitpackError,
     UnknownField,
 )
-from .metadata import (MetadataDoc, _read_document, _staged, get_path,
-                       parse_json)
+from .metadata import (MetadataDoc, _read_document, _staged, dump_json,
+                       get_path, parse_json)
 from .tabular import (
     Table,
     _numeric_column,
@@ -74,6 +73,10 @@ class FieldSpec:
                 f"field {self.name!r}: bad type {self.type!r} "
                 f"(expected one of {', '.join(FIELD_TYPES)})",
                 code="FIELD_SPEC_INVALID")
+        if not isinstance(self.description, (str, type(None))):
+            raise UnitpackError(
+                f"field {self.name!r}: description must be text, got "
+                f"{self.description!r}", code="FIELD_SPEC_INVALID")
         if self.unit is not None:
             self.parsed_unit()
 
@@ -237,6 +240,8 @@ def save_entry(entry: Entry, outdir: str | Path,
     only appears once its CSV is complete.  If the descriptor's move
     fails, the CSV name gets back what it held (the old CSV is
     hard-linked to a hidden backup name first), so the old pair stays.
+    Metadata holding a NaN or an infinity is a `ValueError` from
+    `dump_json`, raised before either file is written.
     """
     outdir = Path(outdir)
     outdir.mkdir(parents=True, exist_ok=True)
@@ -247,7 +252,7 @@ def save_entry(entry: Entry, outdir: str | Path,
             if target.exists():
                 raise RefusedOverwrite(
                     f"refusing to overwrite {target} (pass overwrite=True)")
-    descriptor = {
+    descriptor = dump_json({
         "resources": [
             {
                 "name": entry.identifier,
@@ -259,13 +264,11 @@ def save_entry(entry: Entry, outdir: str | Path,
                 "metadata": entry.metadata.root,
             }
         ]
-    }
+    }, indent=2) + "\n"
     with (_staged(csv_path) as csv_temp, _staged(json_path) as json_temp,
           _staged(csv_path) as csv_backup):
         write_table(entry.table, csv_temp)
-        json_temp.write_text(json.dumps(descriptor, indent=2,
-                                        ensure_ascii=False) + "\n",
-                             encoding="utf-8")
+        json_temp.write_text(descriptor, encoding="utf-8")
         try:
             os.link(csv_path, csv_backup)
         except FileNotFoundError:

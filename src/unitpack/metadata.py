@@ -1,13 +1,15 @@
 """Structured metadata documents: load, address, validate, scan, filter.
 
 Documents are plain trees (dicts with string keys, lists, and the scalar
-types str/int/float/bool/None) so they serialize to JSON unchanged: YAML
-builds no other node kind (a date stays a string), and a document whose
+types str/int/float/bool/None) that hold JSON values only, so they
+serialize to JSON unchanged: YAML builds no other node kind (a date
+stays a string), and a document holding a NaN or an infinity, or whose
 escapes leave a lone surrogate, which no UTF-8 file holds, is refused.
-Dot-paths address nodes; a path segment matches a map key when the two
-are equal after lowercasing and replacing spaces with underscores, which
-makes ``figure_description.fields`` reach the YAML key
-``figure description``.
+`dump_json` is the one writer of JSON text: descriptors, report cells
+and what ``show`` and ``describe`` print.  Dot-paths address nodes; a
+path segment matches a map key when the two are equal after lowercasing
+and replacing spaces with underscores, which makes
+``figure_description.fields`` reach the YAML key ``figure description``.
 
 Package files, report pages and sidecars are written under a `_staged`
 temp name and moved or linked into place.
@@ -16,6 +18,7 @@ temp name and moved or linked into place.
 from __future__ import annotations
 
 import json
+import math
 import os
 import stat
 from contextlib import contextmanager
@@ -45,7 +48,15 @@ class MetadataDoc:
     root: Node
 
     def to_json(self, indent: int | None = None) -> str:
-        return json.dumps(self.root, indent=indent, ensure_ascii=False)
+        return dump_json(self.root, indent=indent)
+
+
+def dump_json(node: Node, indent: int | None = None) -> str:
+    """The JSON text of `node`, every character as itself.  A NaN or an
+    infinity, which JSON has no token for, is a `ValueError`; no reader
+    builds one."""
+    return json.dumps(node, indent=indent, ensure_ascii=False,
+                      allow_nan=False)
 
 
 @dataclass(frozen=True)
@@ -64,14 +75,26 @@ class _StrictYamlLoader(yaml.SafeLoader):
     the node kinds JSON has; a date, implicit or tagged, stays a string,
     and any other tag (``!!binary``, ``!!set``, ``!!omap``, ``!!pairs``)
     is a parse error.  An alias shares its anchor's node, so a few bytes
-    of nested aliases can expand into a document of any size."""
+    of nested aliases can expand into a document of any size.  A float
+    must be finite: ``.inf``, ``.nan`` and ``1.0e+400`` are parse errors,
+    since JSON has no token for them."""
+
+    def construct_finite_float(self, node):
+        value = self.construct_yaml_float(node)
+        if not math.isfinite(value):
+            raise MetadataParseError(
+                f"the number {node.value} is not finite",
+                line=node.start_mark.line + 1,
+                column=node.start_mark.column + 1)
+        return value
 
     # A table of its own: `SafeLoader`'s is shared by every PyYAML user.
     yaml_constructors = {
         tag: yaml.SafeLoader.yaml_constructors[tag]
         for tag in (None, *(f"tag:yaml.org,2002:{kind}" for kind in (
-            "null", "bool", "int", "float", "str", "seq", "map")))
-    } | {"tag:yaml.org,2002:timestamp": yaml.SafeLoader.construct_yaml_str}
+            "null", "bool", "int", "str", "seq", "map")))
+    } | {"tag:yaml.org,2002:timestamp": yaml.SafeLoader.construct_yaml_str,
+         "tag:yaml.org,2002:float": construct_finite_float}
 
     def fetch_alias(self):
         # The scanner calls this only at a `*`, so documents without
@@ -106,6 +129,13 @@ def _json_pairs_hook(pairs):
     return mapping
 
 
+def _finite(text: str) -> float:
+    value = float(text)
+    if not math.isfinite(value):
+        raise MetadataParseError(f"the number {text} is not finite")
+    return value
+
+
 # Beside the parsers' own errors, both raise `ValueError` for an integer
 # of more than 4300 digits (`int`'s limit) and `RecursionError` for a
 # document nested too deeply; each is a `MetadataParseError` too.
@@ -122,8 +152,11 @@ def parse_yaml(text: str) -> Node:
         raise MetadataParseError(str(exc)) from exc
 
 
-# `json.loads` with a hook builds a new decoder on every call.
-_JSON_DECODER = json.JSONDecoder(object_pairs_hook=_json_pairs_hook)
+# `json.loads` with a hook builds a new decoder on every call.  `NaN`,
+# `Infinity` and `-Infinity` reach `parse_constant`, and a number past
+# the float range, such as ``1e999``, reaches `parse_float`.
+_JSON_DECODER = json.JSONDecoder(object_pairs_hook=_json_pairs_hook,
+                                 parse_float=_finite, parse_constant=_finite)
 
 
 def parse_json(text: str) -> Node:
@@ -154,7 +187,7 @@ def _read_document(path: str | Path, parse) -> Node:
         # A search for one character is many times faster than for two.
         if "\\" in text:
             try:
-                json.dumps(root, ensure_ascii=False).encode("utf-8")
+                dump_json(root).encode("utf-8")
             except UnicodeEncodeError as exc:
                 raise MetadataParseError(
                     f"an escape leaves the lone surrogate "

@@ -14,7 +14,6 @@ byte-identical tree.
 from __future__ import annotations
 
 import html as html_lib
-import json
 import math
 import os
 import re
@@ -26,7 +25,7 @@ from .collection import Collection
 from .datapackage import Entry
 from .errors import NonNumericCell, OutOfRange, TooFewPoints, UnitpackError
 from .metadata import (ABSENT, _staged, _walk, canonical_scalar,
-                       find_path, is_scalar)
+                       dump_json, find_path, is_scalar)
 from .tabular import _is_number, _plain_numbers, render_cell
 
 MISSING = "—"
@@ -132,7 +131,7 @@ def _node_text(node) -> str:
         return MISSING
     if is_scalar(node):
         return canonical_scalar(node)
-    return json.dumps(node, ensure_ascii=False)
+    return dump_json(node)
 
 
 def _descriptor_cells(entry: Entry, cfg: ReportConfig) -> list[tuple[str, str]]:

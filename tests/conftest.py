@@ -2,6 +2,7 @@
 across a resistor at constant temperature) and a small 3-entry
 collection for filter/describe/report tests."""
 
+import json
 from pathlib import Path
 
 import pytest
@@ -81,6 +82,14 @@ def material_collection():
         material_entry("cv-pt-2", "Pt", user="Ada Lovelace"),
         material_entry("cv-au-1", "Au"),
     ))
+
+
+def strict_json(text: str):
+    """`json.loads` that refuses ``NaN``, ``Infinity`` and ``-Infinity``,
+    which Python writes and reads but RFC 8259 JSON does not have."""
+    def refuse(constant):
+        raise ValueError(f"not JSON: {constant}")
+    return json.loads(text, parse_constant=refuse)
 
 
 def forbid_csv_body(monkeypatch):

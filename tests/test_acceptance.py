@@ -38,7 +38,7 @@ from unitpack.metadata import MetadataDoc, SchemaDoc, \
 from unitpack.report import ReportConfig, render_index
 from unitpack.tabular import LoaderSpec, Table, apply_loader
 
-from conftest import material_entry, write_demo_fixture
+from conftest import material_entry, strict_json, write_demo_fixture
 
 
 @contextmanager
@@ -149,6 +149,7 @@ def test_criterion_03_roundtrip_randomized_entries(tmp_path):
         for index in range(200):
             entry = _random_entry(rng, index)
             json_path, _ = save_entry(entry, tmp_path)
+            strict_json(json_path.read_text(encoding="utf-8"))
             if load_entry(json_path) != entry:
                 failures += 1
         assert failures == 0

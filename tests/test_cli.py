@@ -340,6 +340,25 @@ def test_describe_with_profile(tmp_path, capsys):
                                "users": ["Max Doe"]}
 
 
+def test_describe_pretty_spells_each_value_as_the_json_does(tmp_path,
+                                                            capsys):
+    base = material_entry("x", "Pt")
+    for identifier, material in (("nil", None), ("yes", True), ("one", 1.5),
+                                 ("pt", "Pt")):
+        root = {"system": {"electrodes": {"working_electrode":
+                                          {"material": material}}}}
+        save_entry(Entry(identifier=identifier, fields=base.fields,
+                         table=base.table, metadata=MetadataDoc(root=root)),
+                   tmp_path)
+    code, out, _ = run(capsys, "describe", str(tmp_path))
+    assert (code, json.loads(out)["materials"]) == (0, [1.5, "Pt", None,
+                                                        True])
+    code, out, _ = run(capsys, "describe", str(tmp_path), "--pretty")
+    assert (code, out) == (0, "number of entries: 4\n"
+                              "materials: 1.5, Pt, null, true\n"
+                              "references: \n")
+
+
 def test_report_cli(tmp_path, capsys):
     outdir = _packed(tmp_path, capsys)
     site = tmp_path / "site"
@@ -430,6 +449,15 @@ def test_watch_backfill(tmp_path, capsys):
     assert (watch_dir / "a.csv.meta.yaml").is_file()
     assert (watch_dir / "b.csv.meta.yaml").is_file()
     # no daemon: the call returned on its own
+
+
+def test_bare_watch_uses_the_watch_config_defaults(tmp_path, capsys,
+                                                  monkeypatch):
+    built = []
+    monkeypatch.setattr(cli.autotag, "watch",
+                        lambda cfg, **kwargs: built.append(cfg))
+    code, _, _ = run(capsys, "watch", "--dir", "in", "--template", "t.yaml")
+    assert (code, built) == (0, [cli.autotag.WatchConfig("in", "t.yaml")])
 
 
 def test_backfill_goes_on_past_a_name_that_is_not_utf8(tmp_path):

@@ -17,7 +17,7 @@ import pytest
 
 from unitpack import cli, save_entry
 
-from conftest import material_entry, write_demo_fixture
+from conftest import material_entry, strict_json, write_demo_fixture
 
 GOLDEN = Path(__file__).parent / "golden" / "cli"
 PT = 'system.electrodes.working_electrode.material == "Pt"'
@@ -119,4 +119,8 @@ def test_cli_output_matches_golden(tmp_path, monkeypatch, capsys, case):
     monkeypatch.delenv("UNITPACK_NO_COLOR", raising=False)
     got = run_case(CASES[case], capsys)
     assert got.encode("utf-8") == (GOLDEN / f"{case}.txt").read_bytes()
-    assert files_under(tmp_path / "out") == files_under(GOLDEN / case)
+    written = files_under(tmp_path / "out")
+    assert written == files_under(GOLDEN / case)
+    for name, data in written.items():
+        if name.endswith(".json"):
+            strict_json(data.decode("utf-8"))

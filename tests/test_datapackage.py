@@ -390,6 +390,21 @@ def test_failed_first_save_leaves_no_csv(demo_entry, tmp_path,
     assert load_entry(json_path) == demo_entry
 
 
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_save_of_metadata_json_cannot_hold_writes_nothing(demo_entry,
+                                                          tmp_path, value):
+    outdir = tmp_path / "out"
+    save_entry(demo_entry, outdir)
+    before = {path.name: path.read_bytes() for path in outdir.iterdir()}
+    entry = Entry(identifier=demo_entry.identifier, fields=demo_entry.fields,
+                  table=demo_entry.table,
+                  metadata=MetadataDoc(root={"x": [1.5, value]}))
+    with pytest.raises(ValueError, match="not JSON compliant"):
+        save_entry(entry, outdir, overwrite=True)
+    assert {path.name: path.read_bytes()
+            for path in outdir.iterdir()} == before
+
+
 def test_load_missing_descriptor(tmp_path):
     with pytest.raises(DescriptorParseError, match="no such descriptor"):
         load_entry(tmp_path / "absent.json")
@@ -735,4 +750,13 @@ def test_field_descriptor_without_a_type_is_a_number():
         FieldSpec(name="t", type="number", unit="s")
     with pytest.raises(UnitpackError, match="bad type None") as excinfo:
         FieldSpec.from_descriptor({"name": "t", "type": None})
+    assert excinfo.value.code == "FIELD_SPEC_INVALID"
+
+
+# A Table Schema description is a string.
+@pytest.mark.parametrize("description", [5, 1.5, True, ["a", "b"], {"a": 1}])
+def test_field_description_that_is_not_text_is_invalid(description):
+    with pytest.raises(UnitpackError,
+                       match="description must be text") as excinfo:
+        FieldSpec.from_descriptor({"name": "t", "description": description})
     assert excinfo.value.code == "FIELD_SPEC_INVALID"

@@ -140,6 +140,29 @@ def test_an_escape_to_a_lone_surrogate_is_the_readers_code(tmp_path, name,
     assert str(path) in str(excinfo.value)
 
 
+# JSON has no token for a NaN or an infinity.  Python's `json` reads
+# ``NaN``, ``Infinity`` and ``-Infinity``, and both parsers read a number
+# past the float range as an infinity.
+NON_FINITE = {".json": ["NaN", "Infinity", "-Infinity", "1e999", "-1e400"],
+              ".yaml": [".inf", "-.Inf", ".nan", "1.0e+400", "!!float 1e999"]}
+
+
+@pytest.mark.parametrize("name, number", [
+    (name, number) for name in sorted(READERS)
+    for number in NON_FINITE[READERS[name].suffix]])
+def test_a_non_finite_number_is_the_readers_code(tmp_path, name, number):
+    path = _path(tmp_path, name)
+    path.write_text(f'{{"user": [1.5,\n {number}]}}', encoding="utf-8")
+    with pytest.raises(UnitpackError) as excinfo:
+        _read(name, path)
+    assert excinfo.value.code == READERS[name].code
+    assert str(path) in str(excinfo.value)
+    assert f"the number {number.split()[-1]} is not finite" \
+        in str(excinfo.value)
+    if READERS[name].suffix == ".yaml":
+        assert str(excinfo.value).endswith("(line 2, column 2)")
+
+
 @pytest.mark.parametrize("name", sorted(READERS))
 def test_a_leading_bom_is_dropped(tmp_path, name):
     path = _path(tmp_path, name)

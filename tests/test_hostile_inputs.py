@@ -41,6 +41,18 @@ def descriptor(name="data", path="data.csv", u_unit="mV", **resource):
         "metadata": {"user": "Max Doe"}, **resource}]})
 
 
+def with_metadata(text):
+    """`descriptor` with `text` spliced in as its metadata, for a text
+    that `json.dumps` cannot write."""
+    return descriptor(metadata=0).replace('"metadata": 0',
+                                          f'"metadata": {text}')
+
+
+# Spellings of a NaN or an infinity that Python's `json` reads; none is
+# JSON.
+NON_FINITE_JSON = ["NaN", "Infinity", "-Infinity", "1e999"]
+
+
 def sidecar(u_unit="mV"):
     return DEMO_META.replace("unit: mV", f"unit: {u_unit}")
 
@@ -111,11 +123,10 @@ DESCRIPTORS = {
     "unit-exponent-100": descriptor(u_unit="km^100"),
     "unit-merged-exponent-100": descriptor(u_unit="m^99*m"),
     "unit-exponent-5000-digits": descriptor(u_unit=HUGE_EXPONENT),
-    # Spliced in as text: `json.dumps` cannot nest this deep.
-    "metadata-nested-deeply": descriptor(metadata=0).replace(
-        '"metadata": 0', f'"metadata": {DEEP}'),
-    "metadata-long-int": descriptor(metadata=0).replace(
-        '"metadata": 0', f'"metadata": {LONG_INT}'),
+    "metadata-nested-deeply": with_metadata(DEEP),
+    "metadata-long-int": with_metadata(LONG_INT),
+    **{f"metadata-{number}": with_metadata(f'{{"x": [1.5, {number}]}}')
+       for number in NON_FINITE_JSON},
     "metadata-repeated-key": REPEATED_USER,
     # `json.dumps` writes each lone surrogate as a `\u` escape.
     "metadata-lone-surrogate": descriptor(metadata={"note": "\udcff"}),
@@ -217,10 +228,30 @@ SIDECARS = {
     "tag-set": "a: !!set {x: null}\n",
     "tag-omap": "a: !!omap [x: 1]\n",
     "lone-surrogate-escape": 'extra: "\\udcff"\n',
+    "inf": DEMO_META + "x: .inf\n",
+    "minus-inf": DEMO_META + "x: -.Inf\n",
+    "nan": DEMO_META + "x: .nan\n",
+    "float-overflow": DEMO_META + "x: 1.0e+400\n",
+    "description-number": DEMO_META.replace("relative time", "5"),
+    "description-list": DEMO_META.replace("relative time", "[a, b]"),
 }
 
-# Sidecars holding a value no JSON descriptor can: the reader refuses them.
-NOT_JSON = {"tag-binary", "tag-set", "tag-omap", "lone-surrogate-escape"}
+# Sidecars holding a value no descriptor can, and how the one line that
+# refuses each starts: JSON has none of these node kinds, no lone
+# surrogate, no NaN and no infinity, and a Table Schema description is
+# a string.
+REFUSED = {
+    **{name: "PARSE_ERROR: data.csv.meta.yaml: " for name in (
+        "tag-binary", "tag-set", "tag-omap", "lone-surrogate-escape")},
+    **{name: f"PARSE_ERROR: data.csv.meta.yaml: the number {number} is "
+             f"not finite (line 12, column 4)\n"
+       for name, number in (("inf", ".inf"), ("minus-inf", "-.Inf"),
+                            ("nan", ".nan"), ("float-overflow", "1.0e+400"))},
+    "description-number": "FIELD_SPEC_INVALID: field 't': description must "
+                          "be text, got 5\n",
+    "description-list": "FIELD_SPEC_INVALID: field 't': description must "
+                        "be text, got ['a', 'b']\n",
+}
 
 
 @pytest.mark.parametrize("name", sorted(SIDECARS))
@@ -229,8 +260,10 @@ def test_hostile_sidecar(tmp_path, monkeypatch, name):
         tmp_path, monkeypatch,
         {"data.csv": DEMO_CSV, "data.csv.meta.yaml": SIDECARS[name]},
         ["pack", "data.csv", "--outdir", "out"])
-    if name in NOT_JSON:
-        assert (code, stderr.split(":")[0]) == (1, "PARSE_ERROR"), stderr
+    if name in REFUSED:
+        assert code == 1, stderr
+        assert stderr.startswith(REFUSED[name]), stderr
+        assert not (tmp_path / "out").exists()
 
 
 def test_a_tagged_date_in_a_sidecar_packs_as_text(tmp_path, monkeypatch):
@@ -374,6 +407,36 @@ def test_skip_errors_skips_a_descriptor_with_a_repeated_key(
     assert err.startswith("COLLECTION_LOAD_ERROR: ")
     assert "DESCRIPTOR_PARSE_ERROR: bad JSON in coll/data.json: " \
         "duplicate key 'user'" in err
+
+
+@pytest.mark.parametrize("number", NON_FINITE_JSON)
+def test_skip_errors_skips_a_descriptor_with_a_non_finite_number(
+        tmp_path, monkeypatch, caplog, number):
+    files = {"coll/data.json": with_metadata(f'{{"x": {number}}}'),
+             "coll/data.csv": DEMO_CSV}
+    with caplog.at_level("WARNING", logger="unitpack.collection"):
+        code, out, err = run(tmp_path, monkeypatch, files,
+                             ["ls", "coll", "--skip-errors"])
+    assert (code, out) == (0, "")
+    assert "skipping coll/data.json: DESCRIPTOR_PARSE_ERROR: bad JSON in " \
+        f"coll/data.json: the number {number} is not finite" in caplog.text
+    code, out, err = run(tmp_path, monkeypatch, files,
+                         ["show", "coll", "data", "--path", "x"])
+    assert (code, out) == (1, "")
+    assert f"DESCRIPTOR_PARSE_ERROR: bad JSON in coll/data.json: " \
+        f"the number {number} is not finite" in err
+
+
+def test_a_template_holding_a_non_finite_number_is_template_parse_error(
+        tmp_path, monkeypatch):
+    files = {"w/data.csv": DEMO_CSV, "template.yaml": "x: .inf\n"}
+    code, out, err = run(tmp_path, monkeypatch, files,
+                         ["watch", "--dir", "w", "--template",
+                          "template.yaml", "--backfill"])
+    assert (code, out) == (1, "")
+    assert err == "TEMPLATE_PARSE_ERROR: template.yaml: the number .inf " \
+        "is not finite (line 1, column 4)\n"
+    assert not (tmp_path / "w" / "data.csv.meta.yaml").exists()
 
 
 def test_pack_of_a_non_utf8_name_is_invalid_identifier(tmp_path,
