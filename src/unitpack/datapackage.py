@@ -195,9 +195,12 @@ def build_entry_from_table(identifier: str, table: Table,
                            fields_path: str = DEFAULT_FIELDS_PATH) -> Entry:
     """Assemble an Entry from an already-parsed table.
 
-    Field order follows the CSV; columns without a spec in the metadata
-    get an inferred type (number iff every non-null cell is numeric) and
-    no unit.
+    Field order follows the CSV; a column without a declared type gets an
+    inferred one (number iff every non-null cell is numeric), and columns
+    without a spec in the metadata get no unit.  A column declared
+    ``number`` or ``integer`` must hold only numbers, ints for
+    ``integer``, and nulls: any other cell is a `NonNumericCell`, and the
+    declared type is never rewritten.
     """
     specs = _specs_from_metadata(metadata, fields_path)
     unknown = [name for name in specs if name not in table.columns]
@@ -217,6 +220,9 @@ def build_entry_from_table(identifier: str, table: Table,
                 declared_type = "string"
         fields.append(FieldSpec.from_descriptor(
             {**item, "name": column, "type": declared_type}))
+        if item.get("type") in ("number", "integer"):
+            _numeric_column(column, table.column_values(column),
+                            integer=declared_type == "integer")
     return Entry(identifier=identifier, fields=tuple(fields), table=table,
                  metadata=metadata)
 
@@ -289,9 +295,11 @@ def load_entry(json_path: str | Path) -> Entry:
     """Inverse of save_entry; re-parses unit strings.
 
     A descriptor that does not decode or parse, or repeats a map key, is
-    a `DescriptorParseError`.  Only the CSV's header is read here, so a
-    missing CSV, an empty one, duplicate columns or a schema/column
-    mismatch fail now, and errors in the rows on first use of the rows.
+    a `DescriptorParseError`.  Only the CSV's header is read here, with
+    `open_table`, so a missing CSV, an empty one, duplicate columns or a
+    schema/column mismatch fail now, and errors in the rows on first use
+    of the rows.  The descriptor, and the CSV's first block where it
+    holds a plain header, are read with `os.read`, through no file object.
     """
     try:
         descriptor = _read_document(json_path, parse_json)

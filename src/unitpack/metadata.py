@@ -21,6 +21,7 @@ import json
 import math
 import os
 import stat
+import sys
 from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
@@ -169,9 +170,32 @@ def parse_json(text: str) -> Node:
         raise MetadataParseError(str(exc)) from exc
 
 
+# The most bytes that one `os.read` of `_read_bytes` asks for.
+_READ_CHUNK = 1 << 16
+
+
+def _read_bytes(path: str | Path, limit: int = sys.maxsize) -> bytes:
+    """The first `limit` bytes of the file at `path`, or all of them if it
+    is shorter: `os.read` until the limit or the end of the file, with no
+    file object, buffer or decoder between.  A directory is the
+    `IsADirectoryError` naming `path` that `open` raises."""
+    fd = os.open(path, os.O_RDONLY)
+    try:
+        chunks = []
+        while limit > 0 and (chunk := os.read(fd, min(limit, _READ_CHUNK))):
+            chunks.append(chunk)
+            limit -= len(chunk)
+        return b"".join(chunks)
+    except IsADirectoryError as exc:  # `os.read` names no file
+        raise IsADirectoryError(exc.errno, exc.strerror,
+                                os.fspath(path)) from None
+    finally:
+        os.close(fd)
+
+
 def _read_document(path: str | Path, parse) -> Node:
     """`parse` of the UTF-8 text of the file at `path`, a leading BOM
-    dropped.  `open` blocks on a FIFO, so a path that is neither a regular
+    dropped.  Opening a FIFO blocks, so a path that is neither a regular
     file nor a directory is refused first.  Strict decoding keeps lone
     surrogates out of the text, and a document whose ``\\u`` or ``\\U``
     escapes put one in a string is refused too: no such string encodes.
@@ -181,8 +205,7 @@ def _read_document(path: str | Path, parse) -> Node:
     if stat.S_IFMT(os.stat(path).st_mode) not in (stat.S_IFREG, stat.S_IFDIR):
         raise MetadataParseError(f"{path}: not a regular file")
     try:
-        with open(path, "rb") as handle:
-            text = handle.read().decode("utf-8-sig")
+        text = _read_bytes(path).decode("utf-8-sig")
         root = parse(text)
         # A search for one character is many times faster than for two.
         if "\\" in text:

@@ -17,10 +17,12 @@ numbers has few.
 
 `read_table` splits a file whose text `csv` would split only at line
 ends ("\\n" or "\\r\\n") and "," with `str.split`, to the table `csv`
-gives (`_split_table` says which text that is); other files, pipes,
-`open_table` and `apply_loader` use `csv`.  Its checks, a blank line
-among them, run once per distinct line shape, and each column's shapes
-are cut from the distinct row shapes.
+gives (`_split_table` says which text that is); other files, pipes and
+`apply_loader` use `csv`.  Its checks, a blank line among them, run
+once per distinct line shape, and each column's shapes are cut from the
+distinct row shapes.  `open_table` splits a header line that holds no
+`"`, "\\r" or NUL itself, from the file's first block read with
+`os.read`; `csv` reads any other header.
 """
 
 from __future__ import annotations
@@ -45,10 +47,13 @@ from .errors import (
     SchemaTableMismatch,
     UnitpackError,
 )
-from .metadata import _read_document, parse_yaml
+from .metadata import _read_bytes, _read_document, parse_yaml
 from .units import _FLOAT, _INT
 
 Cell = None | int | float | str
+
+# The size of the first chunk that `open` reads and decodes in text mode.
+_FIRST_BLOCK = 8192
 
 # One cell under `.match`; the int group picks `int`.  `$` also matches
 # before a trailing newline, so "1\n" is the int 1.
@@ -193,14 +198,17 @@ def _plain_numbers(cells) -> bool:
     return set(map(type, cells)) <= {int, float}
 
 
-def _numeric_column(name: str, cells):
-    """`cells`, once each is null or a number; otherwise `NonNumericCell`
-    names the first that is not, as a cell of field `name`."""
-    if not _plain_numbers(cells):
+def _numeric_column(name: str, cells, integer: bool = False):
+    """`cells`, once each is null or a number, an int if `integer`;
+    otherwise `NonNumericCell` names the first that is not, as a cell of
+    field `name`."""
+    kinds, kind = ((int,), "integer") if integer else ((int, float), "numeric")
+    if not set(map(type, cells)) <= set(kinds):
         for cell in cells:
-            if cell is not None and not _is_number(cell):
+            if cell is not None and not (isinstance(cell, kinds)
+                                         and not isinstance(cell, bool)):
                 raise NonNumericCell(
-                    f"field {name!r} holds non-numeric cell {cell!r}")
+                    f"field {name!r} holds non-{kind} cell {cell!r}")
     return cells
 
 
@@ -311,9 +319,26 @@ def read_table(path: str | Path) -> Table:
 
 def open_table(path: str | Path) -> Table:
     """Read only the header of a CSV now; `read_table` parses the rows
-    when they are first used, so errors in them surface then."""
-    with _csv_source(path) as handle:
-        columns = tuple(_header(csv.reader(handle)))
+    when they are first used, so errors in them surface then.  `path`
+    names a regular file, as it is read again then.
+
+    The header is split at "," from the file's first block, the bytes
+    `open` decodes first, when the block decodes and its first line is
+    one `csv` would split only at ",": it is not empty, ends in "\\n" and
+    holds no `"`, "\\r", NUL or more characters than
+    `csv.field_size_limit()`.  `csv` reads the header of any other file,
+    so every error is the one it gives."""
+    try:
+        text = _read_bytes(path, _FIRST_BLOCK).decode("utf-8-sig")
+    except UnicodeDecodeError:  # `csv` gives the error, if any
+        text = ""
+    line, end, _ = text.partition("\n")
+    if (end and line and '"' not in line and "\r" not in line
+            and "\0" not in line and len(line) <= csv.field_size_limit()):
+        columns = tuple(line.split(","))
+    else:
+        with _csv_source(path) as handle:
+            columns = tuple(_header(csv.reader(handle)))
     return Table(columns, _cells=os.fspath(path))
 
 

@@ -164,6 +164,52 @@ def test_pack_into_an_existing_file_is_one_io_error_line(tmp_path, capsys):
     assert taken.read_text(encoding="utf-8") == "not a directory\n"
 
 
+def _pack_typed(tmp_path, capsys, cells, field_type):
+    """`pack` of a CSV whose column ``n`` holds `cells` and is declared
+    `field_type` (no type key if None)."""
+    csv_path = tmp_path / "data.csv"
+    csv_path.write_text("t,n\n" + "".join(f"{i},{cell}\n"
+                                           for i, cell in enumerate(cells)),
+                        encoding="utf-8")
+    declared = "" if field_type is None else f"\n      type: {field_type}"
+    (tmp_path / "data.csv.meta.yaml").write_text(
+        f"figure description:\n  fields:\n    - name: n{declared}\n",
+        encoding="utf-8")
+    return run(capsys, "pack", str(csv_path), "--outdir",
+               str(tmp_path / "out"))
+
+
+@pytest.mark.parametrize("cells, field_type, cell", [
+    (["1.5", "n/a", "x"], "number", "'n/a'"),
+    (["1", "", "1.5", "x"], "integer", "1.5"),
+    (["1", "1e3"], "integer", "1000.0"),
+    (["1", "x", "2.5"], "integer", "'x'"),
+])
+def test_pack_refuses_a_cell_its_declared_type_does_not_hold(
+        tmp_path, capsys, cells, field_type, cell):
+    kind = "non-integer" if field_type == "integer" else "non-numeric"
+    assert _pack_typed(tmp_path, capsys, cells, field_type) == (
+        1, "", f"NON_NUMERIC_CELL: field 'n' holds {kind} cell {cell}\n")
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("cells, field_type, written", [
+    (["1", "", "-2"], "integer", "integer"),
+    (["1", "", "2.5", "1e3"], "number", "number"),
+    (["1", "n/a"], "string", "string"),
+    (["1", "n/a"], None, "string"),
+    (["1", "", "2.5"], None, "number"),
+])
+def test_pack_keeps_a_declared_type_its_cells_hold(tmp_path, capsys, cells,
+                                                    field_type, written):
+    code, _, err = _pack_typed(tmp_path, capsys, cells, field_type)
+    assert (code, err) == (0, "")
+    descriptor = json.loads((tmp_path / "out" / "data.json").read_text(
+        encoding="utf-8"))
+    fields = descriptor["resources"][0]["schema"]["fields"]
+    assert [field["type"] for field in fields] == ["number", written]
+
+
 @pytest.mark.parametrize("argv", [
     ["validate", "missing.yaml", "--schema", "schema.json"],
     ["validate", "data.csv.meta.yaml", "--schema", "missing.yaml"],
@@ -408,17 +454,18 @@ def test_ls_skips_undecodable_descriptor(tmp_path, capsys):
 def test_ls_skips_an_unreadable_descriptor_as_io_error(tmp_path, capsys,
                                                       monkeypatch, caplog):
     # Tests may run as root, whom `chmod 000` does not stop, so the one
-    # descriptor's `open` is made to fail instead.
+    # descriptor's `os.open` is made to fail instead.
     for identifier in ("a", "b"):
         save_entry(material_entry(identifier, "Pt"), tmp_path / "coll")
     denied = str(tmp_path / "coll" / "a.json")
+    os_open = os.open
 
     def open_(path, *args, **kwargs):
         if str(path) == denied:
             raise PermissionError(13, "Permission denied", str(path))
-        return open(path, *args, **kwargs)
+        return os_open(path, *args, **kwargs)
 
-    monkeypatch.setattr(metadata, "open", open_, raising=False)
+    monkeypatch.setattr(metadata.os, "open", open_)
     code, out, err = run(capsys, "ls", str(tmp_path / "coll"))
     assert (code, out) == (1, "")
     assert err == (f"COLLECTION_LOAD_ERROR: 1 descriptor(s) failed to load: "

@@ -9,11 +9,14 @@ import json
 import os
 import subprocess
 import sys
+import threading
+from contextlib import suppress
 from typing import NamedTuple
 
 import pytest
 
-from unitpack.errors import UnitpackError
+from unitpack import cli
+from unitpack.errors import UnitpackError, error_code
 
 from conftest import DEMO_CSV
 
@@ -187,3 +190,110 @@ def test_a_fifo_is_the_readers_code_at_once(tmp_path, name):
         (0, reader.code), process.stderr
     assert f"{path}: not a regular file" in process.stdout
 
+
+
+# -------------------------------
+# The raw read: each input gives the code and message, here with
+# "{path}" for its path, that it gave when read through a file object.
+# -------------------------------
+
+RAW_INPUTS = {
+    "directory": None, "fifo": None,
+    "bom": b"\xef\xbb\xbf" + READERS["descriptor"].valid.encode(),
+    "bad utf-8": b'{"user": "\xff"}',
+    "escaped surrogate": rb'{"user": "\udcff"}',
+    # the name's byte 0xff does not decode, so the path holds "\udcff"
+    "undecodable name": READERS["descriptor"].valid.encode(),
+}
+_NOT_UTF8 = ("not UTF-8 text: 'utf-8' codec can't decode byte 0xff in "
+             "position 10: invalid start byte")
+# None: the input loads.
+RAW_OUTCOMES = {
+    ("directory", ".json"): "DESCRIPTOR_PARSE_ERROR: no such descriptor: "
+                            "{path}",
+    ("directory", ".yaml"): "IO_ERROR: [Errno 21] Is a directory: '{path}'",
+    ("fifo", ".json"): "DESCRIPTOR_PARSE_ERROR: bad JSON in {path}: not a "
+                       "regular file",
+    ("fifo", ".yaml"): "PARSE_ERROR: {path}: not a regular file",
+    ("bom", ".json"): None, ("bom", ".yaml"): None,
+    ("bad utf-8", ".json"): "DESCRIPTOR_PARSE_ERROR: bad JSON in {path}: "
+                            + _NOT_UTF8,
+    ("bad utf-8", ".yaml"): "PARSE_ERROR: {path}: " + _NOT_UTF8,
+    ("escaped surrogate", ".json"): "DESCRIPTOR_PARSE_ERROR: bad JSON in "
+                                    "{path}: an escape leaves the lone "
+                                    "surrogate '\\udcff'",
+    ("escaped surrogate", ".yaml"): "PARSE_ERROR: {path}: an escape leaves "
+                                    "the lone surrogate '\\udcff'",
+    ("undecodable name", ".json"): None,
+    ("undecodable name", ".yaml"): None,
+}
+
+
+def _raw_input(tmp_path, kind, suffix):
+    """The path of input `kind`, named with `suffix`; a descriptor's CSV
+    is beside it."""
+    (tmp_path / "data.csv").write_text(DEMO_CSV, encoding="utf-8")
+    stem = "\udcff" if kind == "undecodable name" else "input"
+    path = tmp_path / (stem + suffix)
+    if kind == "directory":
+        path.mkdir()
+    elif kind == "fifo":
+        os.mkfifo(path)
+    else:
+        path.write_bytes(RAW_INPUTS[kind])
+    return path
+
+
+def _open_fds():
+    return sorted(os.listdir("/proc/self/fd"))
+
+
+def _outcome(load, path):
+    """"CODE: message" of `load(path)`, or None if it loads.  Opening a
+    FIFO blocks until a writer comes, so one comes after 10 s to turn a
+    hang into a wrong outcome."""
+    def unblock():
+        with suppress(OSError):  # no reader is waiting
+            os.close(os.open(path, os.O_WRONLY | os.O_NONBLOCK))
+
+    timer = threading.Timer(10, unblock)
+    timer.start()
+    try:
+        load(path)
+    except (UnitpackError, OSError) as exc:
+        return f"{error_code(exc)}: {exc}".replace(str(path), "{path}")
+    finally:
+        timer.cancel()
+    return None
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="no os.mkfifo")
+@pytest.mark.parametrize("kind, suffix", sorted(RAW_OUTCOMES))
+def test_a_document_reads_as_through_a_file_object(tmp_path, kind, suffix):
+    path = _raw_input(tmp_path, kind, suffix)
+    name = "descriptor" if suffix == ".json" else "document"
+    fds = _open_fds() if os.path.isdir("/proc/self/fd") else None
+    assert _outcome(lambda path: _read(name, path), path) == \
+        RAW_OUTCOMES[kind, suffix]
+    if fds is not None:
+        assert _open_fds() == fds
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="no os.mkfifo")
+@pytest.mark.parametrize("kind", sorted(RAW_INPUTS))
+def test_ls_skip_errors_reads_a_descriptor_as_through_a_file_object(
+        tmp_path, capsys, caplog, kind):
+    path = _raw_input(tmp_path, kind, ".json")
+    with caplog.at_level("WARNING", logger="unitpack.collection"):
+        code = cli.main(["ls", str(tmp_path), "--skip-errors"])
+    out, err = capsys.readouterr()
+    warnings = [record.getMessage().replace(str(path), "{path}")
+                for record in caplog.records]
+    message = RAW_OUTCOMES[kind, ".json"]
+    if kind in ("directory", "fifo"):  # not a file, so not a descriptor
+        assert (code, out, err, warnings) == (0, "", "", [])
+    elif message is None:
+        assert (code, out, err, warnings) == (0, "data\n", "", [])
+    else:
+        assert (code, out, err, warnings) == \
+            (0, "", "", [f"skipping {{path}}: {message}"])

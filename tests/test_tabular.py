@@ -109,6 +109,118 @@ def test_write_table_over_its_own_lazy_source(demo_paths):
     assert tabular.read_table(demo_paths[0]) == eager
 
 
+# -------------------------------
+# open_table splits a plain header itself; it must agree with csv
+# -------------------------------
+
+def _header_outcome(read, path):
+    """The columns of `read(path)`, or its error's type, code and
+    message."""
+    try:
+        return read(path).columns
+    except UnitpackError as exc:
+        return type(exc), exc.code, str(exc)
+
+
+def _csv_open(path):
+    """`open_table` as `csv` alone reads the header: its first row."""
+    with tabular._csv_source(path) as handle:
+        return Table(tuple(tabular._header(csv.reader(handle))))
+
+
+def _both_headers(tmp_path, data: bytes):
+    path = tmp_path / "t.csv"
+    path.write_bytes(data)
+    return (_header_outcome(tabular.open_table, path),
+            _header_outcome(_csv_open, path))
+
+
+_BLOCK = tabular._FIRST_BLOCK
+
+
+def _at(offset, data):
+    """A two-column CSV whose bytes from `offset` on are `data`, inside a
+    cell of its last row, then a line end."""
+    head = b"t,U\n" + b"0,1\n" * ((offset - 8) // 4) + b"0,"
+    return head + b"9" * (offset - len(head)) + data + b"\n"
+
+
+@pytest.mark.parametrize("data", [
+    b"t,U\n0,1\n", b"\xef\xbb\xbft,U\n0,1\n", b"t,U\r\n0,1\r\n",
+    b"t,U\r0,1\n", b'"t,x",U\n0,1\n', b'"t""",U\n', b't"x,U\n',
+    b" t , U \n0,1\n", b"t,,U\n0,,1\n", b"t,U,\n0,1,\n",
+    b"Spannung/\xc2\xb5V,\xe6\x99\x82\n1,2\n", b"t,U\x0c\x85\n",
+    b"\nt,U\n0,1\n", b"\xef\xbb\xbf\nt,U\n", b"\r\nt,U\n", b"", b"\n",
+    b"t,U", b"\xef\xbb\xbft,U", b"t," + b"x" * _BLOCK + b"\n0,1\n",
+    b"t," + b"x" * (_BLOCK - 4) + b"\n0,1\n",
+    b"t,\0U\n0,1\n", b"t,t\n0,1\n", b"t,\xffU\n0,1\n",
+    _at(_BLOCK - 1, b"\xff"), _at(_BLOCK, b"\xff"),
+    _at(_BLOCK - 1, "\u20ac".encode()), _at(_BLOCK - 3, "\u20ac".encode()),
+    _at(_BLOCK - 2, b"\xe2\x82"),
+], ids=["plain", "bom", "crlf", "lone-cr", "quoted", "doubled-quote",
+        "inner-quote", "spaces", "empty-fields", "trailing-comma",
+        "unicode", "unicode-breaks", "empty-first-line",
+        "bom-empty-first-line", "crlf-empty-first-line", "empty-file",
+        "newline-only", "header-only-unterminated", "bom-unterminated",
+        "header-longer-than-block", "header-fills-block", "nul",
+        "duplicate-column", "bad-byte-in-header", "bad-byte-at-8191",
+        "bad-byte-at-8192", "euro-straddles-8192", "euro-ends-the-block",
+        "cut-euro-straddles-8192"])
+def test_open_table_header_equals_csv(tmp_path, data):
+    direct, via_csv = _both_headers(tmp_path, data)
+    assert direct == via_csv
+
+
+def test_open_table_defers_only_errors_past_the_first_block(tmp_path):
+    # The first block is the chunk that `open` decodes first: a bad byte
+    # in it fails the load, and one past it fails on first use.
+    path = tmp_path / "t.csv"
+    path.write_bytes(_at(_BLOCK - 1, b"\xff"))
+    with pytest.raises(CsvParseError, match="not UTF-8 text"):
+        tabular.open_table(path)
+    path.write_bytes(_at(_BLOCK, b"\xff"))
+    table = tabular.open_table(path)
+    assert table.columns == ("t", "U")
+    with pytest.raises(CsvParseError, match="not UTF-8 text"):
+        table.rows
+
+
+# "\udcff" is written as the byte 0xff, which does not decode.
+@settings(max_examples=300, deadline=None)
+@given(st.text(alphabet="tU0, \"\r\n\0\x0c\x85\ufeff\u00b5\udcff",
+               max_size=12))
+def test_open_table_header_equals_csv_on_generated_text(tmp_path_factory,
+                                                         text):
+    data = text.encode("utf-8", "surrogateescape")
+    direct, via_csv = _both_headers(tmp_path_factory.mktemp("head"), data)
+    assert direct == via_csv
+
+
+def test_open_table_header_past_the_field_limit_is_csvs_error(tmp_path):
+    limit = csv.field_size_limit(3)
+    try:
+        direct, via_csv = _both_headers(tmp_path, b"time,U\n0,1\n")
+    finally:
+        csv.field_size_limit(limit)
+    assert direct == via_csv
+    assert direct[1] == "CSV_PARSE_ERROR"
+
+
+def test_a_plain_header_is_read_without_csv(tmp_path, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("csv.reader called")
+
+    monkeypatch.setattr(tabular.csv, "reader", refuse)
+    path = tmp_path / "t.csv"
+    for data, columns in [(b"t,U\n0,1\n", ("t", "U")),
+                          (b"\xef\xbb\xbft,U\n", ("t", "U")),
+                          (b" t ,,U\n", (" t ", "", "U")),
+                          (b"t,U,\n", ("t", "U", "")),
+                          (_at(_BLOCK, b"\xff"), ("t", "U"))]:
+        path.write_bytes(data)
+        assert tabular.open_table(path).columns == columns
+
+
 def test_table_is_immutable():
     table = Table(columns=("t",), rows=((1,),))
     with pytest.raises(AttributeError):
