@@ -10,8 +10,9 @@ never overwritten.
 The watcher polls the directory and considers a file complete once its
 size has been stable for the quiescence interval; this needs no file
 locks and survives instrument software that writes incrementally.  A
-poll re-lists only the directories that changed, so an idle poll costs
-one `stat` per directory.
+poll stats each directory and re-lists only the ones that changed, then
+does set work over every path it knows, so even an idle poll costs time
+in proportion to the files watched.
 """
 
 from __future__ import annotations

@@ -195,6 +195,10 @@ class Clause:
             raise PredicateParseError(
                 f"unknown operator {self.op!r} "
                 f"(expected one of {', '.join(OPERATORS)})")
+        if not is_scalar(self.value):
+            raise PredicateParseError(
+                f"clause value must be a scalar, not a "
+                f"{type(self.value).__name__}")
 
 
 _WORDS = {"true": True, "false": False, "null": None}
@@ -221,22 +225,25 @@ def parse_clause(text: str) -> Clause:
     return Clause(path=path, op=op, value=_parse_literal(raw_value))
 
 
+def _compare(op: str, node, value) -> bool:
+    """The one rule by which a node meets a literal: two numbers compare
+    by value, any other two scalars by their canonical renderings, and a
+    null has no order."""
+    if not is_scalar(node) or (op not in ("==", "!=") and (
+            node is None or value is None)):
+        return False
+    if not (_is_number(node) and _is_number(value)):
+        node, value = canonical_scalar(node), canonical_scalar(value)
+    return _COMPARISONS[op](node, value)
+
+
 def _clause_holds(entry: Entry, clause: Clause) -> bool:
     node = find_path(entry.metadata, clause.path)
-    if clause.op == "contains":
-        if isinstance(node, list):
-            wanted = canonical_scalar(clause.value)
-            return any(is_scalar(el) and canonical_scalar(el) == wanted
-                       for el in node)
-        return isinstance(node, str) and str(clause.value) in node
-    if not is_scalar(node) or (clause.op not in ("==", "!=") and (
-            node is None or clause.value is None)):  # null has no order
-        return False
-    if _is_number(node) and _is_number(clause.value):
-        left, right = node, clause.value
-    else:
-        left, right = canonical_scalar(node), canonical_scalar(clause.value)
-    return _COMPARISONS[clause.op](left, right)
+    if clause.op != "contains":
+        return _compare(clause.op, node, clause.value)
+    if isinstance(node, list):
+        return any(_compare("==", element, clause.value) for element in node)
+    return isinstance(node, str) and canonical_scalar(clause.value) in node
 
 
 def filter(c: Collection, clauses) -> Collection:  # noqa: A001 - spec name

@@ -358,7 +358,8 @@ def rescale(entry: Entry, targets: dict[str, str]) -> Entry:
 
     Each conversion factor is exact rational; it is applied to floating
     cells as (cell × numerator) / denominator, which keeps decimal
-    factors like 10⁻³ within one ulp.
+    factors like 10⁻³ within one ulp.  A field declared `integer` whose
+    factor is not a whole number is written as `number`.
     """
     if not targets:
         return entry
@@ -372,8 +373,11 @@ def rescale(entry: Entry, targets: dict[str, str]) -> Entry:
             new_unit = units.parse_unit(unit_text)
         except UnitpackError as exc:
             raise InvalidUnit(f"bad target unit {unit_text!r}: {exc}") from exc
-        factors[index] = units.conversion_factor(old_unit, new_unit)
-        new_fields[index] = replace(spec, unit=unit_text)
+        factors[index] = factor = units.conversion_factor(old_unit, new_unit)
+        # An integer times a fraction is a number: 5 mV is 0.005 V.
+        fractional = spec.type == "integer" and factor.denominator != 1
+        new_fields[index] = replace(spec, unit=unit_text, type=(
+            "number" if fractional else spec.type))
 
     columns = list(map(entry.table.column_values, entry.table.columns))
     for index, factor in factors.items():

@@ -365,6 +365,44 @@ def test_rescale_dimension_mismatch(tmp_path, capsys):
     assert err.startswith("DIMENSION_MISMATCH:")
 
 
+# An `integer` field rescaled by a factor with a denominator holds
+# fractions, so it is written as `number`; an integral factor keeps it.
+@pytest.mark.parametrize("unit, target, written, cells", [
+    ("mV", "V", "number", ["0.005", "0.007"]),
+    ("V", "mV", "integer", ["5000", "7000"]),
+])
+def test_rescale_writes_a_type_its_cells_hold(tmp_path, capsys, unit, target,
+                                              written, cells):
+    (tmp_path / "data.csv").write_text("t,n\n0,5\n1,7\n", encoding="utf-8")
+    (tmp_path / "data.csv.meta.yaml").write_text(
+        "figure description:\n  fields:\n"
+        f"    - {{name: n, type: integer, unit: {unit}}}\n",
+        encoding="utf-8")
+    assert run(capsys, "pack", str(tmp_path / "data.csv"), "--outdir",
+               str(tmp_path / "packed"))[0] == 0
+    rescaled = tmp_path / "rescaled"
+    assert run(capsys, "rescale", str(tmp_path / "packed"), "data",
+               "--field", "n", "--unit", target, "--outdir",
+               str(rescaled))[0] == 0
+    resource = json.loads((rescaled / "data.json").read_text(
+        encoding="utf-8"))["resources"][0]
+    fields = resource["schema"]["fields"]
+    assert fields[1] == {"name": "n", "type": written, "unit": target}
+    assert resource["metadata"]["figure description"]["fields"] == [
+        {"name": "n", "type": "integer", "unit": unit}]
+    lines = (rescaled / "data.csv").read_text(encoding="utf-8").splitlines()
+    assert [line.split(",")[1] for line in lines[1:]] == cells
+    # The rescaled CSV packs again under the descriptor's own fields.
+    repack = tmp_path / "repack"
+    repack.mkdir()
+    shutil.copy(rescaled / "data.csv", repack / "data.csv")
+    (repack / "data.csv.meta.yaml").write_text(json.dumps(
+        {"figure description": {"fields": fields}}), encoding="utf-8")
+    code, _, err = run(capsys, "pack", str(repack / "data.csv"), "--outdir",
+                       str(repack / "out"))
+    assert (code, err) == (0, "")
+
+
 def test_describe_json(tmp_path, capsys):
     outdir = _packed(tmp_path, capsys)
     code, out, _ = run(capsys, "describe", str(outdir))

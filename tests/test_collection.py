@@ -403,6 +403,35 @@ def test_text_literal_matches_infinite_and_nan_metadata(path, op, token,
     assert bool(collection.filter(db, clause)) is kept
 
 
+# Every clause compares by one rule: two numbers by value, any other two
+# scalars by their canonical renderings.  So `contains` on a string looks
+# for `true`, `false` and `null` as JSON spells them, not as Python does.
+@pytest.mark.parametrize("text, kept", [
+    ("l contains true", True),
+    ("n == 1.0", True),
+    ("s contains true", True),
+    ("t contains true", False),
+    ("u contains null", True),
+    ("f contains false", True),
+    ("t contains True", True),
+])
+def test_every_clause_compares_by_one_rule(text, kept):
+    entry = material_entry("x", "Pt")
+    db = Collection(entries=(Entry(
+        identifier="x", fields=entry.fields, table=entry.table,
+        metadata=MetadataDoc(root={
+            "l": [1, True], "n": 1, "s": "it is true", "t": "True story",
+            "u": "null here", "f": "a false start"})),))
+    assert bool(collection.filter(db, parse_clause(text))) is kept
+
+
+@pytest.mark.parametrize("value", [[1], {"a": 1}, ()])
+def test_a_clause_value_must_be_a_scalar(value):
+    with pytest.raises(PredicateParseError) as excinfo:
+        Clause("user", "==", value)
+    assert excinfo.value.code == "PREDICATE_PARSE_ERROR"
+
+
 def test_direct_collection_rejects_repeated_identifier():
     with pytest.raises(DuplicateIdentifier) as excinfo:
         Collection(entries=(material_entry("a", "Pt"),

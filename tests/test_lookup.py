@@ -64,6 +64,7 @@ def _matches(op: str, value) -> set[str]:
     ("<", 2, {"scalar"}),
     (">", 0, {"scalar"}),
     ("contains", 1, {"list"}),
+    ("contains", 1.0, {"list"}),
     ("<", None, set()),
     (">=", None, set()),
 ])
