@@ -64,9 +64,9 @@ def _matches(op: str, value) -> set[str]:
     ("<", 2, {"scalar"}),
     (">", 0, {"scalar"}),
     ("contains", 1, {"list"}),
-    ("contains", 1.0, {"list"}),
     ("<", None, set()),
     (">=", None, set()),
+    ("contains", 1.0, {"list"}),
 ])
 def test_filter_by_node_shape(op, value, expected):
     assert _matches(op, value) == expected
