@@ -10,9 +10,8 @@ never overwritten.
 The watcher polls the directory and considers a file complete once its
 size has been stable for the quiescence interval; this needs no file
 locks and survives instrument software that writes incrementally.  A
-poll stats each directory and re-lists only the ones that changed, then
-does set work over every path it knows, so even an idle poll costs time
-in proportion to the files watched.
+poll stats each directory and re-lists only the ones that changed; an
+idle poll does no work for each file.
 """
 
 from __future__ import annotations
@@ -272,44 +271,6 @@ def _tag_and_log(path: str, template: TemplateSnapshot, cfg: WatchConfig,
     return event
 
 
-class _Scanner:
-    """The watcher's view of its tree.  Each directory's listing is kept
-    under the directory's (st_ino, st_mtime_ns) and reused while that key
-    holds and lies outside the racy window (git's racy-clean rule), so a
-    poll lists only the directories that changed.  Directories that have
-    vanished drop out of the cache."""
-
-    def __init__(self, cfg: WatchConfig):
-        self.cfg = cfg
-        self.listings: dict[str, tuple] = {}
-
-    def scan(self, now: float) -> set[str]:
-        """Every regular file below the watch dir that the watcher would
-        tag, at `now`, a `time.time()` reading taken before the scan.
-        Names are judged before any file is stat'ed."""
-        now_ns = int(now * 1e9)
-        fresh: dict[str, tuple] = {}
-
-        def list_dir(directory: str, accept) -> tuple[list[str], list[str]]:
-            try:
-                st = os.stat(directory)
-            except OSError:
-                return [], []
-            key = (st.st_ino, st.st_mtime_ns)
-            listing = self.listings.get(directory)
-            if listing is None or listing[0] != key or \
-                    listing[1] - st.st_mtime_ns < RACY_WINDOW_NS:
-                listing = (key, now_ns, *_list_dir(directory, accept))
-            fresh[directory] = listing
-            return listing[2], listing[3]
-
-        found = set(_walk(str(self.cfg.watch_dir),
-                          lambda path: path_matches(self.cfg, path),
-                          self.cfg.recursive, list_dir))
-        self.listings = fresh
-        return found
-
-
 def _check_setup(cfg: WatchConfig) -> None:
     """The watch dir and the template exist, or `WatchSetupError`."""
     if not cfg.watch_dir.is_dir():
@@ -328,7 +289,9 @@ def backfill(cfg: WatchConfig, event_sink=None) -> list[TagEvent]:
     template = load_template(cfg.template_path)
     logger = _EventLog(cfg.effective_log_path, event_sink)
     events = []
-    for path in sorted(_Scanner(cfg).scan(time.time()), key=Path):
+    found = _walk(str(cfg.watch_dir), lambda path: path_matches(cfg, path),
+                  cfg.recursive)
+    for path in sorted(found, key=Path):
         if meta_path_for(path).exists():
             continue
         event = _tag_and_log(path, template, cfg, logger)
@@ -348,21 +311,57 @@ def _template_stat(path: Path):
 class _Poller:
     """The watcher's state between polls; `poll` is one pass of its loop.
 
-    Files present when it starts are known and left alone.  Only files
-    that are new or pending get a `stat` in a poll: a new file is pending
-    until its size has held for the quiescence interval, then tagged.
+    The tree is held once, as each directory's listing kept under the
+    directory's (st_ino, st_mtime_ns) and reused while that key holds and
+    lies outside the racy window (git's racy-clean rule), so a poll lists
+    only the directories that changed.  Files present when it starts are
+    left alone.  A file that appears later is new until it is tagged, and
+    only new files get a `stat` in a poll: a new file is pending until its
+    size has held for the quiescence interval, then tagged.
     """
 
-    def __init__(self, cfg: WatchConfig, logger: _EventLog,
-                 scanner: _Scanner, now: float):
+    def __init__(self, cfg: WatchConfig, logger: _EventLog, now: float):
         self.cfg = cfg
         self.logger = logger
-        self.scanner = scanner
         self.template = load_template(cfg.template_path)  # fatal if bad
         self.template_stamp = _template_stat(cfg.template_path)
-        self.known = scanner.scan(now)
+        # directory -> (key, time listed in ns, files, subdirectories)
+        self.listings: dict[str, tuple] = {}
+        self.new: set[str] = set()
+        self._scan(now)
+        self.new.clear()
         # path -> (size, time that size was first seen, time first seen)
         self.pending: dict[str, tuple[int, float, float]] = {}
+
+    def _scan(self, now: float) -> None:
+        """Bring `listings` up to `now`, a `time.time()` reading taken
+        before the scan, re-listing only the directories that changed;
+        files that appeared join `new` and files that went leave it.
+        Names are judged before any file is stat'ed."""
+        now_ns = int(now * 1e9)
+        old, self.listings = self.listings, {}
+        stack = [str(self.cfg.watch_dir)]
+        while stack:
+            directory = stack.pop()
+            try:
+                st = os.stat(directory)
+            except OSError:
+                continue  # its listing stays in `old`, so its files go
+            listing = old.pop(directory, (None, 0, frozenset(), []))
+            key = (st.st_ino, st.st_mtime_ns)
+            if listing[0] != key or \
+                    listing[1] - st.st_mtime_ns < RACY_WINDOW_NS:
+                files, dirs = _list_dir(
+                    directory, lambda path: path_matches(self.cfg, path))
+                files = frozenset(files)
+                self.new -= listing[2] - files
+                self.new |= files - listing[2]
+                listing = (key, now_ns, files, dirs)
+            self.listings[directory] = listing
+            if self.cfg.recursive:
+                stack += listing[3]
+        for listing in old.values():  # directories that vanished
+            self.new -= listing[2]
 
     def _reload_template(self) -> None:
         stamp = _template_stat(self.cfg.template_path)
@@ -385,11 +384,10 @@ class _Poller:
         Events of one pass come in `Path` order."""
         self._reload_template()
         started = time.perf_counter()
-        current = self.scanner.scan(now)
+        self._scan(now)
         scan_ms = round((time.perf_counter() - started) * 1000.0, 3)
-        self.known &= current
         sizes = {}
-        for path in current - self.known:
+        for path in self.new:
             try:
                 st = os.stat(path)
             except OSError:
@@ -408,7 +406,7 @@ class _Poller:
             if (now - since) * 1000.0 < self.cfg.quiescence_ms:
                 continue
             del self.pending[path]
-            self.known.add(path)
+            self.new.discard(path)
             _tag_and_log(path, self.template, self.cfg, self.logger,
                          detected_at=_utc_iso(seen),
                          latency_ms=round((now - seen) * 1000.0, 3),
@@ -429,7 +427,7 @@ def watch(cfg: WatchConfig, event_sink=None,
     """
     _check_setup(cfg)
     poller = _Poller(cfg, _EventLog(cfg.effective_log_path, event_sink),
-                     _Scanner(cfg), time.time())
+                     time.time())
     if stop_event is None:
         stop_event = threading.Event()
     poll_s = min(max(cfg.quiescence_ms / 4000.0, 0.02), 0.25)

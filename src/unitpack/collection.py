@@ -257,6 +257,10 @@ def filter(c: Collection, clauses) -> Collection:  # noqa: A001 - spec name
 
 # --- profiles & describe ----------------------------------------------------
 
+# The key under which `describe` gives the entry count.
+_COUNT_LABEL = "number of entries"
+
+
 @dataclass(frozen=True)
 class Profile:
     """A declarative domain view: labelled describe paths (the data
@@ -271,6 +275,10 @@ class Profile:
             raise UnitpackError(
                 f"profile {self.name!r}: describe labels must be unique",
                 code="PROFILE_INVALID")
+        if _COUNT_LABEL in labels:
+            raise UnitpackError(
+                f"profile {self.name!r}: the label {_COUNT_LABEL!r} is the "
+                f"entry count's", code="PROFILE_INVALID")
 
 
 DEFAULT_PROFILE = Profile(
@@ -299,15 +307,20 @@ def load_profile(path: str | Path) -> Profile:
             raise UnitpackError(
                 f"profile {path}: each describe item needs 'label' and "
                 f"'path'", code="PROFILE_INVALID")
-        pairs.append((str(item["label"]), str(item["path"])))
-    return Profile(name=str(raw.get("name", Path(path).stem)),
-                   describe_paths=tuple(pairs))
+        pairs.append((item["label"], item["path"]))
+    name = raw.get("name", Path(path).stem)
+    for text in (name, *(text for pair in pairs for text in pair)):
+        if not isinstance(text, str):
+            raise UnitpackError(
+                f"profile {path}: a name, label or path must be text, got "
+                f"{text!r}", code="PROFILE_INVALID")
+    return Profile(name=name, describe_paths=tuple(pairs))
 
 
 def describe(c: Collection, profile: Profile = DEFAULT_PROFILE) -> dict:
     """Summarize a collection: entry count plus, per profile path, the
     sorted set of distinct scalar values found across entries."""
-    summary: dict = {"number of entries": len(c)}
+    summary: dict = {_COUNT_LABEL: len(c)}
     for label, path in profile.describe_paths:
         distinct: dict[str, object] = {}
         for entry in c.entries:

@@ -475,14 +475,13 @@ def _list_dir(directory: str, accept) -> tuple[list[str], list[str]]:
     return files, dirs
 
 
-def _walk(top: str, accept, recursive: bool = True,
-          list_dir=_list_dir) -> list[str]:
+def _walk(top: str, accept, recursive: bool = True) -> list[str]:
     """The paths of the regular files below `top` that `accept` takes, in
     no particular order.  Paths are spelled as `pathlib` spells them (no
-    leading ``./``), and `list_dir` may answer from a cache."""
+    leading ``./``)."""
     found, stack = [], [top]
     while stack:
-        files, dirs = list_dir(stack.pop(), accept)
+        files, dirs = _list_dir(stack.pop(), accept)
         found += files
         if recursive:
             stack += dirs

@@ -1,8 +1,10 @@
+import dataclasses
 import fnmatch
 import hashlib
 import json
 import os
 import pathlib
+import shutil
 import tempfile
 import threading
 import time
@@ -368,6 +370,7 @@ def test_backfill_logs_untaggable_file(watch_setup, monkeypatch, exc, code):
 
 def test_scan_stats_only_matching_names(watch_setup, monkeypatch):
     watch_dir, _, cfg = watch_setup
+    poller, _ = _poller(cfg, time.time())
     sources = []
     for index in range(5):
         source = watch_dir / f"run{index}.csv"
@@ -382,7 +385,8 @@ def test_scan_stats_only_matching_names(watch_setup, monkeypatch):
         stat_calls.append(os.fspath(path))
         return real_stat(path, *args, **kwargs)
     monkeypatch.setattr(os, "stat", counting_stat)
-    paths = autotag._Scanner(cfg).scan(time.time())
+    poller._scan(time.time())
+    paths = poller.new
     # names are judged first, and the listing gives each file's type; only
     # the directory is stat'ed, for its cache key
     assert stat_calls == [str(watch_dir)]
@@ -396,8 +400,7 @@ def test_scan_stats_only_matching_names(watch_setup, monkeypatch):
 def _poller(cfg, now):
     records = []
     poller = autotag._Poller(cfg, autotag._EventLog(cfg.effective_log_path,
-                                                    records.append),
-                             autotag._Scanner(cfg), now)
+                                                    records.append), now)
     return poller, records
 
 
@@ -490,7 +493,7 @@ def test_poll_cancels_vanished_file_and_drops_vanished_dirs(watch_setup):
     gone.mkdir()
     now = time.time()
     poller, records = _poller(cfg, now)
-    assert str(gone) in poller.scanner.listings
+    assert str(gone) in poller.listings
     source = _write(watch_dir / "a.csv")
     poller.poll(now + 0.01)
     source.unlink()
@@ -498,7 +501,57 @@ def test_poll_cancels_vanished_file_and_drops_vanished_dirs(watch_setup):
     poller.poll(now + 0.02)
     assert [(r["event"], r["source_path"]) for r in records] == [
         ("cancelled", str(source))]
-    assert sorted(poller.scanner.listings) == [str(watch_dir)]
+    assert sorted(poller.listings) == [str(watch_dir)]
+
+
+def _write_each(directory, *names):
+    for name in names:
+        _write(directory / name)
+
+
+# Scripted trees: the files present at start, whether the watch recurses,
+# one action before each poll (polls 100 ms apart, past the 80 ms
+# quiescence), and the events the polls give.
+POLL_SCRIPTS = {
+    "deleted then recreated": (
+        ["a.csv"], True,
+        [lambda d: (d / "a.csv").unlink(), lambda d: _write(d / "a.csv"),
+         None, None],
+        [("tagged", "a.csv")]),
+    "new subdirectory": (
+        [], True,
+        [lambda d: _write_each(d, "sub/b.csv", "sub/a.csv"), None, None],
+        [("tagged", "sub/a.csv"), ("tagged", "sub/b.csv")]),
+    "renamed subdirectory": (
+        ["old/x.csv", "old/y.csv"], True,
+        [lambda d: (d / "old").rename(d / "new"), None, None],
+        [("tagged", "new/x.csv"), ("tagged", "new/y.csv")]),
+    "pending file's directory removed": (
+        ["sub/old.csv"], True,
+        [lambda d: _write(d / "sub" / "a.csv"),
+         lambda d: shutil.rmtree(d / "sub"), None],
+        [("cancelled", "sub/a.csv")]),
+    "not recursive": (
+        [], False,
+        [lambda d: _write_each(d, "sub/a.csv", "top.csv"), None, None],
+        [("tagged", "top.csv")]),
+}
+
+
+@pytest.mark.parametrize("script", sorted(POLL_SCRIPTS))
+def test_poll_events_over_scripted_trees(watch_setup, script):
+    watch_dir, _, cfg = watch_setup
+    present, recursive, steps, expected = POLL_SCRIPTS[script]
+    _write_each(watch_dir, *present)
+    cfg = dataclasses.replace(cfg, recursive=recursive)
+    now = time.time()
+    poller, records = _poller(cfg, now)
+    for index, step in enumerate(steps, 1):
+        if step is not None:
+            step(watch_dir)
+        poller.poll(now + 0.1 * index)
+    assert [(r["event"], pathlib.Path(r["source_path"]).relative_to(
+        watch_dir).as_posix()) for r in records] == expected
 
 
 TEMPLATE_SPELLINGS = {

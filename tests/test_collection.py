@@ -517,3 +517,30 @@ def test_profile_duplicate_labels_rejected():
     with pytest.raises(Exception) as excinfo:
         Profile(name="p", describe_paths=(("a", "x"), ("a", "y")))
     assert "unique" in str(excinfo.value)
+
+
+@pytest.mark.parametrize("text", [
+    "describe:\n  - {label: true, path: x}\n",
+    "describe:\n  - {label: null, path: 5}\n",
+    "describe:\n  - {label: [1], path: {a: 1}}\n",
+    "describe:\n  - {label: m, path: 5}\n",
+    "name: 7\ndescribe: []\n",
+    "name:\n",
+], ids=["label true", "label null", "label list", "path number",
+        "name number", "name null"])
+def test_profile_name_label_and_path_must_be_text(tmp_path, text):
+    path = tmp_path / "profile.yaml"
+    path.write_text(text, encoding="utf-8")
+    with pytest.raises(UnitpackError) as excinfo:
+        load_profile(path)
+    assert excinfo.value.code == "PROFILE_INVALID"
+
+
+def test_profile_label_cannot_take_the_entry_count(tmp_path):
+    path = tmp_path / "profile.yaml"
+    path.write_text("describe:\n  - {label: number of entries, path: x}\n",
+                    encoding="utf-8")
+    with pytest.raises(UnitpackError) as excinfo:
+        load_profile(path)
+    assert excinfo.value.code == "PROFILE_INVALID"
+    assert "number of entries" in str(excinfo.value)
