@@ -37,6 +37,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("watch", help="tag newly created files with metadata "
                                      "from a template")
+    p.set_defaults(run=_cmd_watch)
     p.add_argument("--dir", required=True, help="directory to watch")
     p.add_argument("--template", required=True, help="YAML template file")
     p.add_argument("--quiescence-ms", type=int,
@@ -60,6 +61,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("pack", help="bundle a CSV + its metadata into a "
                                     "data package")
+    p.set_defaults(run=_cmd_pack)
     p.add_argument("csv", metavar="CSV")
     p.add_argument("--meta", default=None,
                    help="metadata file (default: CSV + .meta.yaml)")
@@ -72,10 +74,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("validate", help="validate a metadata document "
                                         "against a schema")
+    p.set_defaults(run=_cmd_validate)
     p.add_argument("doc", metavar="DOC")
     p.add_argument("--schema", required=True)
 
     p = sub.add_parser("ls", help="list entry identifiers in a collection")
+    p.set_defaults(run=_cmd_ls)
     p.add_argument("dir", metavar="DIR")
     p.add_argument("--filter", action="append", default=[],
                    metavar="'PATH OP VALUE'",
@@ -85,12 +89,14 @@ def build_parser() -> argparse.ArgumentParser:
                    help="skip unloadable descriptors with a warning")
 
     p = sub.add_parser("show", help="print an entry's metadata as JSON")
+    p.set_defaults(run=_cmd_show)
     p.add_argument("dir", metavar="DIR")
     p.add_argument("id", metavar="ID")
     p.add_argument("--path", default=None, help="dot-path of a single node")
 
     p = sub.add_parser("rescale", help="convert a field to a new unit and "
                                        "save the package")
+    p.set_defaults(run=_cmd_rescale)
     p.add_argument("dir", metavar="DIR")
     p.add_argument("id", metavar="ID")
     p.add_argument("--field", required=True)
@@ -99,6 +105,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--overwrite", action="store_true")
 
     p = sub.add_parser("describe", help="summarize a collection as JSON")
+    p.set_defaults(run=_cmd_describe)
     p.add_argument("dir", metavar="DIR")
     p.add_argument("--profile", default=None, metavar="FILE",
                    help="profile YAML (default: entry count + materials "
@@ -108,13 +115,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("report", help="emit a static report for a "
                                       "collection")
+    p.set_defaults(run=_cmd_report)
     p.add_argument("dir", metavar="DIR")
     p.add_argument("--out", required=True)
     p.add_argument("--x", required=True, dest="plot_x")
     p.add_argument("--y", required=True, dest="plot_y")
     p.add_argument("--group-by", default=None)
-    p.add_argument("--format", choices=("markdown", "html"),
-                   default="markdown")
+    p.add_argument("--format", choices=report.FORMATS, default="markdown")
     p.add_argument("--column", action="append", default=[],
                    metavar="LABEL=PATH",
                    help="descriptor column for overview tables "
@@ -257,22 +264,10 @@ def _cmd_report(args) -> int:
     return 0
 
 
-_COMMANDS = {
-    "watch": _cmd_watch,
-    "pack": _cmd_pack,
-    "validate": _cmd_validate,
-    "ls": _cmd_ls,
-    "show": _cmd_show,
-    "rescale": _cmd_rescale,
-    "describe": _cmd_describe,
-    "report": _cmd_report,
-}
-
-
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return _COMMANDS[args.command](args)
+        return args.run(args)
     except (UnitpackError, OSError) as exc:
         print(f"{error_code(exc)}: {' '.join(str(exc).split())}",
               file=sys.stderr)

@@ -296,7 +296,7 @@ def load_profile(path: str | Path) -> Profile:
     if not isinstance(raw, dict):
         raise UnitpackError(f"profile {path} must be a map",
                             code="PROFILE_INVALID")
-    describe = raw.get("describe") or []
+    describe = [] if raw.get("describe") is None else raw["describe"]
     if not isinstance(describe, list):
         raise UnitpackError(f"profile {path}: describe must be a list",
                             code="PROFILE_INVALID")

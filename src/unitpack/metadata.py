@@ -323,8 +323,9 @@ def canonical_scalar(node: Node) -> str:
 
 _SCHEMA_KEYWORDS = {"type", "properties", "required", "items", "enum",
                     "additionalProperties"}
-_TYPE_NAMES = {"string", "number", "integer", "boolean", "object", "array",
-               "null"}
+# A tuple: a list or map `type` is compared (and refused), not hashed.
+_TYPE_NAMES = ("string", "number", "integer", "boolean", "object", "array",
+               "null")
 
 
 def _check_schema_node(node: Node, path: str) -> None:
@@ -384,9 +385,26 @@ def _type_name(node: Node) -> str:
 
 
 def _values_equal(a: Node, b: Node) -> bool:
-    if isinstance(a, bool) != isinstance(b, bool):
-        return False
-    return a == b
+    """JSON Schema's instance equality: a boolean never equals a number,
+    two numbers compare by value, lists and maps member by member.  The
+    members are taken from a stack, not by recursion, so a value nested
+    as deep as a parser allows cannot overflow Python's stack."""
+    pending = [(a, b)]
+    while pending:
+        a, b = pending.pop()
+        if isinstance(a, bool) != isinstance(b, bool):
+            return False
+        if isinstance(a, list) and isinstance(b, list):
+            if len(a) != len(b):
+                return False
+            pending.extend(zip(a, b))
+        elif isinstance(a, dict) and isinstance(b, dict):
+            if a.keys() != b.keys():
+                return False
+            pending.extend((a[key], b[key]) for key in a)
+        elif a != b:
+            return False
+    return True
 
 
 def _join(path: str, segment: str) -> str:

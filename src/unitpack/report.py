@@ -48,10 +48,10 @@ class ReportConfig:
         if self.plot_x == self.plot_y:
             raise UnitpackError("plot_x and plot_y must differ",
                                 code="REPORT_CONFIG_INVALID")
-        if self.format not in _FORMATS:
+        if self.format not in FORMATS:
             raise UnitpackError(
-                f"format must be 'markdown' or 'html', got {self.format!r}",
-                code="REPORT_CONFIG_INVALID")
+                f"format must be {' or '.join(map(repr, FORMATS))}, got "
+                f"{self.format!r}", code="REPORT_CONFIG_INVALID")
 
 
 def _axis_label(entry: Entry, name: str) -> str:
@@ -290,6 +290,7 @@ class _Html:
 
 
 _FORMATS = {"markdown": _Markdown(), "html": _Html()}
+FORMATS = tuple(_FORMATS)
 
 
 def _entries_text(count: int) -> str:

@@ -154,10 +154,15 @@ class UnitExpr:
 
 
 def _merge_factors(factors) -> tuple[tuple[str, int], ...]:
-    """Aggregate exponents per symbol, keeping first-appearance order."""
+    """Aggregate exponents per symbol, keeping first-appearance order; a
+    merged exponent beyond `MAX_EXPONENT` is an `OutOfRange`."""
     merged: dict[str, int] = {}
     for sym, exp in factors:
         merged[sym] = merged.get(sym, 0) + exp
+    for sym, exp in merged.items():
+        if abs(exp) > MAX_EXPONENT:
+            raise OutOfRange(f"exponent {exp} of {sym!r} is beyond "
+                             f"{MAX_EXPONENT} in magnitude")
     return tuple((sym, exp) for sym, exp in merged.items() if exp != 0)
 
 
@@ -216,12 +221,13 @@ def _parse_unit(text: str) -> UnitExpr:
             factors.append((symbol, exponent))
     # Powers are taken of the merged exponents, one per distinct symbol,
     # each bounded, so no exponent in the text sizes the work.
-    merged = _merge_factors(factors)
+    try:
+        merged = _merge_factors(factors)
+    except OutOfRange:
+        raise _exponent_out_of_range(text) from None
     scale = Fraction(1)
     dims = DIMENSIONLESS
     for symbol, exponent in merged:
-        if abs(exponent) > MAX_EXPONENT:
-            raise _exponent_out_of_range(text)
         factor_scale, factor_dims = _resolve_symbol(symbol)
         scale *= factor_scale ** exponent
         dims = dims + factor_dims * exponent
@@ -259,54 +265,15 @@ def conversion_factor(from_unit: UnitExpr, to_unit: UnitExpr) -> Fraction:
     return from_unit.scale / to_unit.scale
 
 
-def _bounded_factors(factors) -> tuple[tuple[str, int], ...]:
-    """`_merge_factors`, where a merged exponent beyond `MAX_EXPONENT` is
-    an `OutOfRange`, so the product's canonical text parses again."""
-    merged = _merge_factors(factors)
-    for sym, exp in merged:
-        if abs(exp) > MAX_EXPONENT:
-            raise OutOfRange(f"exponent {exp} of {sym!r} is beyond "
-                             f"{MAX_EXPONENT} in magnitude")
-    return merged
-
-
 def unit_mul(a: UnitExpr, b: UnitExpr) -> UnitExpr:
     return UnitExpr(scale=a.scale * b.scale, dims=a.dims + b.dims,
-                    factors=_bounded_factors(a.factors + b.factors))
+                    factors=_merge_factors(a.factors + b.factors))
 
 
 def unit_div(a: UnitExpr, b: UnitExpr) -> UnitExpr:
     inverted = tuple((sym, -exp) for sym, exp in b.factors)
     return UnitExpr(scale=a.scale / b.scale, dims=a.dims - b.dims,
-                    factors=_bounded_factors(a.factors + inverted))
-
-
-@dataclass(frozen=True)
-class Quantity:
-    """A real magnitude paired with a unit."""
-
-    magnitude: float
-    unit: UnitExpr
-
-    def to(self, target: UnitExpr | str) -> "Quantity":
-        return convert_to(self, target)
-
-    def __mul__(self, other: "Quantity") -> "Quantity":
-        return quantity_mul(self, other)
-
-    def __truediv__(self, other: "Quantity") -> "Quantity":
-        return quantity_div(self, other)
-
-    def __add__(self, other: "Quantity") -> "Quantity":
-        converted = convert_to(other, self.unit)
-        return Quantity(self.magnitude + converted.magnitude, self.unit)
-
-    def __sub__(self, other: "Quantity") -> "Quantity":
-        converted = convert_to(other, self.unit)
-        return Quantity(self.magnitude - converted.magnitude, self.unit)
-
-    def __str__(self) -> str:
-        return f"{self.magnitude} {self.unit.canonical_text}"
+                    factors=_merge_factors(a.factors + inverted))
 
 
 def quantity_mul(a: Quantity, b: Quantity) -> Quantity:
@@ -325,6 +292,28 @@ def convert_to(q: Quantity, target: UnitExpr | str) -> Quantity:
         target = parse_unit(target)
     factor = conversion_factor(q.unit, target)
     return Quantity(apply_factor(q.magnitude, factor), target)
+
+
+@dataclass(frozen=True)
+class Quantity:
+    """A real magnitude paired with a unit."""
+
+    magnitude: float
+    unit: UnitExpr
+
+    # The module functions are the methods, so each operation has one body.
+    to, __mul__, __truediv__ = convert_to, quantity_mul, quantity_div
+
+    def __add__(self, other: "Quantity") -> "Quantity":
+        return Quantity(self.magnitude + other.to(self.unit).magnitude,
+                        self.unit)
+
+    def __sub__(self, other: "Quantity") -> "Quantity":
+        return Quantity(self.magnitude - other.to(self.unit).magnitude,
+                        self.unit)
+
+    def __str__(self) -> str:
+        return f"{self.magnitude} {self.unit.canonical_text}"
 
 
 def apply_factor(value: int | float, factor: Fraction) -> int | float:

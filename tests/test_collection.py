@@ -497,13 +497,22 @@ def test_load_profile_rejects_malformed_yaml(tmp_path, text):
         load_profile(path)
 
 
-@pytest.mark.parametrize("describe", ["5", "{label: m, path: x}"])
+@pytest.mark.parametrize("describe", ["5", "{label: m, path: x}", "{}",
+                                      "false", "0", "''"])
 def test_profile_describe_must_be_a_list(tmp_path, describe):
     path = tmp_path / "profile.yaml"
     path.write_text(f"describe: {describe}\n", encoding="utf-8")
     with pytest.raises(UnitpackError) as excinfo:
         load_profile(path)
     assert excinfo.value.code == "PROFILE_INVALID"
+
+
+@pytest.mark.parametrize("text", ["name: p\n", "name: p\ndescribe:\n",
+                                  "name: p\ndescribe: null\n"])
+def test_an_absent_or_null_describe_is_empty(tmp_path, text):
+    path = tmp_path / "profile.yaml"
+    path.write_text(text, encoding="utf-8")
+    assert load_profile(path).describe_paths == ()
 
 
 def test_undecodable_profile_is_parse_error(tmp_path):

@@ -311,6 +311,31 @@ def test_hostile_profile(tmp_path, monkeypatch, name):
         ["describe", "coll", "--profile", "profile.yaml"])
 
 
+# Schemas for `validate`, each with the code it ends in.
+SCHEMAS = {
+    "type-a-list": (json.dumps({"type": ["string", "null"]}),
+                    "SCHEMA_MALFORMED: bad type ['string', 'null'] at <root>"),
+    "type-a-map": (json.dumps({"type": {"a": 1}}),
+                   "SCHEMA_MALFORMED: bad type {'a': 1} at <root>"),
+    "nested-type-a-list": (
+        json.dumps({"properties": {"user": {"type": ["string"]}}}),
+        "SCHEMA_MALFORMED: bad type ['string'] at user"),
+    "not-a-map": ("[]", "SCHEMA_MALFORMED: "),
+    "unknown-keyword": (json.dumps({"$ref": "#/x"}), "SCHEMA_UNSUPPORTED: "),
+    "nested-deeply": (DEEP, "PARSE_ERROR: schema.json: "),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SCHEMAS))
+def test_hostile_schema(tmp_path, monkeypatch, name):
+    schema, refusal = SCHEMAS[name]
+    code, out, err = run(tmp_path, monkeypatch,
+                         {"doc.yaml": "user: Max Doe\n", "schema.json": schema},
+                         ["validate", "doc.yaml", "--schema", "schema.json"])
+    assert (code, out) == (1, ""), err
+    assert err.startswith(refusal), err
+
+
 UNITS = ["", "*m", "m*", "m**2", "m* *s", "m^", "m^1.5", "km^100",
          "m^99*m", "m^-99/m", HUGE_EXPONENT, "µV", "ΩA", "1", "V/0"]
 

@@ -295,6 +295,36 @@ def test_enum_keeps_bools_apart_from_numbers(value, allowed):
     assert (violations == []) is allowed
 
 
+@pytest.mark.parametrize("allowed, value, accepted", [
+    ([True], [1], False),
+    ({"a": False}, {"a": 0}, False),
+    ([1], [1.0], True),
+    ({"a": [1, None]}, {"a": [1.0, None]}, True),
+    ([True], [True, True], False),
+    ({"a": 1}, {"a": 1, "b": 1}, False),
+    ([1], {"0": 1}, False),
+])
+def test_enum_compares_lists_and_maps_member_by_member(allowed, value,
+                                                       accepted):
+    schema = _schema({"properties": {"v": {"enum": [allowed]}}})
+    violations = metadata.validate(metadata.MetadataDoc(root={"v": value}),
+                                   schema)
+    assert (violations == []) is accepted
+
+
+def test_enum_compares_values_nested_as_deep_as_a_parse_allows():
+    def nested(leaf, depth=900):
+        for _ in range(depth):
+            leaf = [leaf]
+        return leaf
+
+    schema = _schema({"enum": [nested(1)]})
+    for value, accepted in ((nested(1.0), True), (nested(True), False)):
+        violations = metadata.validate(metadata.MetadataDoc(root=value),
+                                       schema)
+        assert (violations == []) is accepted
+
+
 def test_bool_is_not_integer():
     schema = _schema({"type": "object",
                       "properties": {"n": {"type": "integer"}}})
@@ -338,6 +368,8 @@ def test_malformed_schema_rejected(tmp_path):
     ({"items": "x"}, "schema at [] must be a map"),
     ({"properties": {"a": {"items": {"enum": 1}}}},
      "'enum' must be a list at a[]"),
+    ({"type": ["string", "null"]}, "bad type ['string', 'null'] at <root>"),
+    ({"type": {"a": 1}}, "bad type {'a': 1} at <root>"),
 ])
 def test_each_malformed_schema_check(tree, message):
     with pytest.raises(SchemaMalformed) as excinfo:

@@ -1,4 +1,5 @@
 import math
+import operator
 from fractions import Fraction
 
 import pytest
@@ -191,6 +192,40 @@ def test_quantity_addition_uses_left_unit():
     assert math.isclose(total.magnitude, 1.5, rel_tol=1e-12)
     with pytest.raises(DimensionMismatch):
         a + units.Quantity(1.0, units.parse_unit("K"))
+
+
+def test_quantity_subtraction_uses_left_unit():
+    a = units.Quantity(1.0, units.parse_unit("V"))
+    difference = a - units.Quantity(500.0, units.parse_unit("mV"))
+    assert difference == units.Quantity(0.5, units.parse_unit("V"))
+    assert str(difference) == "0.5 V"
+    with pytest.raises(DimensionMismatch):
+        a - units.Quantity(1.0, units.parse_unit("K"))
+
+
+def test_a_unit_renders_as_its_canonical_text():
+    unit = units.parse_unit("kg*m^2/s^3/A")
+    assert str(unit) == "kg*m^2*s^-3*A^-1"
+    assert repr(unit) == "UnitExpr('kg*m^2*s^-3*A^-1')"
+    assert str(units.parse_unit("1")) == "1"
+
+
+def test_quantity_functions_match_the_methods():
+    q = units.Quantity(1.5, units.parse_unit("mV"))
+    r = units.Quantity(3.0, units.parse_unit("mA"))
+    pairs = [(units.convert_to(q, "uV"), q.to("uV")),
+             (units.convert_to(q, units.parse_unit("V")),
+              q.to(units.parse_unit("V"))),
+             (units.quantity_mul(q, r), q * r),
+             (units.quantity_div(q, r), q / r)]
+    for by_function, by_method in pairs:
+        assert by_function == by_method
+        assert str(by_function) == str(by_method)
+    zero = units.Quantity(0.0, units.parse_unit("A"))
+    for divide in (units.quantity_div, operator.truediv):
+        with pytest.raises(DivisionByZero) as info:
+            divide(q, zero)
+        assert info.value.code == "DIVISION_BY_ZERO"
 
 
 # -------------------------------
@@ -389,6 +424,19 @@ def test_a_merged_exponent_beyond_99_is_out_of_range(op, a, b):
     with pytest.raises(OutOfRange) as info:
         op(units.parse_unit(a), units.parse_unit(b))
     assert info.value.code == "OUT_OF_RANGE"
+
+
+def test_a_merged_exponent_beyond_99_names_its_symbol():
+    with pytest.raises(OutOfRange) as info:
+        units.unit_mul(units.parse_unit("m^99"), units.parse_unit("m"))
+    assert (info.value.code, str(info.value)) == (
+        "OUT_OF_RANGE", "exponent 100 of 'm' is beyond 99 in magnitude")
+    with pytest.raises(UnitSyntaxError) as info:
+        units.parse_unit("m^99*m")
+    assert (info.value.code, str(info.value)) == (
+        "UNIT_SYNTAX", "exponent out of range in unit expression 'm^99*m': "
+        "each exponent, written or after like symbols merge, is at most 99 "
+        "in magnitude")
 
 
 def test_quantity_products_keep_the_exponent_bound():
