@@ -231,6 +231,16 @@ def _cmd_rescale(args) -> int:
     return _save(datapackage.rescale(entry, {args.field: args.unit}), args)
 
 
+def _literal(value) -> str:
+    """`value` as ``describe --pretty`` shows it: as `canonical_scalar`
+    renders it, but a text in JSON quotes where, bare, it would read as
+    another ``--filter`` literal (a number, ``true``, ``false`` or
+    ``null``), so each value reads as what ``--filter`` matches it by."""
+    if isinstance(value, str) and collection._parse_literal(value) != value:
+        return metadata.dump_json(value)
+    return metadata.canonical_scalar(value)
+
+
 def _cmd_describe(args) -> int:
     coll = _load_collection(args)
     profile = collection.load_profile(args.profile) if args.profile \
@@ -239,7 +249,7 @@ def _cmd_describe(args) -> int:
     if args.pretty:
         for key, value in summary.items():
             values = value if isinstance(value, list) else [value]
-            rendered = ", ".join(map(metadata.canonical_scalar, values))
+            rendered = ", ".join(map(_literal, values))
             print(f"{_styled(key)}: {rendered}")
     else:
         print(metadata.dump_json(summary, indent=2))

@@ -21,8 +21,9 @@ from .errors import (
     PredicateParseError,
     UnitpackError,
 )
-from .metadata import (_load_each, _read_document, canonical_scalar,
-                       find_path, is_scalar, parse_yaml)
+from .metadata import (_load_each, _read_document, _type_name,
+                       _values_equal, canonical_scalar, find_path, is_scalar,
+                       parse_yaml)
 from .tabular import _is_number, _typed_cell
 
 log = logging.getLogger("unitpack.collection")
@@ -179,9 +180,9 @@ def get(c: Collection, identifier: str) -> Entry:
 
 # --- predicates -------------------------------------------------------------
 
-_COMPARISONS = {"==": operator.eq, "!=": operator.ne, "<=": operator.le,
-                ">=": operator.ge, "<": operator.lt, ">": operator.gt}
-OPERATORS = (*_COMPARISONS, "contains")
+_ORDERS = {"<=": operator.le, ">=": operator.ge, "<": operator.lt,
+           ">": operator.gt}
+OPERATORS = ("==", "!=", *_ORDERS, "contains")
 
 
 @dataclass(frozen=True)
@@ -213,7 +214,8 @@ def _parse_literal(token: str):
 
 
 def parse_clause(text: str) -> Clause:
-    """Parse the textual ``path OP value`` form used by the CLI."""
+    """Parse the textual ``path OP value`` form used by the CLI.  A value
+    written with quotes or escapes is text; a bare one is a literal."""
     try:
         tokens = shlex.split(text)
     except ValueError as exc:
@@ -222,19 +224,24 @@ def parse_clause(text: str) -> Clause:
         raise PredicateParseError(
             f"bad predicate {text!r}: expected 'path OP value'")
     path, op, raw_value = tokens
-    return Clause(path=path, op=op, value=_parse_literal(raw_value))
+    bare = text.split()[-1] == raw_value
+    return Clause(path=path, op=op,
+                  value=_parse_literal(raw_value) if bare else raw_value)
 
 
 def _compare(op: str, node, value) -> bool:
-    """The one rule by which a node meets a literal: two numbers compare
-    by value, any other two scalars by their canonical renderings, and a
-    null has no order."""
-    if not is_scalar(node) or (op not in ("==", "!=") and (
-            node is None or value is None)):
+    """The one rule by which a scalar node meets a literal: ``==`` is
+    `enum`'s equality (`metadata._values_equal`) and ``!=`` its negation;
+    an order holds only between two numbers, by value, or two texts, by
+    code point.  A list, a map or an absent node meets nothing."""
+    if not is_scalar(node):
         return False
-    if not (_is_number(node) and _is_number(value)):
-        node, value = canonical_scalar(node), canonical_scalar(value)
-    return _COMPARISONS[op](node, value)
+    if op in ("==", "!="):
+        return _values_equal(node, value) == (op == "==")
+    if _is_number(node) and _is_number(value) or \
+            isinstance(node, str) and isinstance(value, str):
+        return _ORDERS[op](node, value)
+    return False
 
 
 def _clause_holds(entry: Entry, clause: Clause) -> bool:
@@ -319,14 +326,17 @@ def load_profile(path: str | Path) -> Profile:
 
 def describe(c: Collection, profile: Profile = DEFAULT_PROFILE) -> dict:
     """Summarize a collection: entry count plus, per profile path, the
-    sorted set of distinct scalar values found across entries."""
+    distinct scalar values found across entries.  A value is keyed by its
+    rendering and its JSON type, which name it exactly, so the text
+    ``"1"`` and the number ``1`` are two values; they sort by that key,
+    whatever the order of the entries."""
     summary: dict = {_COUNT_LABEL: len(c)}
     for label, path in profile.describe_paths:
-        distinct: dict[str, object] = {}
+        distinct: dict[tuple[str, str], object] = {}
         for entry in c.entries:
             node = find_path(entry.metadata, path)
             if is_scalar(node):
-                distinct[canonical_scalar(node)] = node
+                distinct[canonical_scalar(node), _type_name(node)] = node
         summary[label] = [distinct[k] for k in sorted(distinct)]
     return summary
 

@@ -303,11 +303,12 @@ def is_scalar(node: Node) -> bool:
 
 
 def canonical_scalar(node: Node) -> str:
-    """Canonical string rendering used for scalar comparisons.
-
-    Numbers render via Python's shortest round-trip representation, so
-    YAML ``1.0`` and JSON ``1.0`` compare equal.
-    """
+    """The text a scalar is shown by in report cells and trees, group page
+    names and ``describe --pretty``, which ``describe`` sorts by and
+    ``contains`` searches a string for: a number's shortest round-trip
+    form, ``true``, ``false`` and ``null`` as JSON spells them, and a text
+    as itself.  It renders only; `_values_equal` decides whether two
+    values are equal."""
     if node is None:
         return "null"
     if isinstance(node, bool):
@@ -545,11 +546,8 @@ def scan_metadata_directory(directory: str | Path) -> ScanResult:
 
 def filter_metadata(docs: list[tuple[Path, MetadataDoc]], path: str,
                     expected: Node) -> list[tuple[Path, MetadataDoc]]:
-    """Keep documents whose scalar at `path` equals `expected`."""
-    expected_text = canonical_scalar(expected)
-    kept = []
-    for pair in docs:
-        node = find_path(pair[1], path)
-        if is_scalar(node) and canonical_scalar(node) == expected_text:
-            kept.append(pair)
-    return kept
+    """Keep documents whose value at `path` equals `expected` by the rule
+    `enum` uses (`_values_equal`): ``1`` matches ``1.0``, a text never
+    matches a number and a path that names no value matches nothing."""
+    return [pair for pair in docs
+            if _values_equal(find_path(pair[1], path), expected)]

@@ -443,6 +443,43 @@ def test_describe_pretty_spells_each_value_as_the_json_does(tmp_path,
                               "references: \n")
 
 
+# Six values that render alike in pairs: a text is never equal to a
+# number, a boolean or null, and a quoted literal is text.
+SIX = {"a": '"1"', "b": "1", "c": '"null"', "d": "null", "e": '"true"',
+       "f": "true"}
+
+
+@pytest.mark.parametrize("clause, kept", [
+    ("v == 1", "b"), ('v == "1"', "a"), ("v == null", "d"),
+    ('v == "null"', "c"), ("v != null", "abcef"), ("v < 2", "b"),
+    ('v < "2"', "a"),
+])
+def test_values_that_render_alike_stay_apart(tmp_path, capsys, clause,
+                                             kept):
+    for identifier, value in SIX.items():
+        (tmp_path / f"{identifier}.csv").write_text("t,U\n0,1\n1,2\n",
+                                                    encoding="utf-8")
+        (tmp_path / f"{identifier}.csv.meta.yaml").write_text(
+            f"v: {value}\nfigure description:\n  fields:\n"
+            f"    - {{name: t, unit: s}}\n    - {{name: U, unit: V}}\n",
+            encoding="utf-8")
+        assert run(capsys, "pack", str(tmp_path / f"{identifier}.csv"),
+                   "--outdir", str(tmp_path / "db"))[0] == 0
+    db = str(tmp_path / "db")
+    assert run(capsys, "ls", db, "--filter", clause) == \
+        (0, "".join(f"{identifier}\n" for identifier in kept), "")
+    profile = tmp_path / "profile.yaml"
+    profile.write_text("describe:\n  - {label: v, path: v}\n",
+                       encoding="utf-8")
+    code, out, _ = run(capsys, "describe", db, "--profile", str(profile))
+    assert (code, json.dumps(json.loads(out)["v"])) == \
+        (0, '[1, "1", null, "null", true, "true"]')
+    assert run(capsys, "describe", db, "--profile", str(profile),
+               "--pretty") == (0, "number of entries: 6\n"
+                                  'v: 1, "1", null, "null", true, "true"\n',
+                               "")
+
+
 def test_report_cli(tmp_path, capsys):
     outdir = _packed(tmp_path, capsys)
     site = tmp_path / "site"

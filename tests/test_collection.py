@@ -1,12 +1,15 @@
 import contextlib
 import http.server
 import json
+import operator
 import shutil
 import tempfile
 import threading
 import zipfile
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from unitpack import collection
 from unitpack.collection import (
@@ -32,7 +35,7 @@ from unitpack.errors import (
     PredicateParseError,
     UnitpackError,
 )
-from unitpack.metadata import MetadataDoc
+from unitpack.metadata import MetadataDoc, _values_equal
 
 from conftest import forbid_csv_body, material_entry
 
@@ -367,6 +370,7 @@ def test_parse_clause_errors():
     ("٢", 2), ("١.٥", 1.5), ("true", True), ("false", False),
     ("null", None), ('""', ""), ('"Max Doe"', "Max Doe"), ("Pt", "Pt"),
     ("True", "True"), ("NULL", "NULL"), ('"5 mA"', "5 mA"),
+    ('"5"', "5"), ("'5'", "5"), ('"null"', "null"), ('"true"', "true"),
 ])
 def test_parse_clause_literals(token, expected):
     value = parse_clause(f"k == {token}").value
@@ -384,8 +388,9 @@ def test_literals_that_are_text_in_a_cell_are_text(token):
     assert parse_clause(f"k == {token}").value == text
 
 
-# `canonical_scalar` writes an infinite or NaN float as the text literal
-# reads, so `==` matches them.
+# `inf`, `-inf` and `nan` are text literals, so they match the same
+# text.  A text never equals a number, so they do not match an infinite
+# or NaN float, which no reader builds anyway.
 @pytest.mark.parametrize("path, op, token, kept", [
     ("hot", "==", "inf", True), ("cold", "==", "-inf", True),
     ("odd", "==", "nan", True), ("hot", "!=", "inf", False),
@@ -394,18 +399,22 @@ def test_literals_that_are_text_in_a_cell_are_text(token):
 def test_text_literal_matches_infinite_and_nan_metadata(path, op, token,
                                                         kept):
     entry = material_entry("x", "Pt")
-    db = Collection(entries=(Entry(
-        identifier="x", fields=entry.fields, table=entry.table,
-        metadata=MetadataDoc(root={"hot": float("inf"),
-                                   "cold": float("-inf"),
-                                   "odd": float("nan")})),))
-    clause = parse_clause(f"{path} {op} {token}")
-    assert bool(collection.filter(db, clause)) is kept
+
+    def holds(root):
+        db = Collection(entries=(Entry(
+            identifier="x", fields=entry.fields, table=entry.table,
+            metadata=MetadataDoc(root=root)),))
+        return bool(collection.filter(db, parse_clause(
+            f"{path} {op} {token}")))
+
+    assert holds({"hot": "inf", "cold": "-inf", "odd": "nan"}) is kept
+    assert holds({"hot": float("inf"), "cold": float("-inf"),
+                  "odd": float("nan")}) is (op == "!=")
 
 
-# Every clause compares by one rule: two numbers by value, any other two
-# scalars by their canonical renderings.  So `contains` on a string looks
-# for `true`, `false` and `null` as JSON spells them, not as Python does.
+# `==`, and so `contains` on a list, is `enum`'s equality: two numbers by
+# value, a boolean never a number.  `contains` on a string searches it for
+# the literal's rendering, `true`, `false` and `null` as JSON spells them.
 @pytest.mark.parametrize("text, kept", [
     ("l contains true", True),
     ("n == 1.0", True),
@@ -423,6 +432,38 @@ def test_every_clause_compares_by_one_rule(text, kept):
             "l": [1, True], "n": 1, "s": "it is true", "t": "True story",
             "u": "null here", "f": "a false start"})),))
     assert bool(collection.filter(db, parse_clause(text))) is kept
+
+
+# Scalars whose kinds differ but whose renderings collide: `1`, `1.0` and
+# `"1"`, `null` and `"null"`, `true` and `"true"`, `0.0` and `-0.0`.
+SCALARS = st.one_of(
+    st.none(), st.booleans(), st.integers(-2, 2),
+    st.sampled_from([0.0, -0.0, 1.0, 1.5, -2.5]),
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.sampled_from(["", "1", "1.0", "-0.0", "2", "null", "true", "false",
+                     "True", "a", "b"]),
+    st.text(max_size=3))
+
+
+def _kind(value) -> str:
+    if isinstance(value, (int, float)) and not isinstance(value, bool):
+        return "number"
+    return type(value).__name__
+
+
+@settings(max_examples=500)
+@given(op=st.sampled_from(collection.OPERATORS[:-1]), node=SCALARS,
+       value=SCALARS)
+def test_compare_agrees_with_a_reference(op, node, value):
+    equal = _kind(node) == _kind(value) and node == value
+    if op in ("==", "!="):
+        expected = equal == (op == "==")
+        assert _values_equal(node, value) is equal
+    else:
+        expected = _kind(node) == _kind(value) in ("number", "str") and {
+            "<": operator.lt, "<=": operator.le, ">": operator.gt,
+            ">=": operator.ge}[op](node, value)
+    assert collection._compare(op, node, value) is expected
 
 
 @pytest.mark.parametrize("value", [[1], {"a": 1}, ()])
@@ -464,6 +505,30 @@ def test_describe_empty_collection():
 def test_describe_path_absent_everywhere(material_collection):
     profile = Profile(name="p", describe_paths=(("ghosts", "no.such.path"),))
     assert describe(material_collection, profile)["ghosts"] == []
+
+
+def _listed(values) -> list:
+    """What `describe` lists for entries ``e0``, ``e1``, ... whose ``v``
+    are `values`, each value named exactly by its type and `repr`."""
+    entry = material_entry("x", "Pt")
+    db = Collection(entries=tuple(
+        Entry(identifier=f"e{index}", fields=entry.fields, table=entry.table,
+              metadata=MetadataDoc(root={"v": value}))
+        for index, value in enumerate(values)))
+    summary = describe(db, Profile(name="p", describe_paths=(("v", "v"),)))
+    return [(type(value), repr(value)) for value in summary["v"]]
+
+
+# Each distinct value is listed once, and which entry holds which value
+# does not change the summary.
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_describe_ignores_which_entry_holds_which_value(data):
+    values = data.draw(st.lists(SCALARS, max_size=6))
+    listed = _listed(values)
+    assert _listed(data.draw(st.permutations(values))) == listed
+    assert len(listed) == len(set(listed))
+    assert set(listed) == {(type(value), repr(value)) for value in values}
 
 
 def test_describe_is_json(material_collection):

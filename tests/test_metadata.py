@@ -440,11 +440,14 @@ def test_filter_tautology_keeps_all():
     assert len(out) == len(docs)
 
 
+# Two numbers are equal by value, as under `enum`, whatever their
+# renderings; a text never equals a number.
 def test_filter_numeric_canonical_rendering():
     docs = _docs_fixture()
     assert len(metadata.filter_metadata(docs, "n", 1.0)) == 1
     assert len(metadata.filter_metadata(docs, "n", 2)) == 1
-    assert len(metadata.filter_metadata(docs, "n", 1)) == 0  # 1 vs 1.0
+    assert len(metadata.filter_metadata(docs, "n", 1)) == 1  # 1 vs 1.0
+    assert metadata.filter_metadata(docs, "n", "1.0") == []
 
 
 # -------------------------------
