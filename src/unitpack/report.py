@@ -17,7 +17,9 @@ import html as html_lib
 import math
 import os
 import re
-from dataclasses import dataclass
+from collections.abc import Iterator
+from contextlib import ExitStack
+from dataclasses import dataclass, replace
 from pathlib import Path
 from urllib.parse import quote
 
@@ -26,7 +28,7 @@ from .datapackage import Entry
 from .errors import NonNumericCell, OutOfRange, TooFewPoints, UnitpackError
 from .metadata import (ABSENT, _staged, _walk, canonical_scalar,
                        dump_json, find_path, is_scalar)
-from .tabular import _is_number, _plain_numbers, render_cell
+from .tabular import Table, _is_number, _plain_numbers, render_cell
 
 MISSING = "—"
 
@@ -349,34 +351,38 @@ def _overview_page(fmt, title: str, entries: list[Entry], cfg: ReportConfig,
     return fmt.document(title, blocks)
 
 
-def render_index(c: Collection, cfg: ReportConfig) -> dict[str, str]:
-    """Render the complete page set as {relative path: content}.
+def _pages(c: Collection, cfg: ReportConfig) -> Iterator[tuple[str, str]]:
+    """Yield (relative path, content) for each page of the report: each
+    entry's plot and page as soon as they are rendered, then the overview
+    pages.
 
-    With `group_by`, one overview page per distinct group value plus a
-    root index; otherwise a single root overview.  Every entry appears
-    exactly once across overview tables, and every link resolves inside
-    the returned set.  Each entry's plot is rendered once.
+    Each entry's cells are read once, through a copy of its lazy table,
+    and dropped with that copy when its pages are done: the collection's
+    entries stay lazy, and memory holds one entry's cells at a time.
     """
     fmt = _FORMATS[cfg.format]
-    pages: dict[str, str] = {}
     plot_ids: set[str] = set()
     cells: dict[str, list[tuple[str, str]]] = {}
-    for entry in c.entries:
+    for lazy in c.entries:
+        entry = replace(lazy, table=Table(lazy.table.columns,
+                                          _cells=lazy.table._cells))
+        entry.table.row_count  # the one read of the cells, before plotting
         try:
-            pages[f"plots/{entry.identifier}.svg"] = render_plot(
-                entry, cfg.plot_x, cfg.plot_y)
-            plot_ids.add(entry.identifier)
+            plot = render_plot(entry, cfg.plot_x, cfg.plot_y)
         except UnitpackError:
             pass
+        else:
+            plot_ids.add(entry.identifier)
+            yield f"plots/{entry.identifier}.svg", plot
         cells[entry.identifier] = _descriptor_cells(entry, cfg)
-        pages[f"entries/{entry.identifier}.{fmt.ext}"] = render_entry_page(
+        yield f"entries/{entry.identifier}.{fmt.ext}", render_entry_page(
             entry, cfg, entry.identifier in plot_ids, cells[entry.identifier])
 
     title = "Collection report"
     if cfg.group_by is None:
-        pages[f"index.{fmt.ext}"] = _overview_page(
+        yield f"index.{fmt.ext}", _overview_page(
             fmt, title, list(c.entries), cfg, "", plot_ids, cells)
-        return pages
+        return
 
     groups: dict[str, list[Entry]] = {}
     for entry in c.entries:
@@ -385,37 +391,58 @@ def render_index(c: Collection, cfg: ReportConfig) -> dict[str, str]:
     rows = []
     for value in sorted(groups):
         page = f"groups/{_slug(value, taken)}.{fmt.ext}"
-        pages[page] = _overview_page(fmt, value, groups[value], cfg, "../",
-                                     plot_ids, cells)
+        yield page, _overview_page(fmt, value, groups[value], cfg, "../",
+                                   plot_ids, cells)
         rows.append([fmt.link(page, value), str(len(groups[value]))])
-    pages[f"index.{fmt.ext}"] = fmt.document(title, [
+    yield f"index.{fmt.ext}", fmt.document(title, [
         fmt.heading(title),
         fmt.paragraph(f"{_entries_text(len(c))} in {len(groups)} group(s)."),
         fmt.table(["group", "entries"], rows),
     ])
-    return pages
+
+
+def render_index(c: Collection, cfg: ReportConfig) -> dict[str, str]:
+    """Render the complete page set as {relative path: content}.
+
+    With `group_by`, one overview page per distinct group value plus a
+    root index; otherwise a single root overview.  Every entry appears
+    exactly once across overview tables, and every link resolves inside
+    the returned set.  Each entry's plot is rendered once.
+    """
+    return dict(_pages(c, cfg))
 
 
 def write_report(c: Collection, cfg: ReportConfig) -> list[Path]:
     """Render and write the full page tree under cfg.out_dir.
 
-    Each page is written to a temporary file beside it and moved into
-    place with `os.replace`, so a page name holds either its old bytes or
-    the complete new page; the page set as a whole is not swapped at once.
-    Afterwards the files under ``entries/``, ``plots/`` and ``groups/``,
-    and the root index, are exactly the page set: pages an earlier run
-    left there (a removed entry, the other format) are deleted.  Other
-    files in cfg.out_dir are left alone.
+    Pages come from `_pages`, so memory holds one entry's cells at a time.
+    Each page is written to a temporary file beside it as soon as it is
+    rendered; only once every page is staged are they moved into place
+    with `os.replace`, in sorted order.  A failure before that removes the
+    temporary files and leaves every old page, though the page directories
+    may already have been made; one during the renames can leave some
+    pages new and some old, each whole.  Afterwards the files under
+    ``entries/``, ``plots/`` and ``groups/``, and the root index, are
+    exactly the page set: pages an earlier run left there (a removed
+    entry, the other format) are deleted.  Other files in cfg.out_dir are
+    left alone.
     """
-    pages = render_index(c, cfg)
+    staged: dict[str, tuple[Path, Path]] = {}
+    made: set[Path] = set()
     written = []
-    for rel_path in sorted(pages):
-        target = cfg.out_dir / rel_path
-        target.parent.mkdir(parents=True, exist_ok=True)
-        with _staged(target) as temp:
-            temp.write_text(pages[rel_path], encoding="utf-8")
+    with ExitStack() as stack:
+        for rel_path, text in _pages(c, cfg):
+            target = cfg.out_dir / rel_path
+            if target.parent not in made:
+                target.parent.mkdir(parents=True, exist_ok=True)
+                made.add(target.parent)
+            temp = stack.enter_context(_staged(target))
+            temp.write_text(text, encoding="utf-8")
+            staged[rel_path] = temp, target
+        for rel_path in sorted(staged):
+            temp, target = staged[rel_path]
             os.replace(temp, target)
-        written.append(target)
+            written.append(target)
     out = str(cfg.out_dir)
     indexes = {f"index.{fmt.ext}" for fmt in _FORMATS.values()}
     owned = _walk(out, lambda path: os.path.basename(path) in indexes,
@@ -423,6 +450,6 @@ def write_report(c: Collection, cfg: ReportConfig) -> list[Path]:
     for subdir in ("entries", "plots", "groups"):
         owned += _walk(os.path.join(out, subdir), lambda path: True)
     for path in owned:
-        if os.path.relpath(path, out).replace(os.sep, "/") not in pages:
+        if os.path.relpath(path, out).replace(os.sep, "/") not in staged:
             os.unlink(path)
     return written

@@ -1,3 +1,4 @@
+import fnmatch
 import json
 import os
 import shutil
@@ -511,6 +512,24 @@ def test_ragged_csv_body_fails_only_commands_that_read_rows(tmp_path,
     code, _, err = run(capsys, "report", str(ragged), "--out",
                        str(tmp_path / "site"), "--x", "t", "--y", "U")
     assert code == 1 and err.startswith("RAGGED_ROW:")
+
+
+def test_a_ragged_middle_entry_leaves_the_previous_report(tmp_path, capsys):
+    db, site = tmp_path / "db", tmp_path / "site"
+    for identifier in ("a", "b", "c"):
+        save_entry(material_entry(identifier, "Pt"), db)
+    argv = ["report", str(db), "--out", str(site), "--x", "t", "--y", "U",
+            "--group-by", "user"]
+    assert run(capsys, *argv, "--column", "user=user")[0] == 0
+    before = {p: p.read_bytes() for p in site.rglob("*") if p.is_file()}
+    with open(db / "b.csv", "a", encoding="utf-8") as handle:
+        handle.write("9,9,9\n")
+    code, _, err = run(capsys, *argv, "--column", "who=user")
+    assert code == 1 and err.startswith("RAGGED_ROW:")
+    assert {p: p.read_bytes() for p in site.rglob("*") if p.is_file()} == \
+        before
+    assert not [p for p in site.rglob("*")
+                if fnmatch.fnmatchcase(p.name, metadata._STAGED_GLOB)]
 
 
 def test_ls_skips_undecodable_descriptor(tmp_path, capsys):

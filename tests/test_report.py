@@ -1,15 +1,16 @@
 import pathlib
 import posixpath
 import re
+import tracemalloc
 from urllib.parse import unquote
 
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from unitpack import report
-from unitpack.collection import Collection
-from unitpack.datapackage import Entry, FieldSpec
+from unitpack import report, tabular
+from unitpack.collection import Collection, from_directory
+from unitpack.datapackage import Entry, FieldSpec, save_entry
 from unitpack.errors import (NonNumericCell, OutOfRange, TooFewPoints,
                              UnknownField)
 from unitpack.metadata import MetadataDoc, find_path
@@ -430,10 +431,48 @@ def test_a_failed_page_write_leaves_old_or_whole_pages(
     on_disk = {p.relative_to(out_dir).as_posix():
                p.read_text(encoding="utf-8")
                for p in out_dir.rglob("*") if p.is_file()}
-    assert set(on_disk) == set(old_pages)
-    for name, text in on_disk.items():
-        assert text in (old_pages[name], new_pages[name]), name
+    # Every page is staged before the first rename, so none is new yet.
+    assert on_disk == old_pages
     assert len(calls) == failing_write
+
+
+def _saved_collection(directory, count: int, rows: int) -> Collection:
+    """`count` packages of `rows` rows each, saved under `directory` and
+    loaded back, so every table is lazy."""
+    cells = tuple((i, i / 7) for i in range(rows))
+    for n in range(count):
+        save_entry(material_entry(f"e{n:02}", "Pt", rows=cells), directory)
+    return from_directory(directory)
+
+
+def test_write_report_memory_does_not_grow_with_the_collection(tmp_path):
+    peaks = []
+    for count in (4, 32):
+        collection = _saved_collection(tmp_path / f"db{count}", count, 5000)
+        cfg = _cfg(tmp_path / f"site{count}")
+        tracemalloc.start()
+        try:
+            write_report(collection, cfg)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] < 1.5 * peaks[0], peaks
+
+
+def test_write_report_reads_each_table_once_and_leaves_it_lazy(
+        tmp_path, monkeypatch):
+    collection = _saved_collection(tmp_path / "db", 3, 20)
+    reads = []
+    read_table = tabular.read_table
+
+    def counting(path):
+        reads.append(path)
+        return read_table(path)
+    monkeypatch.setattr(tabular, "read_table", counting)
+    write_report(collection, _cfg(tmp_path))
+    assert sorted(map(pathlib.Path, reads)) == \
+        sorted(tmp_path / "db" / f"{e.identifier}.csv" for e in collection)
+    assert all(isinstance(e.table._cells, str) for e in collection)
 
 
 def test_config_validation(tmp_path):
