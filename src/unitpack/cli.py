@@ -18,7 +18,7 @@ import threading
 from pathlib import Path
 
 from . import autotag, collection, datapackage, metadata, report, tabular
-from .errors import UnitpackError, error_code
+from .errors import MetaNotFound, ReportConfigInvalid, UnitpackError, error_code
 
 
 def _styled(text: str) -> str:
@@ -181,8 +181,7 @@ def _cmd_pack(args) -> int:
     meta_path = Path(args.meta) if args.meta else \
         autotag.meta_path_for(csv_path)
     if not meta_path.is_file():
-        raise UnitpackError(f"metadata file not found: {meta_path}",
-                            code="META_NOT_FOUND")
+        raise MetaNotFound(f"metadata file not found: {meta_path}")
     doc = metadata.load_document(meta_path)
     if args.loader:
         spec = tabular.load_loader_spec(args.loader)
@@ -262,8 +261,8 @@ def _cmd_report(args) -> int:
     for item in args.column:
         label, sep, path = item.partition("=")
         if not sep or not label or not path:
-            raise UnitpackError(f"--column expects LABEL=PATH, got {item!r}",
-                                code="REPORT_CONFIG_INVALID")
+            raise ReportConfigInvalid(
+                f"--column expects LABEL=PATH, got {item!r}")
         columns.append((label, path))
     cfg = report.ReportConfig(
         out_dir=Path(args.out), plot_x=args.plot_x, plot_y=args.plot_y,

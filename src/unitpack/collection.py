@@ -19,7 +19,7 @@ from .errors import (
     EntryNotFound,
     FetchError,
     PredicateParseError,
-    UnitpackError,
+    ProfileInvalid,
 )
 from .metadata import (_load_each, _read_document, _type_name,
                        _values_equal, canonical_scalar, find_path, is_scalar,
@@ -192,6 +192,9 @@ class Clause:
     value: object  # scalar literal
 
     def __post_init__(self):
+        if not isinstance(self.path, str):
+            raise PredicateParseError(
+                f"clause path must be text, not a {type(self.path).__name__}")
         if self.op not in OPERATORS:
             raise PredicateParseError(
                 f"unknown operator {self.op!r} "
@@ -277,15 +280,25 @@ class Profile:
     describe_paths: tuple[tuple[str, str], ...] = ()
 
     def __post_init__(self):
-        labels = [label for label, _ in self.describe_paths]
+        pairs = self.describe_paths
+        if not isinstance(pairs, tuple) or not all(
+                isinstance(pair, tuple) and len(pair) == 2 for pair in pairs):
+            raise ProfileInvalid(
+                f"profile {self.name!r}: describe_paths must be a tuple of "
+                f"(label, path) pairs")
+        for text in (self.name, *(text for pair in pairs for text in pair)):
+            if not isinstance(text, str):
+                raise ProfileInvalid(
+                    f"profile {self.name!r}: a name, label or path must be "
+                    f"text, got {text!r}")
+        labels = [label for label, _ in pairs]
         if len(set(labels)) != len(labels):
-            raise UnitpackError(
-                f"profile {self.name!r}: describe labels must be unique",
-                code="PROFILE_INVALID")
+            raise ProfileInvalid(
+                f"profile {self.name!r}: describe labels must be unique")
         if _COUNT_LABEL in labels:
-            raise UnitpackError(
+            raise ProfileInvalid(
                 f"profile {self.name!r}: the label {_COUNT_LABEL!r} is the "
-                f"entry count's", code="PROFILE_INVALID")
+                f"entry count's")
 
 
 DEFAULT_PROFILE = Profile(
@@ -301,27 +314,20 @@ def load_profile(path: str | Path) -> Profile:
     """Read a profile from its YAML file format."""
     raw = _read_document(path, parse_yaml)
     if not isinstance(raw, dict):
-        raise UnitpackError(f"profile {path} must be a map",
-                            code="PROFILE_INVALID")
+        raise ProfileInvalid(f"profile {path} must be a map")
     describe = [] if raw.get("describe") is None else raw["describe"]
     if not isinstance(describe, list):
-        raise UnitpackError(f"profile {path}: describe must be a list",
-                            code="PROFILE_INVALID")
+        raise ProfileInvalid(f"profile {path}: describe must be a list")
     pairs = []
     for item in describe:
         if not isinstance(item, dict) or "label" not in item \
                 or "path" not in item:
-            raise UnitpackError(
+            raise ProfileInvalid(
                 f"profile {path}: each describe item needs 'label' and "
-                f"'path'", code="PROFILE_INVALID")
+                f"'path'")
         pairs.append((item["label"], item["path"]))
-    name = raw.get("name", Path(path).stem)
-    for text in (name, *(text for pair in pairs for text in pair)):
-        if not isinstance(text, str):
-            raise UnitpackError(
-                f"profile {path}: a name, label or path must be text, got "
-                f"{text!r}", code="PROFILE_INVALID")
-    return Profile(name=name, describe_paths=tuple(pairs))
+    return Profile(name=raw.get("name", Path(path).stem),
+                   describe_paths=tuple(pairs))
 
 
 def describe(c: Collection, profile: Profile = DEFAULT_PROFILE) -> dict:

@@ -29,6 +29,7 @@ from . import units
 from .errors import (
     DescriptorParseError,
     FieldHasNoUnit,
+    FieldSpecInvalid,
     FieldSpecUnknownColumn,
     InvalidIdentifier,
     InvalidUnit,
@@ -69,14 +70,13 @@ class FieldSpec:
 
     def __post_init__(self):
         if self.type not in FIELD_TYPES:
-            raise UnitpackError(
+            raise FieldSpecInvalid(
                 f"field {self.name!r}: bad type {self.type!r} "
-                f"(expected one of {', '.join(FIELD_TYPES)})",
-                code="FIELD_SPEC_INVALID")
+                f"(expected one of {', '.join(FIELD_TYPES)})")
         if not isinstance(self.description, (str, type(None))):
-            raise UnitpackError(
+            raise FieldSpecInvalid(
                 f"field {self.name!r}: description must be text, got "
-                f"{self.description!r}", code="FIELD_SPEC_INVALID")
+                f"{self.description!r}")
         if self.unit is not None:
             self.parsed_unit()
 
@@ -173,19 +173,18 @@ def _specs_from_metadata(metadata: MetadataDoc, fields_path: str
                          ) -> dict[str, FieldSpec]:
     node = get_path(metadata, fields_path)
     if not isinstance(node, list):
-        raise UnitpackError(
+        raise FieldSpecInvalid(
             f"metadata node at {fields_path!r} must be a sequence of field "
-            f"specs", code="FIELD_SPEC_INVALID")
+            f"specs")
     specs: dict[str, dict] = {}
     for item in node:
         if not isinstance(item, dict) or not isinstance(item.get("name"), str):
-            raise UnitpackError(
+            raise FieldSpecInvalid(
                 f"each field spec at {fields_path!r} must be a map with a "
-                f"string 'name'", code="FIELD_SPEC_INVALID")
+                f"string 'name'")
         if item["name"] in specs:
-            raise UnitpackError(
-                f"duplicate field spec for column {item['name']!r}",
-                code="FIELD_SPEC_INVALID")
+            raise FieldSpecInvalid(
+                f"duplicate field spec for column {item['name']!r}")
         specs[item["name"]] = item
     return specs
 

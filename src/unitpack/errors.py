@@ -1,7 +1,10 @@
 """Domain errors shared across the toolkit.
 
 Every error carries a short machine-greppable ``code`` so the CLI can print
-``CODE: human message`` on one line and scripts can match on the code.
+``CODE: human message`` on one line and scripts can match on the code.  A
+code is a class attribute, and only that: each code is named once below,
+on the one class raised for it.  ``IO_ERROR`` alone has no class;
+`error_code` gives it to an `OSError`.
 """
 
 from __future__ import annotations
@@ -11,11 +14,6 @@ class UnitpackError(Exception):
     """Base class for all domain errors."""
 
     code: str = "ERROR"
-
-    def __init__(self, message: str, *, code: str | None = None):
-        super().__init__(message)
-        if code is not None:
-            self.code = code
 
 
 def error_code(exc: UnitpackError | OSError) -> str:
@@ -125,10 +123,18 @@ class HeaderRowOutOfRange(UnitpackError):
     code = "HEADER_ROW_OUT_OF_RANGE"
 
 
+class EmptyCsv(UnitpackError):
+    code = "EMPTY_CSV"
+
+
 # --- datapackage ---------------------------------------------------------
 
 class InvalidIdentifier(UnitpackError):
     code = "INVALID_IDENTIFIER"
+
+
+class FieldSpecInvalid(UnitpackError):
+    code = "FIELD_SPEC_INVALID"
 
 
 class FieldSpecUnknownColumn(UnitpackError):
@@ -189,6 +195,10 @@ class PredicateParseError(UnitpackError):
     code = "PREDICATE_PARSE_ERROR"
 
 
+class ProfileInvalid(UnitpackError):
+    code = "PROFILE_INVALID"
+
+
 class CollectionLoadError(UnitpackError):
     code = "COLLECTION_LOAD_ERROR"
 
@@ -215,3 +225,13 @@ class WatchSetupError(UnitpackError):
 
 class TooFewPoints(UnitpackError):
     code = "TOO_FEW_POINTS"
+
+
+class ReportConfigInvalid(UnitpackError):
+    code = "REPORT_CONFIG_INVALID"
+
+
+# --- cli -----------------------------------------------------------------
+
+class MetaNotFound(UnitpackError):
+    code = "META_NOT_FOUND"

@@ -25,7 +25,8 @@ from urllib.parse import quote
 
 from .collection import Collection
 from .datapackage import Entry
-from .errors import NonNumericCell, OutOfRange, TooFewPoints, UnitpackError
+from .errors import (NonNumericCell, OutOfRange, ReportConfigInvalid,
+                     TooFewPoints, UnitpackError)
 from .metadata import (ABSENT, _staged, _walk, canonical_scalar,
                        dump_json, find_path, is_scalar)
 from .tabular import Table, _is_number, _plain_numbers, render_cell
@@ -48,12 +49,11 @@ class ReportConfig:
     def __post_init__(self):
         object.__setattr__(self, "out_dir", Path(self.out_dir))
         if self.plot_x == self.plot_y:
-            raise UnitpackError("plot_x and plot_y must differ",
-                                code="REPORT_CONFIG_INVALID")
+            raise ReportConfigInvalid("plot_x and plot_y must differ")
         if self.format not in FORMATS:
-            raise UnitpackError(
+            raise ReportConfigInvalid(
                 f"format must be {' or '.join(map(repr, FORMATS))}, got "
-                f"{self.format!r}", code="REPORT_CONFIG_INVALID")
+                f"{self.format!r}")
 
 
 def _axis_label(entry: Entry, name: str) -> str:
@@ -157,6 +157,27 @@ def _slug(value: str, taken: set[str]) -> str:
     return slug
 
 
+def _tree(root, parts) -> str:
+    """Render a metadata tree in one walk that takes nodes from a stack,
+    not by recursion, so a document nested as deep as a parser allows
+    cannot overflow Python's stack.  ``parts(node, depth)`` gives the
+    text before and after a node and its members as ``(opening, member,
+    closing)`` triples; a scalar has no members."""
+    out, pending = [], [(root, 0)]
+    while pending:
+        item = pending.pop()
+        if isinstance(item, str):
+            out.append(item)
+            continue
+        node, depth = item
+        before, after, members = parts(node, depth)
+        out.append(before)
+        pending.append(after)
+        for opening, member, closing in reversed(members):
+            pending += (closing, (member, depth + 1), opening)
+    return "".join(out)
+
+
 # --- page formats: a page is a list of blocks, each ending in a newline ------
 # Link targets are relative file paths; the formats percent-encode them.
 
@@ -197,26 +218,21 @@ class _Markdown:
                                  for c in cells) + " |"
 
     def tree(self, node) -> str:
-        lines = self._tree_lines(node, 0)
-        return "\n".join(lines) + "\n" if lines else self.note("empty")
+        """One line per member, each a list item indented by its depth; a
+        scalar root is a list of one.  Each line starts with its newline,
+        so the first is cut."""
+        text = _tree([node] if is_scalar(node) else node, self._tree_parts)
+        return text[1:] + "\n" if text else self.note("empty")
 
-    def _tree_lines(self, node, depth: int) -> list[str]:
-        pad = "  " * depth
+    @staticmethod
+    def _tree_parts(node, depth: int):
+        pad = "\n" + "  " * depth
         if isinstance(node, dict):
-            items = [(f"{pad}- **{key}:**", value)
-                     for key, value in node.items()]
-        elif isinstance(node, list):
-            items = [(f"{pad}-", item) for item in node]
-        else:
-            return [f"{pad}- {canonical_scalar(node)}"]
-        lines = []
-        for label, value in items:
-            if is_scalar(value):
-                lines.append(f"{label} {canonical_scalar(value)}")
-            else:
-                lines.append(label)
-                lines.extend(self._tree_lines(value, depth + 1))
-        return lines
+            return "", "", [(f"{pad}- **{key}:**", value, "")
+                            for key, value in node.items()]
+        if isinstance(node, list):
+            return "", "", [(f"{pad}-", item, "") for item in node]
+        return f" {canonical_scalar(node)}", "", ()
 
     def document(self, title: str, blocks: list[str]) -> str:
         return "\n".join(blocks)
@@ -260,18 +276,17 @@ class _Html:
                 f"<tbody>\n{body}\n</tbody>\n</table>\n")
 
     def tree(self, node) -> str:
-        return self._tree(node) + "\n"
+        return _tree(node, self._tree_parts) + "\n"
 
-    def _tree(self, node) -> str:
+    @staticmethod
+    def _tree_parts(node, depth: int):
         if isinstance(node, dict):
-            return "<dl>" + "".join(
-                f"<dt>{html_lib.escape(str(key))}</dt>"
-                f"<dd>{self._tree(value)}</dd>"
-                for key, value in node.items()) + "</dl>"
+            return "<dl>", "</dl>", [
+                (f"<dt>{html_lib.escape(str(key))}</dt><dd>", value, "</dd>")
+                for key, value in node.items()]
         if isinstance(node, list):
-            return "<ul>" + "".join(f"<li>{self._tree(item)}</li>"
-                                    for item in node) + "</ul>"
-        return html_lib.escape(canonical_scalar(node))
+            return "<ul>", "</ul>", [("<li>", item, "</li>") for item in node]
+        return html_lib.escape(canonical_scalar(node)), "", ()
 
     def document(self, title: str, blocks: list[str]) -> str:
         return (

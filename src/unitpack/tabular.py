@@ -39,13 +39,13 @@ from pathlib import Path
 from .errors import (
     CsvParseError,
     DuplicateColumnName,
+    EmptyCsv,
     HeaderRowOutOfRange,
     LoaderSpecError,
     NonNumericCell,
     RaggedRow,
     RenameSourceMissing,
     SchemaTableMismatch,
-    UnitpackError,
 )
 from .metadata import _read_bytes, _read_document, parse_yaml
 from .units import _FLOAT, _INT
@@ -225,8 +225,7 @@ def _header(rows_iter) -> list[str]:
     try:
         return next(rows_iter)
     except StopIteration:
-        raise UnitpackError("empty CSV: no header line",
-                            code="EMPTY_CSV") from None
+        raise EmptyCsv("empty CSV: no header line") from None
 
 
 def _table_from_csv_rows(raw_rows, decimal_separator: str = ".") -> Table:

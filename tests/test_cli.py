@@ -1,6 +1,8 @@
 import fnmatch
 import json
 import os
+import pathlib
+import re
 import shutil
 import signal
 import subprocess
@@ -10,7 +12,7 @@ import time
 
 import pytest
 
-from unitpack import cli, metadata
+from unitpack import cli, errors, metadata
 from unitpack.datapackage import Entry, save_entry
 from unitpack.metadata import MetadataDoc
 
@@ -492,6 +494,32 @@ def test_report_cli(tmp_path, capsys):
     assert (site / "plots" / "data.svg").is_file()
 
 
+@pytest.mark.parametrize("fmt, leaf", [
+    ("markdown", "\n" + "  " * 900 + "- x<&\n"),
+    ("html", "<li>x&lt;&amp;" + "</li></ul></dd></dl>" * 450 + "</dd></dl>"),
+], ids=["markdown", "html"])
+def test_report_renders_metadata_nested_900_deep(tmp_path, fmt, leaf):
+    # The CLI runs in a child, at Python's default recursion limit, which
+    # a renderer that recursed per level of the tree would exceed.
+    csv_path, meta_path = write_demo_fixture(tmp_path)
+    doc = metadata.dump_json(metadata.load_document(meta_path).root)
+    deep = '{"k": [' * 450 + '"x<&"' + ']}' * 450
+    meta_json = tmp_path / "meta.json"
+    meta_json.write_text(doc[:-1] + f', "deep": {deep}}}', encoding="utf-8")
+    outdir, site = tmp_path / "packed", tmp_path / "site"
+    for argv in (["pack", str(csv_path), "--meta", str(meta_json),
+                  "--outdir", str(outdir)],
+                 ["report", str(outdir), "--out", str(site), "--x", "t",
+                  "--y", "U", "--format", fmt]):
+        process = subprocess.run(
+            [sys.executable, "-m", "unitpack.cli", *argv],
+            capture_output=True, encoding="utf-8", timeout=60)
+        assert process.returncode == 0, process.stderr
+    page = (site / "entries" / f"data.{'md' if fmt == 'markdown' else fmt}"
+            ).read_text(encoding="utf-8")
+    assert leaf in page
+
+
 def test_ragged_csv_body_fails_only_commands_that_read_rows(tmp_path,
                                                           capsys):
     clean = _packed(tmp_path, capsys)
@@ -858,6 +886,27 @@ def test_exit_code_matrix(tmp_path, capsys):
     with pytest.raises(SystemExit) as excinfo:
         cli.main(["ls"])
     assert excinfo.value.code == 2
+
+
+def _error_classes(base=errors.UnitpackError):
+    for cls in base.__subclasses__():
+        yield cls
+        yield from _error_classes(cls)
+
+
+def test_readme_lists_every_error_code_once():
+    # Every code is one class's own `code`, so no two classes share one
+    # and the README's table names each code the CLI can print.
+    readme = (pathlib.Path(__file__).parent.parent / "README.md").read_text(
+        encoding="utf-8")
+    section = readme.split("\n## Error codes\n", 1)[1].split("\n## ", 1)[0]
+    listed = re.findall(r"^\| `([A-Z_]+)` \|", section, re.MULTILINE)
+    classes = list(_error_classes())
+    codes = [cls.code for cls in classes]
+    assert all("code" in vars(cls) for cls in classes)
+    assert len(set(codes)) == len(codes)
+    assert len(set(listed)) == len(listed)
+    assert set(listed) == set(codes) | {"IO_ERROR"}
 
 
 def test_an_interrupted_command_is_not_a_success(tmp_path, monkeypatch):

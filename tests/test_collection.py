@@ -473,6 +473,13 @@ def test_a_clause_value_must_be_a_scalar(value):
     assert excinfo.value.code == "PREDICATE_PARSE_ERROR"
 
 
+@pytest.mark.parametrize("path", [5, None, ["user"]])
+def test_a_clause_path_must_be_text(material_collection, path):
+    with pytest.raises(PredicateParseError) as excinfo:
+        collection.filter(material_collection, Clause(path, "==", 1))
+    assert excinfo.value.code == "PREDICATE_PARSE_ERROR"
+
+
 def test_direct_collection_rejects_repeated_identifier():
     with pytest.raises(DuplicateIdentifier) as excinfo:
         Collection(entries=(material_entry("a", "Pt"),
@@ -607,6 +614,25 @@ def test_profile_name_label_and_path_must_be_text(tmp_path, text):
     path.write_text(text, encoding="utf-8")
     with pytest.raises(UnitpackError) as excinfo:
         load_profile(path)
+    assert excinfo.value.code == "PROFILE_INVALID"
+
+
+@pytest.mark.parametrize("name, describe_paths", [
+    ("p", (("lab", 5),)),
+    ("p", ((None, "x"),)),
+    (7, ()),
+    ("p", (("a", "b", "c"),)),
+    ("p", (("a",),)),
+    ("p", ("ab",)),
+    ("p", (["a", "b"],)),
+    ("p", [("a", "b")]),
+    ("p", None),
+], ids=["path number", "label null", "name number", "triple", "single",
+        "text item", "list item", "list of pairs", "none"])
+def test_a_profile_built_in_python_checks_its_fields(material_collection,
+                                                     name, describe_paths):
+    with pytest.raises(UnitpackError) as excinfo:
+        describe(material_collection, Profile(name, describe_paths))
     assert excinfo.value.code == "PROFILE_INVALID"
 
 

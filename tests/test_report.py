@@ -1,3 +1,4 @@
+import json
 import pathlib
 import posixpath
 import re
@@ -210,6 +211,24 @@ def test_entry_page_html(demo_entry, tmp_path):
     assert "<script" not in page
     assert "<h1>data</h1>" in page
     assert 'src="../plots/data.svg"' in page
+
+
+@pytest.mark.parametrize("fmt, ending", [
+    ("markdown", "## Metadata\n\n- 5\n"),
+    ("html", "<h2>Metadata</h2>\n5\n</body>\n</html>\n"),
+], ids=["markdown", "html"])
+def test_a_scalar_metadata_root_renders_as_one_value(tmp_path, fmt, ending):
+    db = tmp_path / "db"
+    db.mkdir()
+    (db / "s.csv").write_text("t,U\n0,1\n1,2\n", encoding="utf-8")
+    (db / "s.json").write_text(json.dumps({"resources": [{
+        "name": "s", "path": "s.csv",
+        "schema": {"fields": [{"name": "t"}, {"name": "U"}]},
+        "metadata": 5}]}), encoding="utf-8")
+    cfg = _cfg(tmp_path, format=fmt, group_by=None, descriptor_columns=())
+    pages = render_index(from_directory(db), cfg)
+    page = pages["entries/s.md" if fmt == "markdown" else "entries/s.html"]
+    assert page.endswith(ending)
 
 
 # -------------------------------
