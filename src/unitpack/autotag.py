@@ -5,7 +5,9 @@ A created ``data.csv`` gets a sibling ``data.csv.meta.yaml`` holding the
 template verbatim (key order and comments preserved) plus a reserved
 ``autotag`` block recording when it was tagged, the source basename,
 and the content hash of the template used.  Existing meta files are
-never overwritten.
+never overwritten.  A tag costs one temp create, one hard link, one
+unlink and one append to the event log: the block is plain text
+formatted directly unless YAML must quote or escape a value.
 
 The watcher polls the directory and considers a file complete once its
 size has been stable for the quiescence interval; this needs no file
@@ -54,11 +56,10 @@ LOG_NAME = "autotag.log.jsonl"
 # much older than the moment the listing started: a change made after
 # that moment then moves the mtime even where timestamps are 2 s coarse.
 RACY_WINDOW_NS = 2_000_000_000
-# libyaml's emitter where PyYAML has it.  It writes the same bytes as the
-# Python emitter for names of printable ASCII only: it escapes NEL and
-# characters beyond U+FFFF that the Python one writes raw, folds long
-# double-quoted scalars elsewhere, and cannot encode a lone surrogate.
-_FAST_DUMPER = getattr(yaml, "CSafeDumper", yaml.SafeDumper)
+# Text that YAML writes as a plain scalar, unless it would read it back
+# as another type (`_plain` asks the dumper's resolver).
+_PLAIN_RE = re.compile(r"[A-Za-z0-9_][A-Za-z0-9_.-]*\Z")
+_RESOLVER = yaml.SafeDumper(None)
 
 
 @dataclass(frozen=True)
@@ -183,28 +184,45 @@ def path_matches(cfg: WatchConfig, path: str | Path) -> bool:
         return True
 
 
-def meta_path_for(path: str | Path) -> Path:
-    return Path(str(path) + META_SUFFIX)
+def meta_path_for(path: str | os.PathLike) -> str:
+    return os.fspath(path) + META_SUFFIX
 
 
-def tag_file(path: str | Path, template: TemplateSnapshot,
+def _plain(text: str) -> bool:
+    """Whether YAML writes `text` as a plain scalar that reads back as
+    the same text."""
+    return _PLAIN_RE.match(text) is not None and _RESOLVER.resolve(
+        yaml.ScalarNode, text, (True, False)) == "tag:yaml.org,2002:str"
+
+
+def _autotag_block(stamp: str, name: str, version: str) -> str:
+    """The `autotag` block as `yaml.safe_dump` writes it, for `stamp`
+    from `_utc_iso`, which YAML reads as a timestamp and so quotes."""
+    if _plain(name) and _plain(version):
+        return (f"{RESERVED_KEY}:\n  tagged: '{stamp}'\n  file: {name}\n"
+                f"  template_hash: {version}\n")
+    return yaml.safe_dump(
+        {RESERVED_KEY: {"tagged": stamp, "file": name,
+                        "template_hash": version}},
+        sort_keys=False, default_flow_style=False, allow_unicode=True)
+
+
+def tag_file(path: str | os.PathLike, template: TemplateSnapshot,
              cfg: WatchConfig) -> TagEvent:
     """Write the sidecar meta file for `path`. Never overwrites.
+
+    `path` is taken as spelled, not normalised: the event's
+    `source_path` is `path` itself and its `meta_path` is `path` plus
+    `META_SUFFIX`, so `./data.csv` stays `./data.csv`.
 
     The sidecar is written under a hidden temp name and hard-linked into
     place, so a reader never sees it half-written; the temp name is
     removed whether or not that succeeds."""
-    path = Path(path)
+    path = os.fspath(path)
     meta_path = meta_path_for(path)
     stamp = _utc_now()
-    dumper = _FAST_DUMPER if path.name.isascii() and path.name.isprintable() \
-        else yaml.SafeDumper
-    block = yaml.dump(
-        {RESERVED_KEY: {"tagged": stamp, "file": path.name,
-                        "template_hash": template.version}},
-        Dumper=dumper, sort_keys=False, default_flow_style=False,
-        allow_unicode=True)
-    content = template.text + block
+    content = template.text + _autotag_block(
+        stamp, os.path.basename(path), template.version)
     with _staged(meta_path) as temp:
         try:
             with open(temp, "x", encoding="utf-8") as handle:
@@ -213,7 +231,7 @@ def tag_file(path: str | Path, template: TemplateSnapshot,
         except FileExistsError:
             raise AlreadyTagged(
                 f"meta file already exists: {meta_path}") from None
-    return TagEvent(source_path=str(path), meta_path=str(meta_path),
+    return TagEvent(source_path=path, meta_path=meta_path,
                     template_version=template.version, timestamp=stamp)
 
 
@@ -256,6 +274,12 @@ class _EventLog:
             self.sink(record)
 
 
+def _path_order(path: str) -> list[str]:
+    """The sort key that puts paths as `_walk` and `_list_dir` spell them
+    in `Path` order, part by part."""
+    return path.split(os.sep)
+
+
 def _tag_and_log(path: str, template: TemplateSnapshot, cfg: WatchConfig,
                  logger: _EventLog, **fields) -> TagEvent | None:
     """Tag `path` and log the outcome, with `fields` added to the tagged
@@ -291,8 +315,8 @@ def backfill(cfg: WatchConfig, event_sink=None) -> list[TagEvent]:
     events = []
     found = _walk(str(cfg.watch_dir), lambda path: path_matches(cfg, path),
                   cfg.recursive)
-    for path in sorted(found, key=Path):
-        if meta_path_for(path).exists():
+    for path in sorted(found, key=_path_order):
+        if os.path.exists(meta_path_for(path)):
             continue
         event = _tag_and_log(path, template, cfg, logger)
         if event is not None:
@@ -394,11 +418,12 @@ class _Poller:
                 continue
             if stat.S_ISREG(st.st_mode):
                 sizes[path] = st.st_size
-        for path in sorted(self.pending.keys() - sizes.keys(), key=Path):
+        for path in sorted(self.pending.keys() - sizes.keys(),
+                           key=_path_order):
             del self.pending[path]
             self.logger.emit({"event": "cancelled", "source_path": path,
                               "timestamp": _utc_now()})
-        for path in sorted(sizes, key=Path):
+        for path in sorted(sizes, key=_path_order):
             size, since, seen = self.pending.get(path, (None, now, now))
             if size != sizes[path] or now < since:  # or the clock stepped back
                 since = now

@@ -142,7 +142,8 @@ def _cmd_watch(args) -> int:
     )
 
     def sink(record: dict) -> None:
-        print(autotag.json_line(record))
+        # One write per record, where print makes two when unbuffered.
+        sys.stdout.write(autotag.json_line(record) + "\n")
 
     if args.backfill:
         events = autotag.backfill(cfg, event_sink=sink)
@@ -178,8 +179,7 @@ def _save(entry: datapackage.Entry, args) -> int:
 
 def _cmd_pack(args) -> int:
     csv_path = Path(args.csv)
-    meta_path = Path(args.meta) if args.meta else \
-        autotag.meta_path_for(csv_path)
+    meta_path = Path(args.meta or autotag.meta_path_for(csv_path))
     if not meta_path.is_file():
         raise MetaNotFound(f"metadata file not found: {meta_path}")
     doc = metadata.load_document(meta_path)

@@ -273,7 +273,8 @@ def save_entry(entry: Entry, outdir: str | Path,
     with (_staged(csv_path) as csv_temp, _staged(json_path) as json_temp,
           _staged(csv_path) as csv_backup):
         write_table(entry.table, csv_temp)
-        json_temp.write_text(descriptor, encoding="utf-8")
+        with open(json_temp, "w", encoding="utf-8") as handle:
+            handle.write(descriptor)
         try:
             os.link(csv_path, csv_backup)
         except FileNotFoundError:
@@ -282,7 +283,7 @@ def save_entry(entry: Entry, outdir: str | Path,
         try:
             os.replace(json_temp, json_path)
         except BaseException:
-            if csv_backup.exists():
+            if os.path.exists(csv_backup):
                 os.replace(csv_backup, csv_path)
             else:
                 csv_path.unlink()

@@ -22,7 +22,7 @@ import math
 import os
 import stat
 import sys
-from contextlib import contextmanager
+from contextlib import contextmanager, suppress
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -460,15 +460,17 @@ _STAGED_GLOB = f".*.{'[0-9a-f]' * 12}.tmp"
 
 
 @contextmanager
-def _staged(target: Path):
-    """A fresh hidden name beside `target` that no collection reads, for
-    the block to write and move into place; whatever the name still holds
-    when the block ends is removed."""
-    temp = target.with_name(f".{target.name}.{os.urandom(6).hex()}.tmp")
+def _staged(target: str | Path):
+    """A fresh hidden name (a `str`) beside `target` that no collection
+    reads, for the block to write and move into place; whatever the name
+    still holds when the block ends is removed."""
+    head, name = os.path.split(target)
+    temp = os.path.join(head, f".{name}.{os.urandom(6).hex()}.tmp")
     try:
         yield temp
     finally:
-        temp.unlink(missing_ok=True)
+        with suppress(FileNotFoundError):
+            os.unlink(temp)
 
 
 def _list_dir(directory: str, accept) -> tuple[list[str], list[str]]:

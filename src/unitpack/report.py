@@ -26,7 +26,7 @@ from urllib.parse import quote
 from .collection import Collection
 from .datapackage import Entry
 from .errors import (NonNumericCell, OutOfRange, ReportConfigInvalid,
-                     TooFewPoints, UnitpackError)
+                     TooFewPoints, UnitpackError, UnknownField)
 from .metadata import (ABSENT, _staged, _walk, canonical_scalar,
                        dump_json, find_path, is_scalar)
 from .tabular import Table, _is_number, _plain_numbers, render_cell
@@ -374,7 +374,14 @@ def _pages(c: Collection, cfg: ReportConfig) -> Iterator[tuple[str, str]]:
     Each entry's cells are read once, through a copy of its lazy table,
     and dropped with that copy when its pages are done: the collection's
     entries stay lazy, and memory holds one entry's cells at a time.
+    An axis that no entry declares is an `UnknownField`, raised from the
+    descriptors before the first page.
     """
+    declared = {spec.name for entry in c.entries for spec in entry.fields}
+    for axis in (cfg.plot_x, cfg.plot_y):
+        if c.entries and axis not in declared:
+            raise UnknownField(f"no entry has a field {axis!r} to plot "
+                               f"(fields: {', '.join(sorted(declared))})")
     fmt = _FORMATS[cfg.format]
     plot_ids: set[str] = set()
     cells: dict[str, list[tuple[str, str]]] = {}
@@ -442,7 +449,7 @@ def write_report(c: Collection, cfg: ReportConfig) -> list[Path]:
     entry, the other format) are deleted.  Other files in cfg.out_dir are
     left alone.
     """
-    staged: dict[str, tuple[Path, Path]] = {}
+    staged: dict[str, tuple[str, Path]] = {}
     made: set[Path] = set()
     written = []
     with ExitStack() as stack:
@@ -452,7 +459,7 @@ def write_report(c: Collection, cfg: ReportConfig) -> list[Path]:
                 target.parent.mkdir(parents=True, exist_ok=True)
                 made.add(target.parent)
             temp = stack.enter_context(_staged(target))
-            temp.write_text(text, encoding="utf-8")
+            Path(temp).write_text(text, encoding="utf-8")
             staged[rel_path] = temp, target
         for rel_path in sorted(staged):
             temp, target = staged[rel_path]

@@ -5,6 +5,7 @@ import json
 import os
 import pathlib
 import shutil
+import string
 import tempfile
 import threading
 import time
@@ -119,6 +120,10 @@ SIDECAR_NAMES = [
     "a: b.csv", "'q.csv", "\u00e9.csv", "\U0001F600.csv", "nel\x85.csv",
     "tab\there.csv", "tab\t" + " ".join(["long name"] * 12),
     os.fsdecode(b"bad\xff.csv"),
+    # Names at the edge of the plain-name rule, which YAML reads as a
+    # number, a boolean, null or a time (a date is above), or as text.
+    "1_000", "0x1F", "017", "1:30", "Yes", "ON", "NULL", "y", "5", "_",
+    "a.b-c_d", "1e3", ".5", "-", "x-",
 ]
 
 
@@ -158,6 +163,43 @@ def test_sidecar_bytes_for_any_name(name):
             _expected_sidecar(template, event.timestamp, name).encode("utf-8")
 
 
+# Names drawn from the plain-name alphabet, with pieces of the words and
+# numbers YAML reads as another type.
+PLAIN_ALPHABET_NAMES = st.lists(st.one_of(
+    st.sampled_from(string.ascii_letters + string.digits + "_.-"),
+    st.sampled_from(["true", "No", "NULL", "on", "Off", ".inf", ".NaN", "0x",
+                     "0b", "0o", "1e", "1_0", "2020-01-01"])),
+    min_size=1, max_size=40).map("".join)
+
+
+@settings(max_examples=300, deadline=None)
+@given(PLAIN_ALPHABET_NAMES)
+def test_sidecar_bytes_for_any_plain_alphabet_name(name):
+    if name in (".", "..") or len(name + autotag.META_SUFFIX) > 200:
+        return
+    with tempfile.TemporaryDirectory() as tmp:
+        template_path = pathlib.Path(tmp, "t.yaml")
+        template_path.write_text(TEMPLATE, encoding="utf-8")
+        cfg = WatchConfig(watch_dir=tmp, template_path=template_path)
+        template = load_template(template_path)
+        event = tag_file(pathlib.Path(tmp, name), template, cfg)
+        assert pathlib.Path(event.meta_path).read_bytes() == \
+            _expected_sidecar(template, event.timestamp, name).encode("utf-8")
+
+
+@pytest.mark.parametrize("version", [
+    "1" * 64,  # YAML reads it as an int, so it is quoted
+    hashlib.sha256(b"template").hexdigest(),
+])
+@pytest.mark.parametrize("name", ["data.csv", "5", "a b.csv"])
+def test_autotag_block_is_safe_dump_of_its_map(version, name):
+    stamp = autotag._utc_now()
+    assert autotag._autotag_block(stamp, name, version) == yaml.safe_dump(
+        {"autotag": {"tagged": stamp, "file": name,
+                     "template_hash": version}},
+        sort_keys=False, default_flow_style=False, allow_unicode=True)
+
+
 def test_tag_never_overwrites(watch_setup):
     watch_dir, template_path, cfg = watch_setup
     source = watch_dir / "data.csv"
@@ -166,6 +208,21 @@ def test_tag_never_overwrites(watch_setup):
     tag_file(source, template, cfg)
     with pytest.raises(AlreadyTagged):
         tag_file(source, template, cfg)
+
+
+@pytest.mark.parametrize("spelling", ["./data.csv", "sub//data.csv",
+                                      "sub/./data.csv"])
+def test_tag_file_keeps_the_path_as_spelled(watch_setup, monkeypatch,
+                                            spelling):
+    # A direct caller gets its own spelling back; the watcher passes the
+    # normalized paths its listing spells.
+    watch_dir, template_path, cfg = watch_setup
+    monkeypatch.chdir(watch_dir)
+    _write(pathlib.Path(spelling))
+    event = tag_file(spelling, load_template(template_path), cfg)
+    assert event.source_path == spelling
+    assert event.meta_path == spelling + autotag.META_SUFFIX
+    assert pathlib.Path(spelling + autotag.META_SUFFIX).is_file()
 
 
 class _TornHandle:
@@ -364,6 +421,20 @@ def test_backfill_logs_untaggable_file(watch_setup, monkeypatch, exc, code):
     assert records[0]["source_path"] == str(source)
 
 
+def test_backfill_logs_a_name_too_long_for_its_sidecar(watch_setup):
+    # The sidecar's name passes the 255-byte limit, so the check for an
+    # existing sidecar and the tag both fail; the run goes on.
+    watch_dir, _, cfg = watch_setup
+    long = _write(watch_dir / ("x" * 250 + ".csv"))
+    short = _write(watch_dir / "y.csv")
+    records = []
+    assert [e.source_path for e in backfill(cfg, records.append)] == \
+        [str(short)]
+    assert [(r["event"], r.get("code"), r["source_path"])
+            for r in records] == [("error", "IO_ERROR", str(long)),
+                                  ("tagged", None, str(short))]
+
+
 # -------------------------------
 # scan
 # -------------------------------
@@ -552,6 +623,36 @@ def test_poll_events_over_scripted_trees(watch_setup, script):
         poller.poll(now + 0.1 * index)
     assert [(r["event"], pathlib.Path(r["source_path"]).relative_to(
         watch_dir).as_posix()) for r in records] == expected
+
+
+# As text these sort "a b.csv" < "a-b/c.csv" < "a.csv" < "a/b.csv"; as
+# `Path` parts, "a/b.csv" comes first and "a b.csv" before "a-b/c.csv".
+ORDER_NAMES = ["a/b.csv", "a-b/c.csv", "a b.csv", "a.csv"]
+
+
+def test_backfill_and_poll_events_come_in_path_order(watch_setup):
+    watch_dir, _, cfg = watch_setup
+    old, new = watch_dir / "old", watch_dir / "new"
+    expected = sorted((str(old / name) for name in ORDER_NAMES),
+                      key=pathlib.Path)
+    assert expected != sorted(expected)
+    _write_each(old, *ORDER_NAMES)
+    records = []
+    events = backfill(cfg, event_sink=records.append)
+    assert [e.source_path for e in events] == expected
+    assert [r["source_path"] for r in records] == expected
+    with open(cfg.effective_log_path, encoding="utf-8") as handle:
+        assert [json.loads(line)["source_path"] for line in handle] == \
+            expected
+    now = time.time()
+    poller, records = _poller(cfg, now)
+    _write_each(new, *ORDER_NAMES)
+    poller.poll(now + 0.01)
+    assert records == []
+    poller.poll(now + 0.2)  # every file quiescent: tagged in one pass
+    assert [r["source_path"] for r in records
+            if r["event"] == "tagged"] == sorted(
+        (str(new / name) for name in ORDER_NAMES), key=pathlib.Path)
 
 
 TEMPLATE_SPELLINGS = {

@@ -16,7 +16,7 @@ from unitpack import cli, errors, metadata
 from unitpack.datapackage import Entry, save_entry
 from unitpack.metadata import MetadataDoc
 
-from conftest import material_entry, write_demo_fixture
+from conftest import forbid_csv_body, material_entry, write_demo_fixture
 
 SCHEMA = """{
   "type": "object",
@@ -492,6 +492,29 @@ def test_report_cli(tmp_path, capsys):
     assert (site / "index.md").is_file()
     assert (site / "entries" / "data.md").is_file()
     assert (site / "plots" / "data.svg").is_file()
+
+
+def test_report_axis_no_entry_declares_fails_before_any_page(
+        tmp_path, capsys, monkeypatch):
+    outdir = _packed(tmp_path, capsys)  # "data": fields t, U and T
+    save_entry(material_entry("cv", "Pt"), outdir)  # fields t and U
+    site = tmp_path / "site"
+    code, _, err = run(capsys, "report", str(outdir), "--out", str(site),
+                       "--x", "t", "--y", "T")
+    assert (code, err) == (0, f"wrote 4 file(s) to {site}\n")
+    assert "no plot available" in (site / "entries" / "cv.md").read_text(
+        encoding="utf-8")
+    assert (site / "plots" / "data.svg").is_file()
+    pages = {path: path.read_bytes() for path in site.rglob("*")
+             if path.is_file()}
+    forbid_csv_body(monkeypatch)
+    for axis in (["--x", "nosuch", "--y", "U"], ["--x", "t", "--y", "u"]):
+        code, out, err = run(capsys, "report", str(outdir), "--out",
+                             str(site), *axis)
+        assert (code, out) == (1, "")
+        assert err.startswith("UNKNOWN_FIELD: no entry has a field "), err
+        assert {path: path.read_bytes() for path in site.rglob("*")
+                if path.is_file()} == pages
 
 
 @pytest.mark.parametrize("fmt, leaf", [
