@@ -118,6 +118,9 @@ def validate_identifier(identifier: str) -> str:
     if "\0" in identifier:  # no file name can hold one
         raise InvalidIdentifier(
             f"identifier must not contain NUL: {identifier!r}")
+    if identifier.splitlines() != [identifier]:  # `ls` prints one a line
+        raise InvalidIdentifier(
+            f"identifier must not contain a line break: {identifier!r}")
     try:
         identifier.encode("utf-8")
     except UnicodeEncodeError:  # a lone surrogate, as from a non-UTF-8 name
@@ -158,12 +161,11 @@ class Entry:
                 f"columns {list(self.table.columns)}")
 
     def field(self, name: str) -> FieldSpec:
-        for spec in self.fields:
-            if spec.name == name:
-                return spec
-        raise UnknownField(
-            f"no field {name!r} in entry {self.identifier!r} "
-            f"(fields: {', '.join(f.name for f in self.fields)})")
+        if name not in self.table._index:
+            raise UnknownField(
+                f"no field {name!r} in entry {self.identifier!r} "
+                f"(fields: {', '.join(self.table.columns)})")
+        return self.fields[self.table.column_index(name)]
 
     def __repr__(self) -> str:
         return f"Entry({self.identifier!r})"
@@ -202,26 +204,25 @@ def build_entry_from_table(identifier: str, table: Table,
     declared type is never rewritten.
     """
     specs = _specs_from_metadata(metadata, fields_path)
-    unknown = [name for name in specs if name not in table.columns]
+    unknown = [name for name in specs if name not in table._index]
     if unknown:
         raise FieldSpecUnknownColumn(
             f"field spec(s) name column(s) absent from the CSV: "
             f"{', '.join(map(repr, unknown))}")
     fields = []
-    for column in table.columns:
+    for column, cells in zip(table.columns, table._body()):
         item = specs.get(column, {})
         declared_type = item.get("type")
         if declared_type is None:
             try:
-                _numeric_column(column, table.column_values(column))
+                _numeric_column(column, cells)
                 declared_type = "number"
             except NonNumericCell:
                 declared_type = "string"
         fields.append(FieldSpec.from_descriptor(
             {**item, "name": column, "type": declared_type}))
         if item.get("type") in ("number", "integer"):
-            _numeric_column(column, table.column_values(column),
-                            integer=declared_type == "integer")
+            _numeric_column(column, cells, integer=declared_type == "integer")
     return Entry(identifier=identifier, fields=tuple(fields), table=table,
                  metadata=metadata)
 
@@ -367,7 +368,7 @@ def rescale(entry: Entry, targets: dict[str, str]) -> Entry:
     new_fields = list(entry.fields)
     for name, unit_text in targets.items():
         spec = entry.field(name)
-        index = entry.fields.index(spec)
+        index = entry.table.column_index(name)
         old_unit = spec.parsed_unit()
         try:
             new_unit = units.parse_unit(unit_text)
@@ -379,7 +380,7 @@ def rescale(entry: Entry, targets: dict[str, str]) -> Entry:
         new_fields[index] = replace(spec, unit=unit_text, type=(
             "number" if fractional else spec.type))
 
-    columns = list(map(entry.table.column_values, entry.table.columns))
+    columns = list(entry.table._body())
     for index, factor in factors.items():
         cells = _numeric_column(new_fields[index].name, columns[index])
         columns[index] = tuple(None if cell is None

@@ -331,8 +331,7 @@ def render_entry_page(entry: Entry, cfg: ReportConfig, has_plot: bool,
                                 entry.identifier))
     else:
         blocks.append(fmt.note("no plot available"))
-    preview = zip(*(entry.table.column_values(name)[:10]
-                    for name in entry.table.columns))
+    preview = zip(*(cells[:10] for cells in entry.table._body()))
     blocks += [
         fmt.heading("Data preview", 2),
         fmt.table([_axis_label(entry, f.name) for f in entry.fields],

@@ -74,27 +74,30 @@ class Table:
     Cells are kept a column at a time; `rows` is rebuilt from them on each
     use, so a table with no columns has no rows.  A table from `open_table`
     knows its columns at once and reads its cells on first use.  Tables
-    with the same columns and cells compare equal.
+    with the same columns and cells compare equal.  One name → position
+    map, made with the table by its duplicate-name check, finds a column
+    by name, so work on a table is linear in its rows and columns.
     """
 
     columns: tuple[str, ...]
     _cells: tuple[tuple[Cell, ...], ...] | str
+    _index: dict[str, int] = field(repr=False)
 
     def __init__(self, columns: tuple[str, ...],
                  rows: tuple[tuple[Cell, ...], ...] = (),
                  _cells: tuple[tuple[Cell, ...], ...] | str = ()):
-        seen = set()
-        for name in columns:
-            if name in seen:
+        positions = {}
+        for position, name in enumerate(columns):
+            if positions.setdefault(name, position) != position:
                 raise DuplicateColumnName(
                     f"duplicate column name {name!r}: fields can not be "
                     f"unambiguously addressed")
-            seen.add(name)
         for index, row in enumerate(rows):
             if len(row) != len(columns):
                 raise RaggedRow(f"row {index} has {len(row)} cells, expected "
                                 f"{len(columns)}", row_index=index)
         object.__setattr__(self, "columns", columns)
+        object.__setattr__(self, "_index", positions)
         object.__setattr__(self, "_cells", _cells or tuple(zip(*rows))
                            or ((),) * len(columns))
 
@@ -127,10 +130,7 @@ class Table:
         return len(cells[0]) if cells else 0
 
     def column_index(self, name: str) -> int:
-        try:
-            return self.columns.index(name)
-        except ValueError:
-            raise KeyError(name) from None
+        return self._index[name]
 
     def column_values(self, name: str) -> tuple[Cell, ...]:
         return self._body()[self.column_index(name)]
@@ -445,7 +445,7 @@ def apply_loader(path: str | Path, spec: LoaderSpec) -> Table:
         raw_rows = csv.reader(lines[spec.header_row:],
                               delimiter=spec.delimiter)
         table = _table_from_csv_rows(raw_rows, spec.decimal_separator)
-    missing = [k for k in spec.rename if k not in table.columns]
+    missing = [k for k in spec.rename if k not in table._index]
     if missing:
         raise RenameSourceMissing(
             f"rename source column(s) not present: "

@@ -12,7 +12,7 @@ import time
 
 import pytest
 
-from unitpack import cli, errors, metadata
+from unitpack import cli, datapackage, errors, metadata, tabular
 from unitpack.datapackage import Entry, save_entry
 from unitpack.metadata import MetadataDoc
 
@@ -541,6 +541,49 @@ def test_report_renders_metadata_nested_900_deep(tmp_path, fmt, leaf):
     page = (site / "entries" / f"data.{'md' if fmt == 'markdown' else fmt}"
             ).read_text(encoding="utf-8")
     assert leaf in page
+
+
+def test_every_command_is_linear_in_the_number_of_columns(tmp_path):
+    # A wide CSV is legal.  A lookup by name that scans the columns, made
+    # once per column, takes tens of seconds on this table; a linear pass
+    # takes about one.  Each command runs in a child under its own limit.
+    columns = [f"c{i}" for i in range(50_000)]
+    csv_path = tmp_path / "wide.csv"
+    csv_path.write_text(
+        "".join(",".join(row) + "\n" for row in (
+            columns, ["1"] * len(columns), ["2"] * len(columns))),
+        encoding="utf-8")
+    (tmp_path / "wide.csv.meta.yaml").write_text(
+        "figure_description:\n  fields:\n    - name: c1\n      unit: mV\n",
+        encoding="utf-8")
+    packed, rescaled, site = (tmp_path / name
+                              for name in ("packed", "rescaled", "site"))
+    for argv in (["pack", str(csv_path), "--outdir", str(packed)],
+                 ["rescale", str(packed), "wide", "--field", "c1", "--unit",
+                  "V", "--outdir", str(rescaled)],
+                 ["report", str(rescaled), "--out", str(site), "--x", "c0",
+                  "--y", "c1"]):
+        process = subprocess.run(
+            [sys.executable, "-m", "unitpack.cli", *argv],
+            capture_output=True, encoding="utf-8", timeout=10)
+        assert process.returncode == 0, process.stderr
+    descriptor = json.loads((packed / "wide.json").read_text("utf-8"))
+    assert len(descriptor["resources"][0]["schema"]["fields"]) == 50_000
+    entry = datapackage.load_entry(rescaled / "wide.json")
+    assert entry.table.column_values("c1") == (0.001, 0.002)
+    assert (site / "plots" / "wide.svg").is_file()
+
+    started = time.perf_counter()
+    loader = tabular.LoaderSpec(rename={name: name.upper()
+                                        for name in columns})
+    assert tabular.apply_loader(csv_path, loader).columns[-1] == "C49999"
+    table = tabular.read_table(csv_path)
+    doc = MetadataDoc(root={"fields": [{"name": name, "type": "integer"}
+                                       for name in columns]})
+    entry = datapackage.build_entry_from_table("wide", table, doc,
+                                               fields_path="fields")
+    assert entry.field("c49999").type == "integer"
+    assert time.perf_counter() - started < 5
 
 
 def test_ragged_csv_body_fails_only_commands_that_read_rows(tmp_path,

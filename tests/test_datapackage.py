@@ -116,6 +116,18 @@ def test_spec_for_absent_column_rejected(tmp_path):
         build_entry(csv_path, metadata)
 
 
+def test_specs_for_absent_columns_are_listed_in_spec_order():
+    metadata = MetadataDoc(root={"fields": [{"name": "Z"}, {"name": "t"},
+                                            {"name": "X"}]})
+    with pytest.raises(FieldSpecUnknownColumn) as excinfo:
+        datapackage.build_entry_from_table(
+            "data", Table(columns=("t", "U"), rows=()), metadata,
+            fields_path="fields")
+    assert str(excinfo.value) == \
+        "field spec(s) name column(s) absent from the CSV: 'Z', 'X'"
+    assert excinfo.value.code == "FIELD_SPEC_UNKNOWN_COLUMN"
+
+
 @pytest.mark.parametrize("unit", [1, ["m"]])
 def test_non_string_unit_in_spec(unit):
     with pytest.raises(InvalidUnit):
@@ -703,6 +715,23 @@ def test_identifier_with_a_path_separator_is_invalid(identifier):
     with pytest.raises(InvalidIdentifier, match="path separators") as excinfo:
         datapackage.validate_identifier(identifier)
     assert excinfo.value.code == "INVALID_IDENTIFIER"
+
+
+# Every character at which `str.splitlines` ends a line.
+@pytest.mark.parametrize("line_break", [
+    "\n", "\r", "\r\n", "\v", "\f", "\x1c", "\x1d", "\x1e", "\x85",
+    "\u2028", "\u2029"])
+def test_identifier_with_a_line_break_is_invalid(line_break):
+    with pytest.raises(InvalidIdentifier, match="line break") as excinfo:
+        datapackage.validate_identifier(f"a{line_break}b")
+    assert excinfo.value.code == "INVALID_IDENTIFIER"
+
+
+def test_entry_field_of_an_unknown_name_lists_the_fields(demo_entry):
+    with pytest.raises(UnknownField) as excinfo:
+        demo_entry.field("X")
+    assert str(excinfo.value) == \
+        "no field 'X' in entry 'data' (fields: t, U, T)"
 
 
 def test_field_list_naming_a_column_twice_is_invalid():

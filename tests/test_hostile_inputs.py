@@ -113,6 +113,7 @@ DESCRIPTORS = {
     "name-uppercase": descriptor(name="Data"),
     "name-lone-surrogate": descriptor(name="bad\udcff"),
     "name-nul": descriptor(name="a\u0000b"),
+    "name-newline": descriptor(name="a\nb"),
     "path-escapes": descriptor(path="../data.csv"),
     "path-absolute": descriptor(path="/data.csv"),
     "path-not-text": descriptor(path=5),

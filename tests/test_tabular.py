@@ -48,6 +48,21 @@ def test_duplicate_column_rejected(tmp_path):
         tabular.read_table(path)
 
 
+def test_duplicate_column_names_the_first_repeated_name():
+    with pytest.raises(DuplicateColumnName,
+                       match="^duplicate column name 'a':") as excinfo:
+        Table(("a", "b", "a", "b"))
+    assert excinfo.value.code == "DUPLICATE_COLUMN"
+
+
+def test_missing_column_is_a_key_error():
+    table = Table(("a", "b"), ((1, 2),))
+    for lookup in (table.column_index, table.column_values):
+        with pytest.raises(KeyError) as excinfo:
+            lookup("x")
+        assert excinfo.value.args == ("x",)
+
+
 def test_ragged_row_reports_index(tmp_path):
     path = tmp_path / "ragged.csv"
     path.write_text("t,U\n0,1\n2\n", encoding="utf-8")
@@ -648,6 +663,15 @@ def test_header_row_out_of_range(tmp_path):
 def test_rename_source_missing(tmp_path, demo_paths):
     with pytest.raises(RenameSourceMissing):
         tabular.apply_loader(demo_paths[0], LoaderSpec(rename={"nope": "U"}))
+
+
+def test_rename_source_missing_lists_names_in_spec_order(demo_paths):
+    spec = LoaderSpec(rename={"z": "A", "t": "B", "y": "C"})
+    with pytest.raises(RenameSourceMissing) as excinfo:
+        tabular.apply_loader(demo_paths[0], spec)
+    assert str(excinfo.value) == \
+        "rename source column(s) not present: 'z', 'y'"
+    assert excinfo.value.code == "RENAME_SOURCE_MISSING"
 
 
 def test_spec_validation():
