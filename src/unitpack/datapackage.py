@@ -20,6 +20,7 @@ The on-disk form is a ``<identifier>.json`` descriptor next to a
 from __future__ import annotations
 
 import os
+import re
 import statistics
 from dataclasses import dataclass, replace
 from operator import itemgetter
@@ -104,6 +105,10 @@ class FieldSpec:
         return out
 
 
+# Unicode's `Cc` characters: C0, DEL and C1.
+_CONTROL = re.compile(r"[\x00-\x1f\x7f-\x9f]")
+
+
 def validate_identifier(identifier: str) -> str:
     if not identifier:
         raise InvalidIdentifier("identifier must be nonempty")
@@ -121,6 +126,10 @@ def validate_identifier(identifier: str) -> str:
     if identifier.splitlines() != [identifier]:  # `ls` prints one a line
         raise InvalidIdentifier(
             f"identifier must not contain a line break: {identifier!r}")
+    if _CONTROL.search(identifier):  # a terminal runs what `ls` prints
+        raise InvalidIdentifier(
+            f"identifier must not contain a control character: "
+            f"{identifier!r}")
     try:
         identifier.encode("utf-8")
     except UnicodeEncodeError:  # a lone surrogate, as from a non-UTF-8 name

@@ -17,6 +17,7 @@ temp name and moved or linked into place.
 
 from __future__ import annotations
 
+import contextvars
 import json
 import math
 import os
@@ -121,11 +122,29 @@ class _StrictYamlLoader(yaml.SafeLoader):
         return super().construct_mapping(node, deep=deep)
 
 
+# While `_load_each` runs, the table of the map keys and text values its
+# JSON documents have read so far; `None` outside a load.  Each load sets
+# a fresh table in its own context, so two loads, in two threads too,
+# never share one.
+_SHARED_TEXT: contextvars.ContextVar[dict[str, str] | None] = \
+    contextvars.ContextVar("_SHARED_TEXT", default=None)
+
+
 def _json_pairs_hook(pairs):
+    """The map of a JSON object's pairs; a repeated key is a `DuplicateKey`.
+    During a `_load_each`, each key and each text value is the load's one
+    copy of that string, so the descriptors of a collection, which repeat
+    the same keys and most of the same text, hold each string once.  A
+    text inside an array is kept as the parser built it."""
+    shared = _SHARED_TEXT.get()
     mapping = {}
     for key, value in pairs:
         if key in mapping:
             raise DuplicateKey(f"duplicate key {key!r} in one map")
+        if shared is not None:
+            key = shared.setdefault(key, key)
+            if type(value) is str:
+                value = shared.setdefault(value, value)
         mapping[key] = value
     return mapping
 
@@ -514,16 +533,27 @@ def _load_each(directory: str | Path, suffix: str, load
     """`load` of each regular file below `directory` whose name ends in
     `suffix`, in path order, as ``(path, loaded)`` pairs, and each file
     whose `load` raised a `UnitpackError` or an `OSError` as its
-    ``(path, "CODE: message")`` pair."""
+    ``(path, "CODE: message")`` pair.
+
+    The JSON documents read during the load share one copy of each
+    repeated map key and text value (`_json_pairs_hook`); the table that
+    finds them is dropped when the load ends, so a shared string lives as
+    long as the values that hold it.  Texts inside arrays, YAML documents
+    (sidecars, templates, profiles) and CSV header names are not shared."""
     directory = str(Path(directory))
     if not os.path.isdir(directory):
         raise DirectoryNotFound(f"not a directory: {directory}")
+    paths = sorted(_walk(directory, lambda path: path.endswith(suffix)))
     loaded, failures = [], []
-    for path in sorted(_walk(directory, lambda path: path.endswith(suffix))):
-        try:
-            loaded.append((path, load(path)))
-        except (UnitpackError, OSError) as exc:
-            failures.append((path, f"{error_code(exc)}: {exc}"))
+    token = _SHARED_TEXT.set({})
+    try:
+        for path in paths:
+            try:
+                loaded.append((path, load(path)))
+            except (UnitpackError, OSError) as exc:
+                failures.append((path, f"{error_code(exc)}: {exc}"))
+    finally:
+        _SHARED_TEXT.reset(token)
     return loaded, failures
 
 

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from unitpack import collection
+from unitpack import collection, metadata
 from unitpack.collection import (
     Clause,
     Collection,
@@ -77,6 +77,39 @@ def test_load_errors_fatal_by_default(packed_dir):
         from_directory(packed_dir)
     db = from_directory(packed_dir, skip_errors=True)
     assert db.identifiers == ("data",)
+
+
+def _shared(db):
+    """Whether the two entries of `db` hold one copy of a metadata key and
+    of a text value they both have."""
+    first, second = (entry.metadata.root for entry in db)
+    [key_1], [key_2] = ([key for key in root if key == "user"]
+                        for root in (first, second))
+    return key_1 is key_2 and first["user"] is second["user"]
+
+
+def test_one_load_holds_one_copy_of_each_repeated_text(tmp_path):
+    _save_all([material_entry("cv-pt-1", "Pt", user="Marie Curie"),
+               material_entry("cv-pt-2", "Pt", user="Marie Curie")],
+              tmp_path / "db")
+    assert _shared(from_directory(tmp_path / "db"))
+    assert metadata._SHARED_TEXT.get() is None
+
+
+def test_the_shared_text_table_ends_with_a_failed_load(packed_dir):
+    (packed_dir / "stray.json").write_text("{}", encoding="utf-8")
+    with pytest.raises(CollectionLoadError):
+        from_directory(packed_dir)
+    assert metadata._SHARED_TEXT.get() is None
+
+
+def test_an_archive_load_shares_repeated_text(tmp_path):
+    _save_all([material_entry("cv-pt-1", "Pt", user="Marie Curie"),
+               material_entry("cv-pt-2", "Pt", user="Marie Curie")],
+              tmp_path / "db")
+    _zip_dir(tmp_path / "db", tmp_path / "db.zip")
+    assert _shared(from_archive(tmp_path / "db.zip"))
+    assert metadata._SHARED_TEXT.get() is None
 
 
 def test_roundtrip_through_filesystem(material_collection, tmp_path):

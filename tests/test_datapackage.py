@@ -727,6 +727,14 @@ def test_identifier_with_a_line_break_is_invalid(line_break):
     assert excinfo.value.code == "INVALID_IDENTIFIER"
 
 
+@pytest.mark.parametrize("control", ["\x1b", "\t", "\x7f", "\x80"])
+def test_identifier_with_a_control_character_is_invalid(control):
+    with pytest.raises(InvalidIdentifier,
+                       match="control character") as excinfo:
+        datapackage.validate_identifier(f"a{control}[2kb")
+    assert excinfo.value.code == "INVALID_IDENTIFIER"
+
+
 def test_entry_field_of_an_unknown_name_lists_the_fields(demo_entry):
     with pytest.raises(UnknownField) as excinfo:
         demo_entry.field("X")

@@ -114,6 +114,7 @@ DESCRIPTORS = {
     "name-lone-surrogate": descriptor(name="bad\udcff"),
     "name-nul": descriptor(name="a\u0000b"),
     "name-newline": descriptor(name="a\nb"),
+    "name-control": descriptor(name="a\x1b[2kb"),
     "path-escapes": descriptor(path="../data.csv"),
     "path-absolute": descriptor(path="/data.csv"),
     "path-not-text": descriptor(path=5),
@@ -152,6 +153,17 @@ REPORT = ["report", "coll", "--out", "out", "--x", "t", "--y", "U"]
 def test_hostile_descriptor(tmp_path, monkeypatch, name, argv):
     run(tmp_path, monkeypatch, {"coll/data.json": DESCRIPTORS[name],
                                 "coll/data.csv": DEMO_CSV}, argv)
+
+
+@pytest.mark.parametrize("name", sorted(name for name in DESCRIPTORS
+                                         if name.startswith("name-")))
+def test_a_descriptor_with_a_bad_name_lists_nothing(tmp_path, monkeypatch,
+                                                     name):
+    code, out, err = run(tmp_path, monkeypatch,
+                         {"coll/data.json": DESCRIPTORS[name],
+                          "coll/data.csv": DEMO_CSV}, ["ls", "coll"])
+    assert (code, out) == (1, "")
+    assert err.startswith("COLLECTION_LOAD_ERROR: ")
 
 
 CSVS = {
